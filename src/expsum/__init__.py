@@ -69,15 +69,7 @@ from .expsums import (
     unit_inverse_table,
     weil_audit,
 )
-from .modarith import (
-    PrimePower,
-    crt_combine,
-    is_prime,
-    legendre,
-    mod_inv,
-    sqrt_mod_pp,
-    valuation,
-)
+from .modarith import PrimePower, is_prime, legendre, sqrt_mod_pp
 from .verify import CheckResult, reports_csv, run_checks
 from .voronoi import (
     SmoothWeight,

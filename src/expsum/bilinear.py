@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -227,15 +226,6 @@ def thm_bound(
     raise ValueError(f"unknown bound kind {kind!r}")
 
 
-@lru_cache(maxsize=4096)
-def _prime_power_split(q: int) -> tuple[int, int]:
-    """(p, gamma) if q = p^gamma with gamma >= 1, else (0, 0)."""
-    pairs = factorize(q).pairs
-    if len(pairs) == 1:
-        return pairs[0]
-    return (0, 0)
-
-
 def hypothesis_flags(q: int, M: int, N: int) -> tuple[bool, bool]:
     """(squarefree-theorem range holds, primepower-theorem range holds).
 
@@ -244,8 +234,9 @@ def hypothesis_flags(q: int, M: int, N: int) -> tuple[bool, bool]:
     the square-free theorem requires q square-free.
     """
     damp = (1 + M / q) ** (-2)
-    sf = factorize(q).is_squarefree() and N <= math.sqrt(q) * damp
-    p, gamma = _prime_power_split(q)
+    fac = factorize(q)
+    sf = fac.is_squarefree() and N <= math.sqrt(q) * damp
+    p, gamma = fac.pairs[0] if len(fac.pairs) == 1 else (0, 0)
     pp = gamma >= 2 and p > 2 and N <= q ** (1 / 5) * damp
     return sf, pp
 

@@ -35,7 +35,6 @@ from .modarith import PrimePower, sqrt_mod_pp, valuation_capped
 __all__ = [
     "CharSumParams",
     "BoundReport",
-    "NonInvertibleTerm",
     "HypothesisViolated",
     "SingularTransform",
     "NotSquareFree",
@@ -51,14 +50,6 @@ __all__ = [
 ]
 
 RATIO_CAP = 16.0  # generous absolute stand-in for the lemmas' implied constants
-
-
-class NonInvertibleTerm(ArithmeticError):
-    """A term's inner argument is not a unit.
-
-    Kept for API completeness: under the empty-pair-sum convention a
-    degenerate factor contributes 0 and no error is raised.
-    """
 
 
 class HypothesisViolated(ValueError):

@@ -13,25 +13,34 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
-from . import verify as verify_mod
-from .arith import factorize
 from .bilinear import BilinearConfig, cancellation_scan
-from .charsums import CharSumParams, calC, df_correlation, frakC2_glue, frakC_11
-from .charsums import moebius_correlation, moebius_reduce, ppower_bound
 from .distribution import discrepancy_scan
-from .expsums import hyper_kl3_table, kloosterman_split, kloosterman_table
-from .modarith import PrimePower, is_prime
-from .verify import reports_csv, run_checks
+from .expsums import hyper_kl3_table
+from .families import (
+    BILINEAR_HEADER,
+    bilinear_row,
+    calc_tuples,
+    charsum_pp,
+    charsum_pp_cells,
+    charsum_prime,
+    df_pairs,
+    fmt,
+    glue_tuples,
+    middle_unit,
+    modulus_rng,
+    pmap,
+    render,
+    split_vs_table,
+    voronoi_cells,
+)
+from .modarith import is_prime
+from .verify import criterion_determinism, run_checks
 from .voronoi import SmoothWeight, voronoi_residual
 
 __all__ = ["main", "load_config", "parse_int_list", "ParseError", "ValidationError"]
@@ -62,6 +71,9 @@ CAPS = {
     "N": 10**4,
     "jobs": 64,
 }
+
+# the correlation-sum parameters of the charsum-pp and charsum-prime rows
+_TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
 
 CONFIG_KEYS = {
     "p", "gamma_max", "u_max", "q", "X", "M", "N",
@@ -173,232 +185,143 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
-def _pmap(fn, items, jobs: int):
-    """Order-preserving parallel map; canonical merge regardless of jobs."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(rows: list[dict], header: list[str], cfg: RunConfig) -> None:
-    """Write rows (already string-valued) as CSV or JSON, file or stdout."""
-    if cfg.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(row[h]) for h in header) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps([{h: row[h] for h in header} for row in rows], indent=0)
-        text += "\n"
+    """Write rows as CSV or JSON, to --out or stdout."""
+    text = render(rows, header, cfg.format)
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _scan(one, items: list, header: list[str], cfg: RunConfig) -> list[dict]:
+    """Emit the rows of one(item) for every item, in item order; return them."""
+    rows = [r for rs in pmap(one, items, cfg.jobs) for r in rs]
+    _emit(rows, header, cfg)
+    return rows
+
+
 # ---------------------------------------------------------------- runners
 
 
 def _run_kloosterman(cfg: RunConfig) -> int:
-    qs = cfg.q or [12]
     tol = cfg.tol if cfg.tol is not None else 1e-9
 
     def one(q: int) -> list[dict]:
-        tab = kloosterman_table(q).values
         rows = []
-        for m in range(q):
-            split = kloosterman_split(1, m, q)
-            diff = abs(split - tab[m])
-            rows.append(
-                {
-                    "q": q,
-                    "m": m,
-                    "value": _fmt(float(tab[m])),
-                    "split_value": _fmt(split.real),
-                    "abs_diff": _fmt(diff),
-                }
-            )
+        for m, value, split in split_vs_table(q):
+            diff = abs(split - value)
+            rows.append({"q": q, "m": m, "value": fmt(value),
+                         "split_value": fmt(split.real), "abs_diff": fmt(diff)})
             if diff > tol * q:
                 raise AssertionError(f"split mismatch at q={q}, m={m}: {diff}")
         return rows
 
-    flat = [r for rows in _pmap(one, qs, cfg.jobs) for r in rows]
-    _emit(flat, ["q", "m", "value", "split_value", "abs_diff"], cfg)
+    _scan(one, cfg.q or [12], ["q", "m", "value", "split_value", "abs_diff"], cfg)
     return 0
 
 
 def _run_hyperkl3(cfg: RunConfig) -> int:
-    qs = cfg.q or [9]
-
     def one(q: int) -> list[dict]:
         tab = hyper_kl3_table(q)
-        return [
-            {
-                "q": q,
-                "m": m,
-                "re": _fmt(tab[m].real),
-                "im": _fmt(tab[m].imag),
-                "abs": _fmt(abs(tab[m])),
-            }
-            for m in range(q)
-        ]
+        return [{"q": q, "m": m, "re": fmt(tab[m].real), "im": fmt(tab[m].imag),
+                 "abs": fmt(abs(tab[m]))} for m in range(q)]
 
-    flat = [r for rows in _pmap(one, qs, cfg.jobs) for r in rows]
-    _emit(flat, ["q", "m", "re", "im", "abs"], cfg)
+    _scan(one, cfg.q or [9], ["q", "m", "re", "im", "abs"], cfg)
     return 0
 
 
 def _run_charsum_pp(cfg: RunConfig) -> int:
-    ps = cfg.p or [3, 5]
-    per_cell = 50
-    cells = []
-    for p in ps:
-        for gamma in range(2, cfg.gamma_max + 1):
-            ucap = 4 * gamma // 5
-            if cfg.u_max is not None:
-                ucap = min(ucap, cfg.u_max)
-            for u in range(1, ucap + 1):
-                cells.append((p, gamma, u))
-
     def one(cell: tuple[int, int, int]) -> list[dict]:
         p, gamma, u = cell
-        rows = []
-        seed = 97 * p + 31 * gamma + u
-        for tup in verify_mod._charsum_tuples(p, gamma, u, per_cell, seed):
-            s1, t1, s2, t2, lam1, lam2, m = tup
-            rep = ppower_bound(
-                CharSumParams(PrimePower(p, gamma), u, s1, t1, s2, t2, lam1, lam2, m)
-            )
-            rows.append(
-                {
-                    "p": p, "gamma": gamma, "u": u,
-                    "s1": s1, "t1": t1, "s2": s2, "t2": t2,
-                    "lam1": lam1, "lam2": lam2, "m": m,
-                    "case": rep.aux["case"],
-                    "value": _fmt(rep.sum_value.real),
-                    "bound": _fmt(rep.bound_value),
-                    "ratio": _fmt(rep.ratio),
-                    "predicted_vanishing": int(rep.vanishing_predicted),
-                    "vanished": int(rep.vanished),
-                }
-            )
-        return rows
+        return [
+            {
+                "p": p, "gamma": gamma, "u": u,
+                **{k: getattr(c, k) for k in _TUPLE_KEYS},
+                "case": rep.aux["case"],
+                "value": fmt(rep.sum_value.real),
+                "bound": fmt(rep.bound_value),
+                "ratio": fmt(rep.ratio),
+                "predicted_vanishing": int(rep.vanishing_predicted),
+                "vanished": int(rep.vanished),
+            }
+            for c, rep in charsum_pp(p, gamma, u, 50)
+        ]
 
-    flat = [r for rows in _pmap(one, cells, cfg.jobs) for r in rows]
-    bad = [r for r in flat if r["predicted_vanishing"] and not r["vanished"]]
-    _emit(
-        flat,
-        ["p", "gamma", "u", "s1", "t1", "s2", "t2", "lam1", "lam2", "m",
+    rows = _scan(
+        one,
+        charsum_pp_cells(cfg.p or [3, 5], cfg.gamma_max, cfg.u_max),
+        ["p", "gamma", "u", *_TUPLE_KEYS,
          "case", "value", "bound", "ratio", "predicted_vanishing", "vanished"],
         cfg,
     )
-    return 1 if bad else 0
+    return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else 0
 
 
 def _run_charsum_prime(cfg: RunConfig) -> int:
-    ps = cfg.p or [3, 5, 7, 11, 13]
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
     def one(p: int) -> list[dict]:
-        rng = np.random.default_rng(1000 + p)
         rows = []
-        for _ in range(25):
-            s1, s2, lam1, lam2, t1, t2 = (int(v) for v in rng.integers(1, p, size=6))
-            m = int(rng.integers(0, p))
-            rep = frakC_11(p, s1, t1, s2, t2, lam1, lam2, m)
-            mo = moebius_correlation(
-                moebius_reduce(s1, t1, s2, t2, lam1, lam2, m, p), p
-            )
+        for tup, rep, mo in charsum_prime(p, 25):
             diff = abs(rep.aux["completed"] - mo)
             if diff > tol * p * p:
                 raise AssertionError(f"route mismatch at p={p}: {diff}")
             rows.append(
                 {
-                    "p": p, "s1": s1, "t1": t1, "s2": s2, "t2": t2,
-                    "lam1": lam1, "lam2": lam2, "m": m,
-                    "value": _fmt(rep.sum_value.real),
-                    "completed": _fmt(rep.aux["completed"].real),
-                    "moebius": _fmt(mo.real),
-                    "route_diff": _fmt(diff),
-                    "ratio": _fmt(rep.ratio),
+                    "p": p, **dict(zip(_TUPLE_KEYS, tup)),
+                    "value": fmt(rep.sum_value.real),
+                    "completed": fmt(rep.aux["completed"].real),
+                    "moebius": fmt(mo.real),
+                    "route_diff": fmt(diff),
+                    "ratio": fmt(rep.ratio),
                 }
             )
         return rows
 
-    flat = [r for rows in _pmap(one, ps, cfg.jobs) for r in rows]
-    _emit(
-        flat,
-        ["p", "s1", "t1", "s2", "t2", "lam1", "lam2", "m",
-         "value", "completed", "moebius", "route_diff", "ratio"],
+    _scan(
+        one,
+        cfg.p or [3, 5, 7, 11, 13],
+        ["p", *_TUPLE_KEYS, "value", "completed", "moebius", "route_diff", "ratio"],
         cfg,
     )
     return 0
 
 
 def _run_df(cfg: RunConfig) -> int:
-    ps = cfg.p or [3, 5, 7]
-    mods = []
-    for p in ps:
-        for gamma in range(1, cfg.gamma_max + 1):
-            if p**gamma <= CAPS["q"]:
-                mods.append((p, gamma))
+    mods = [
+        (p, gamma)
+        for p in cfg.p or [3, 5, 7]
+        for gamma in range(1, cfg.gamma_max + 1)
+        if p**gamma <= CAPS["q"]
+    ]
 
     def one(mod: tuple[int, int]) -> list[dict]:
         p, gamma = mod
-        pp = PrimePower(p, gamma)
-        rng = np.random.default_rng(13 * p + gamma)
-        rows = []
-        for _ in range(30):
-            a = int(rng.integers(1, pp.q))
-            if a % p == 0:
-                a = 1
-            b = int(rng.integers(0, pp.q))
-            rep = df_correlation(a, b, pp)
-            rows.append(
-                {
-                    "p": p, "gamma": gamma, "a": a, "b": b,
-                    "value": _fmt(rep.sum_value.real),
-                    "bound": _fmt(rep.bound_value),
-                    "ratio": _fmt(rep.ratio),
-                    "nu_min": rep.aux["nu_min"],
-                }
-            )
-        return rows
+        return [
+            {"p": p, "gamma": gamma, "a": a, "b": b,
+             "value": fmt(rep.sum_value.real), "bound": fmt(rep.bound_value),
+             "ratio": fmt(rep.ratio), "nu_min": rep.aux["nu_min"]}
+            for a, b, rep in df_pairs(p, gamma, 30)
+        ]
 
-    flat = [r for rows in _pmap(one, mods, cfg.jobs) for r in rows]
-    _emit(flat, ["p", "gamma", "a", "b", "value", "bound", "ratio", "nu_min"], cfg)
+    _scan(one, mods, ["p", "gamma", "a", "b", "value", "bound", "ratio", "nu_min"], cfg)
     return 0
 
 
 def _run_calc(cfg: RunConfig) -> int:
-    qs = cfg.q or list(range(2, 61))
-
     def one(q: int) -> list[dict]:
-        rng = np.random.default_rng(4000 + q)
-        units = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
-        rows = []
-        for mtil in (0, int(rng.integers(q))):
-            n1, n2, b = (units[int(rng.integers(len(units)))] for _ in range(3))
-            rep = calC(n1, n2, mtil, b, q)
-            rows.append(
-                {
-                    "q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b,
-                    "re": _fmt(rep.sum_value.real),
-                    "im": _fmt(rep.sum_value.imag),
-                    "bound": _fmt(rep.bound_value),
-                    "ratio": _fmt(rep.ratio),
-                    "crt_residual": _fmt(rep.aux["residual"]),
-                }
-            )
-        return rows
+        return [
+            {"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b,
+             "re": fmt(rep.sum_value.real), "im": fmt(rep.sum_value.imag),
+             "bound": fmt(rep.bound_value), "ratio": fmt(rep.ratio),
+             "crt_residual": fmt(rep.aux["residual"])}
+            for (n1, n2, mtil, b), rep in calc_tuples(q, modulus_rng(q))
+        ]
 
-    flat = [r for rows in _pmap(one, qs, cfg.jobs) for r in rows]
-    _emit(
-        flat,
+    _scan(
+        one,
+        cfg.q or list(range(2, 61)),
         ["q", "n1", "n2", "mtil", "b", "re", "im", "bound", "ratio", "crt_residual"],
         cfg,
     )
@@ -406,37 +329,20 @@ def _run_calc(cfg: RunConfig) -> int:
 
 
 def _run_glue(cfg: RunConfig) -> int:
-    qs = cfg.q or list(range(2, 61))
-
     def one(q: int) -> list[dict]:
-        rng = np.random.default_rng(4000 + q)
-        units = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
-        pick = lambda: units[int(rng.integers(len(units)))]
-        rows = []
-        for d in (dd for dd in factorize(q).divisors()
-                  if factorize(dd).is_squarefree()):
-            rep = frakC2_glue(
-                d, q, pick(), pick(), pick(), pick(), pick(), pick(),
-                int(rng.integers(q)), int(rng.integers(q)),
-                int(rng.integers(d)), pick(),
-            )
-            resid = rep.aux["residual"]
-            rows.append(
-                {
-                    "d": d, "q": q,
-                    "re": _fmt(rep.sum_value.real),
-                    "im": _fmt(rep.sum_value.imag),
-                    "bound": _fmt(rep.bound_value),
-                    "ratio": _fmt(rep.ratio),
-                    "crt_residual": "" if resid is None else _fmt(resid),
-                    "active_k": ";".join(str(k) for k in rep.aux["active_k"]),
-                }
-            )
-        return rows
+        return [
+            {"d": d, "q": q,
+             "re": fmt(rep.sum_value.real), "im": fmt(rep.sum_value.imag),
+             "bound": fmt(rep.bound_value), "ratio": fmt(rep.ratio),
+             "crt_residual": "" if rep.aux["residual"] is None
+             else fmt(rep.aux["residual"]),
+             "active_k": ";".join(str(k) for k in rep.aux["active_k"])}
+            for d, rep in glue_tuples(q, modulus_rng(q))
+        ]
 
-    flat = [r for rows in _pmap(one, qs, cfg.jobs) for r in rows]
-    _emit(
-        flat,
+    _scan(
+        one,
+        cfg.q or list(range(2, 61)),
         ["d", "q", "re", "im", "bound", "ratio", "crt_residual", "active_k"],
         cfg,
     )
@@ -444,40 +350,31 @@ def _run_glue(cfg: RunConfig) -> int:
 
 
 def _run_voronoi(cfg: RunConfig) -> int:
-    qs = cfg.q or list(range(1, 21))
-    xs = cfg.X or [50.0]
     tol = cfg.tol if cfg.tol is not None else 1e-6
-    cells = [
-        (q, a, x)
-        for x in xs
-        for q in qs
-        for a in range(1, q + 1)
-        if math.gcd(a, q) == 1
-    ]
 
-    def one(cell: tuple[int, int, float]) -> dict:
+    def one(cell: tuple[int, int, float]) -> list[dict]:
         q, a, x = cell
         rep = voronoi_residual(a, q, SmoothWeight(x))
-        return {
-            "q": q, "a": a, "X": _fmt(x),
-            "lhs_re": _fmt(rep.lhs.real), "lhs_im": _fmt(rep.lhs.imag),
-            "main": _fmt(rep.rhs_main.real),
-            "dual_re": _fmt(rep.rhs_dual.real),
-            "dual_im": _fmt(rep.rhs_dual.imag),
+        return [{
+            "q": q, "a": a, "X": fmt(x),
+            "lhs_re": fmt(rep.lhs.real), "lhs_im": fmt(rep.lhs.imag),
+            "main": fmt(rep.rhs_main.real),
+            "dual_re": fmt(rep.rhs_dual.real),
+            "dual_im": fmt(rep.rhs_dual.imag),
             "truncation": rep.truncation_level,
-            "residual": _fmt(rep.residual),
-            "relative": _fmt(rep.relative_residual),
+            "residual": fmt(rep.residual),
+            "relative": fmt(rep.relative_residual),
             "_rel": rep.relative_residual,
-        }
+        }]
 
-    rows = _pmap(one, cells, cfg.jobs)
-    bad = [r for r in rows if r.pop("_rel") > tol]
-    _emit(
-        rows,
+    rows = _scan(
+        one,
+        voronoi_cells(cfg.q or list(range(1, 21)), cfg.X or [50.0]),
         ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
          "truncation", "residual", "relative"],
         cfg,
     )
+    bad = [r for r in rows if r["_rel"] > tol]
     if bad:
         print(f"{len(bad)} cells above tolerance {tol}", file=sys.stderr)
         return 1
@@ -485,47 +382,32 @@ def _run_voronoi(cfg: RunConfig) -> int:
 
 
 def _run_bilinear(cfg: RunConfig) -> int:
-    qs = cfg.q or [27, 49, 121]
-    ms = cfg.M or []
-    ns = cfg.N or [3]
-    configs = []
-    for q in qs:
-        units = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
-        b = units[len(units) // 2]
-        for m in ms or [max(4, q // 2)]:
-            for n in ns:
-                configs.append(BilinearConfig(q=q, M=m, N=n, b=b))
+    configs = [
+        BilinearConfig(q=q, M=m, N=n, b=middle_unit(q))
+        for q in cfg.q or [27, 49, 121]
+        for m in cfg.M or [max(4, q // 2)]
+        for n in cfg.N or [3]
+    ]
     reports = cancellation_scan(configs, check_paths=True)
-    text = reports_csv(reports)
-    if cfg.format == "json":
-        header, *lines = text.strip().split("\n")
-        keys = header.split(",")
-        text = json.dumps(
-            [dict(zip(keys, line.split(","))) for line in lines], indent=0
-        ) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit([bilinear_row(r) for r in reports], BILINEAR_HEADER, cfg)
     return 0 if all(r.within_trivial for r in reports) else 1
 
 
 def _run_distribution(cfg: RunConfig) -> int:
-    qs = cfg.q or [3, 5, 7, 9]
     x = int(cfg.X[0]) if cfg.X else 10**4
-    rows = discrepancy_scan(x, qs, check_ramanujan=bool(cfg.tol is None))
-    out = [
+    tol = cfg.tol if cfg.tol is not None else 1e-6
+    rows = [
         {
             "X": r["X"], "q": r["q"], "a": r["a"], "ap_sum": r["ap_sum"],
-            "coprime_mean": _fmt(r["coprime_mean"]),
-            "delta": _fmt(r["delta"]),
-            "max_abs_delta": _fmt(r["max_abs_delta"]),
-            "slope_fit": _fmt(r["slope_fit"]),
+            "coprime_mean": fmt(r["coprime_mean"]),
+            "delta": fmt(r["delta"]),
+            "max_abs_delta": fmt(r["max_abs_delta"]),
+            "slope_fit": fmt(r["slope_fit"]),
         }
-        for r in rows
+        for r in discrepancy_scan(x, cfg.q or [3, 5, 7, 9], tol=tol)
     ]
     _emit(
-        out,
+        rows,
         ["X", "q", "a", "ap_sum", "coprime_mean", "delta",
          "max_abs_delta", "slope_fit"],
         cfg,
@@ -534,9 +416,9 @@ def _run_distribution(cfg: RunConfig) -> int:
 
 
 def _run_verify_all(cfg: RunConfig) -> int:
-    results = run_checks(quick=cfg.quick, jobs=cfg.jobs, pmap=_pmap)
+    results = run_checks(quick=cfg.quick, jobs=cfg.jobs)
     if cfg.self_test:
-        results = results + [verify_mod.criterion_determinism()]
+        results = results + [criterion_determinism()]
     for res in results:
         print(f"[time] {res.name}: {res.elapsed:.2f}s", file=sys.stderr)
     rows = [

@@ -147,16 +147,13 @@ def ramanujan_decomposition(X: int, q: int, a: int) -> RamanujanDecomposition:
     return RamanujanDecomposition(X=X, q=q, a=a, terms=tuple(terms))
 
 
-def discrepancy_scan(
-    X: int, moduli: list[int], check_ramanujan: bool = False
-) -> list[dict]:
+def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]:
     """Per-(q, a) discrepancies plus per-q aggregates and a family fit.
 
     Returns rows as dicts with keys X, q, a, ap_sum, coprime_mean,
     delta, max_abs_delta, slope_fit; aggregate rows carry a='*'.  The
-    zero-sum identity is asserted exactly for every q.  With
-    check_ramanujan=True the character decomposition of every (q, a)
-    is verified to 1e-6 absolute (slower).
+    zero-sum identity is asserted exactly for every q, and the
+    character decomposition of every (q, a) is verified to tol absolute.
     """
     rows: list[dict] = []
     family: list[tuple[int, float]] = []
@@ -172,12 +169,11 @@ def discrepancy_scan(
             )
             zero_sum += rec.delta_exact
             max_abs = max(max_abs, abs(rec.delta))
-            if check_ramanujan:
-                defect = ramanujan_decomposition(X, q, a).defect(rec.ap_sum)
-                if defect > 1e-6:
-                    raise AssertionError(
-                        f"Ramanujan splitting defect {defect} at q={q}, a={a}"
-                    )
+            defect = ramanujan_decomposition(X, q, a).defect(rec.ap_sum)
+            if defect > tol:
+                raise AssertionError(
+                    f"Ramanujan splitting defect {defect} at q={q}, a={a}"
+                )
             rows.append(
                 {
                     "X": X,

@@ -25,10 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize
-from .modarith import PrimePower, Residue, legendre, mod_inv, sqrt_mod_pp
+from .modarith import PrimePower, is_prime, legendre, sqrt_mod_pp
 
 __all__ = [
-    "ComplexVal",
     "BoundReport",
     "KloosterTable",
     "BadModulus",
@@ -49,8 +48,6 @@ __all__ = [
     "weil_audit",
     "make_report",
 ]
-
-ComplexVal = complex
 
 
 class BadModulus(ValueError):
@@ -171,11 +168,6 @@ def kloosterman_explicit_pp(beta: int, pp: PrimePower) -> complex:
 
 
 @lru_cache(maxsize=16)
-def _phi(q: int) -> int:
-    return factorize(q).phi()
-
-
-@lru_cache(maxsize=16)
 def unit_mask(q: int) -> np.ndarray:
     """Boolean array over [0, q): which residues are units."""
     m = np.gcd(np.arange(q, dtype=np.int64), q) == 1
@@ -197,7 +189,7 @@ def unit_inverse_table(q: int) -> np.ndarray:
     if q > 10**6:
         raise ValueError(f"q = {q} beyond desk-scale table range")
     x = np.arange(q, dtype=np.int64)
-    e = _phi(q) - 1
+    e = factorize(q).phi() - 1
     acc = np.ones(q, dtype=np.int64)
     base = x.copy()
     while e:
@@ -413,7 +405,7 @@ def weil_audit(P: int, samples_per_prime: int = 3) -> BoundReport:
     arg_weil: tuple[int, int] = (0, 0)
     arg_deligne: tuple[int, int] = (0, 0)
     for p in range(2, P + 1):
-        if not _is_prime_cached(p):
+        if not is_prime(p):
             continue
         sk = kloosterman_table(p).values
         weil = float(np.max(np.abs(sk[1:]))) / (2 * math.sqrt(p))
@@ -445,10 +437,3 @@ def weil_audit(P: int, samples_per_prime: int = 3) -> BoundReport:
             "deligne_argmax": arg_deligne,
         },
     )
-
-
-@lru_cache(maxsize=None)
-def _is_prime_cached(n: int) -> bool:
-    from .modarith import is_prime
-
-    return is_prime(n)

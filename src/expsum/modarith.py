@@ -1,10 +1,11 @@
 """Exact modular and p-adic arithmetic primitives.
 
-Everything here is integer-exact and pure: residues, modular inverses,
-CRT recombination, Legendre symbols, p-adic valuations, square roots
-modulo odd prime powers (Tonelli-Shanks lifted by Hensel), and the
-truncated inverse-square-root binomial series used by the correlation
-character sums.  No floating point enters this module.
+Everything here is integer-exact and pure: primality, prime powers,
+Legendre symbols, capped p-adic valuations, square roots modulo odd
+prime powers (Tonelli-Shanks lifted by Hensel), and the truncated
+inverse-square-root binomial series used by the correlation character
+sums.  Modular inverses are Python's pow(x, -1, q).  No floating point
+enters this module.
 """
 
 from __future__ import annotations
@@ -13,40 +14,15 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "Residue",
     "PrimePower",
-    "Valuation",
-    "NonInvertible",
-    "ModuliNotCoprime",
-    "ZeroInput",
     "EvenPrime",
     "NonResidue",
     "is_prime",
-    "mod_pow",
-    "mod_inv",
-    "crt_combine",
     "legendre",
-    "valuation",
     "valuation_capped",
     "sqrt_mod_pp",
     "inv_sqrt_series",
 ]
-
-
-class NonInvertible(ArithmeticError):
-    """gcd(a, q) > 1: the residue has no inverse.
-
-    Callers catch this to take a degenerate branch (for example a
-    Kloosterman sum collapsing to a Ramanujan-type sum).
-    """
-
-
-class ModuliNotCoprime(ArithmeticError):
-    """CRT recombination was asked for moduli sharing a common factor."""
-
-
-class ZeroInput(ArithmeticError):
-    """valuation(0, p) is infinite; this function refuses 0."""
 
 
 class EvenPrime(ArithmeticError):
@@ -74,19 +50,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class Residue:
-    """An integer value reduced into [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-
-@dataclass(frozen=True)
 class PrimePower:
     """q = p^gamma with p prime (checked) and gamma >= 1."""
 
@@ -104,71 +67,6 @@ class PrimePower:
         return self.p**self.gamma
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """n = p^nu * unit with gcd(unit, p) = 1."""
-
-    nu: int
-    unit: int
-
-
-def mod_pow(a: Residue, e: int) -> Residue:
-    """a^e mod q by square-and-multiply; O(log e) multiplications."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    q = a.modulus
-    base = a.value % q
-    acc = 1 % q
-    while e:
-        if e & 1:
-            acc = (acc * base) % q
-        base = (base * base) % q
-        e >>= 1
-    return Residue(acc, q)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_x, x = x, old_x - qt * x
-        old_y, y = y, old_y - qt * y
-    return old_r, old_x, old_y
-
-
-def mod_inv(a: Residue) -> Residue:
-    """Inverse of a mod q by extended Euclid; raises NonInvertible."""
-    q = a.modulus
-    if q == 1:
-        return Residue(0, 1)
-    g, x, _ = _ext_gcd(a.value % q, q)
-    if g != 1:
-        raise NonInvertible(f"gcd({a.value}, {q}) = {g} > 1")
-    return Residue(x, q)
-
-
-def crt_combine(parts: list[Residue]) -> Residue:
-    """The unique residue mod prod(q_i) matching every part."""
-    if not parts:
-        raise ValueError("crt_combine needs at least one part")
-    acc_v, acc_q = parts[0].value, parts[0].modulus
-    for part in parts[1:]:
-        g = math.gcd(acc_q, part.modulus)
-        if g != 1:
-            raise ModuliNotCoprime(
-                f"moduli {acc_q} and {part.modulus} share factor {g}"
-            )
-        # acc_v + acc_q*t == part.value (mod part.modulus)
-        t = ((part.value - acc_v) * mod_inv(Residue(acc_q, part.modulus)).value) % part.modulus
-        acc_v = acc_v + acc_q * t
-        acc_q = acc_q * part.modulus
-    return Residue(acc_v, acc_q)
-
-
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for odd prime p; 0 when p | a."""
     if p == 2 or not is_prime(p):
@@ -180,24 +78,17 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def valuation(n: int, p: int) -> Valuation:
-    """Largest nu with p^nu | n, plus the coprime cofactor; refuses n = 0."""
+def valuation_capped(n: int, p: int, cap: int) -> int:
+    """min(nu_p(n), cap), with nu_p(0) treated as +infinity."""
     if n == 0:
-        raise ZeroInput("valuation of 0 is infinite")
+        return cap
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     nu = 0
     while n % p == 0:
         n //= p
         nu += 1
-    return Valuation(nu, n)
-
-
-def valuation_capped(n: int, p: int, cap: int) -> int:
-    """min(nu_p(n), cap), with nu_p(0) treated as +infinity."""
-    if n == 0:
-        return cap
-    return min(valuation(n, p).nu, cap)
+    return min(nu, cap)
 
 
 def _tonelli_shanks(beta: int, p: int) -> int:
@@ -251,11 +142,11 @@ def sqrt_mod_pp(beta: int, pp: PrimePower) -> tuple[int, int] | None:
     while mod < q:
         # Newton step r -> r - (r^2 - beta)/(2r), exact since 2r is a unit.
         mod = min(mod * mod, q)
-        r = (r - (r * r - beta) * mod_inv(Residue(2 * r, mod)).value) % mod
+        r = (r - (r * r - beta) * pow(2 * r, -1, mod)) % mod
     return (r, q - r) if r <= q - r else (q - r, r)
 
 
-def inv_sqrt_series(s: int, t: int, a: int, pp: PrimePower, u: int) -> Residue:
+def inv_sqrt_series(s: int, t: int, a: int, pp: PrimePower, u: int) -> int:
     """Truncated binomial series for (s*p^(gamma-u)*a + t)^(-1/2) mod p^gamma.
 
     Computes x = sum_{i=0}^{I} binom(-1/2, i) * t^(-i-1/2) * (s*p^(gamma-u))^i * a^i
@@ -279,13 +170,13 @@ def inv_sqrt_series(s: int, t: int, a: int, pp: PrimePower, u: int) -> Residue:
     ell = roots[0]
     depth = pp.gamma - u
     n_terms = -(-pp.gamma // depth)  # ceil(gamma / depth) terms, i = 0..I
-    t_inv = mod_inv(Residue(t, q)).value
-    ell_inv = mod_inv(Residue(ell, q)).value
+    t_inv = pow(t, -1, q)
+    ell_inv = pow(ell, -1, q)
     step = (s % q) * pow(pp.p, depth, q) % q * (a % q) % q  # (s p^(gamma-u) a)
     acc = 0
     term_pow = 1  # step^i
     for i in range(n_terms):
-        binom = (-1) ** i * math.comb(2 * i, i) * mod_inv(Residue(pow(4, i, q), q)).value
+        binom = (-1) ** i * math.comb(2 * i, i) * pow(4, -i, q)
         acc = (acc + binom * pow(t_inv, i, q) % q * ell_inv % q * term_pow) % q
         term_pow = (term_pow * step) % q
-    return Residue(acc, q)
+    return acc

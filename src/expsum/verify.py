@@ -26,19 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import divisor_table, divisors, factorize, sigma00
+from .arith import divisor_table, factorize, sigma00
 from .bilinear import BilinearConfig, CancellationReport, cancellation_scan
-from .charsums import (
-    RATIO_CAP,
-    CharSumParams,
-    calC,
-    df_correlation,
-    frakC2_glue,
-    frakC_11,
-    moebius_correlation,
-    moebius_reduce,
-    ppower_bound,
-)
+from .charsums import RATIO_CAP, df_correlation, frakC2_glue
 from .distribution import d3_to_bilinear, discrepancy_scan
 from .expsums import (
     hyper_kl3_table,
@@ -48,6 +38,23 @@ from .expsums import (
     kloosterman_split,
     kloosterman_table,
     weil_audit,
+)
+from .families import (
+    BILINEAR_HEADER,
+    bilinear_row,
+    calc_tuples,
+    charsum_pp,
+    charsum_pp_cells,
+    charsum_prime,
+    df_pairs,
+    fmt,
+    glue_tuples,
+    middle_unit,
+    modulus_rng,
+    pmap,
+    render,
+    split_vs_table,
+    voronoi_cells,
 )
 from .modarith import PrimePower, is_prime, legendre
 from .voronoi import SmoothWeight, voronoi_residual
@@ -84,15 +91,11 @@ def _result(name: str, passed: bool, details: str, t0: float) -> CheckResult:
     return CheckResult(name, passed, details, perf_counter() - t0)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
 # ------------------------------------------------------------------ 1
 
 
 def criterion_explicit_pp(quick: bool = False) -> CheckResult:
-    """Explicit prime-power formula vs direct summation, scaled 1e-9."""
+    """Explicit prime-power formula vs the FFT Kloosterman tables, scaled 1e-9."""
     t0 = perf_counter()
     cap = 10**4 if quick else 10**6
     worst = 0.0
@@ -125,8 +128,8 @@ def criterion_explicit_pp(quick: bool = False) -> CheckResult:
         "explicit_pp_formula",
         passed,
         f"{count} coprime (beta,p,gamma) values to p^gamma<={cap}; "
-        f"worst scaled error {_fmt(worst)}; "
-        f"worst direct value at predicted zeros {_fmt(worst_zero)}",
+        f"worst scaled error {fmt(worst)}; "
+        f"worst direct value at predicted zeros {fmt(worst_zero)}",
         t0,
     )
 
@@ -167,10 +170,8 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
     worst_split = 0.0
     worst_hyper = 0.0
     for q in range(1, qcap + 1):
-        tab = kloosterman_table(q).values
-        for m in range(q):
-            diff = abs(kloosterman_split(1, m, q) - tab[m])
-            worst_split = max(worst_split, diff / q)
+        for _, value, split in split_vs_table(q):
+            worst_split = max(worst_split, abs(split - value) / q)
         h1 = hyper_kl3_table(q)
         h2 = hyper_kl3_table_direct(q)
         worst_hyper = max(worst_hyper, float(np.max(np.abs(h1 - h2))) / q)
@@ -201,8 +202,8 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
         "crt_split_two_path",
         passed,
         f"q<={qcap} all m plus {n_comp} sampled composite pairs to q<={comp_cap}; "
-        f"worst split error {_fmt(worst_split)}*q, "
-        f"worst hyper two-path error {_fmt(worst_hyper)}*q",
+        f"worst split error {fmt(worst_split)}*q, "
+        f"worst hyper two-path error {fmt(worst_hyper)}*q",
         t0,
     )
 
@@ -218,7 +219,7 @@ def criterion_weil_deligne(quick: bool = False) -> CheckResult:
     return _result(
         "weil_deligne_audit",
         rep.ratio <= 1.0,
-        f"primes p<={cap}; worst bound fraction {_fmt(rep.ratio)} "
+        f"primes p<={cap}; worst bound fraction {fmt(rep.ratio)} "
         f"(Weil at p={rep.aux['weil_argmax'][0]}, "
         f"Deligne at p={rep.aux['deligne_argmax'][0]})",
         t0,
@@ -228,58 +229,26 @@ def criterion_weil_deligne(quick: bool = False) -> CheckResult:
 # ------------------------------------------------------------------ 5
 
 
-def _charsum_tuples(p: int, gamma: int, u: int, n: int, seed: int):
-    """Deterministic parameter tuples for one (p, gamma, u) cell."""
-    rng = np.random.default_rng(seed)
-    q = p**gamma
-    out = []
-    while len(out) < n:
-        s1, s2, lam1, lam2 = (int(v) for v in rng.integers(1, q, size=4))
-        t1, t2 = (int(v) for v in rng.integers(1, q, size=2))
-        if any(v % p == 0 for v in (s1, s2, lam1, lam2, t1, t2)):
-            continue
-        j = int(rng.integers(0, gamma + 1))  # spread the valuation of m
-        m = p**j * int(rng.integers(1, max(2, q // p**j)))
-        if m % q == 0:
-            continue
-        out.append((s1, t1, s2, t2, lam1, lam2, m))
-    return out
-
-
 def criterion_charsum_pp(quick: bool = False) -> CheckResult:
     """c_{gamma,u} scan: predicted vanishing is real; ratios <= 16."""
     t0 = perf_counter()
     gmax = 4 if quick else 6
     per_cell = 40 if quick else 200
     worst_ratio = 0.0
-    vanish_predicted = 0
-    vanish_violated = 0
-    cells = 0
-    count = 0
-    for p in (3, 5):
-        for gamma in range(2, gmax + 1):
-            for u in range(1, 4 * gamma // 5 + 1):
-                cells += 1
-                seed = 97 * p + 31 * gamma + u
-                for s1, t1, s2, t2, lam1, lam2, m in _charsum_tuples(
-                    p, gamma, u, per_cell, seed
-                ):
-                    params = CharSumParams(
-                        PrimePower(p, gamma), u, s1, t1, s2, t2, lam1, lam2, m
-                    )
-                    rep = ppower_bound(params)
-                    count += 1
-                    worst_ratio = max(worst_ratio, rep.ratio)
-                    if rep.vanishing_predicted:
-                        vanish_predicted += 1
-                        if not rep.vanished:
-                            vanish_violated += 1
+    count = vanish_predicted = vanish_violated = 0
+    cells = charsum_pp_cells((3, 5), gmax)
+    for cell in cells:
+        for _, rep in charsum_pp(*cell, per_cell):
+            count += 1
+            worst_ratio = max(worst_ratio, rep.ratio)
+            vanish_predicted += rep.vanishing_predicted
+            vanish_violated += rep.vanishing_predicted and not rep.vanished
     passed = vanish_violated == 0 and worst_ratio <= RATIO_CAP
     return _result(
         "charsum_prime_power",
         passed,
-        f"{count} tuples over {cells} cells (p in 3,5; gamma<={gmax}); "
-        f"max ratio {_fmt(worst_ratio)}; {vanish_predicted} predicted "
+        f"{count} tuples over {len(cells)} cells (p in 3,5; gamma<={gmax}); "
+        f"max ratio {fmt(worst_ratio)}; {vanish_predicted} predicted "
         f"vanishings, {vanish_violated} violated",
         t0,
     )
@@ -297,15 +266,7 @@ def criterion_charsum_prime(quick: bool = False) -> CheckResult:
     worst_ratio = 0.0
     count = 0
     for p in (q for q in range(3, pcap + 1) if is_prime(q)):
-        rng = np.random.default_rng(1000 + p)
-        for _ in range(per_p):
-            s1, s2, lam1, lam2, t1, t2 = (
-                int(v) for v in rng.integers(1, p, size=6)
-            )
-            m = int(rng.integers(0, p))
-            rep = frakC_11(p, s1, t1, s2, t2, lam1, lam2, m)
-            mat = moebius_reduce(s1, t1, s2, t2, lam1, lam2, m, p)
-            mo = moebius_correlation(mat, p)
+        for _, rep, mo in charsum_prime(p, per_p):
             worst_diff = max(
                 worst_diff, abs(rep.aux["completed"] - mo) / (p * p)
             )
@@ -316,7 +277,7 @@ def criterion_charsum_prime(quick: bool = False) -> CheckResult:
         "charsum_prime_moebius",
         passed,
         f"{count} tuples over primes p<={pcap}; worst scaled route "
-        f"difference {_fmt(worst_diff)}; max ratio {_fmt(worst_ratio)}",
+        f"difference {fmt(worst_diff)}; max ratio {fmt(worst_ratio)}",
         t0,
     )
 
@@ -333,14 +294,7 @@ def criterion_df(quick: bool = False) -> CheckResult:
     count = 0
     for p, gmax in caps.items():
         for gamma in range(1, gmax + 1):
-            pp = PrimePower(p, gamma)
-            rng = np.random.default_rng(13 * p + gamma)
-            for _ in range(per_mod):
-                a = int(rng.integers(1, pp.q))
-                if a % p == 0:
-                    a = 1
-                b = int(rng.integers(0, pp.q))
-                rep = df_correlation(a, b, pp)
+            for _, _, rep in df_pairs(p, gamma, per_mod):
                 worst_ratio = max(worst_ratio, rep.ratio)
                 count += 1
     spot = df_correlation(1, 0, PrimePower(5, 1)).sum_value
@@ -350,7 +304,7 @@ def criterion_df(quick: bool = False) -> CheckResult:
         "df_second_moment",
         passed,
         f"{count} pairs over {sum(caps.values())} moduli; max ratio "
-        f"{_fmt(worst_ratio)}; spot sum|S(1,x;5)|^2 error {_fmt(spot_err)}",
+        f"{fmt(worst_ratio)}; spot sum|S(1,x;5)|^2 error {fmt(spot_err)}",
         t0,
     )
 
@@ -366,19 +320,11 @@ def criterion_calc_glue(quick: bool = False) -> CheckResult:
     worst_glue = 0.0
     n_calc = n_glue = n_crt = 0
     for q in range(2, qcap + 1):
-        rng = np.random.default_rng(4000 + q)
-        units = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
-        pick = lambda: units[int(rng.integers(len(units)))]
-        for mtil in (0, int(rng.integers(q))):
-            rep = calC(pick(), pick(), mtil, pick(), q)  # CRT checked inside
+        rng = modulus_rng(q)  # the glue tuples continue the calC stream
+        for _, rep in calc_tuples(q, rng):  # CRT checked inside
             worst_calc = max(worst_calc, rep.ratio)
             n_calc += 1
-        for d in (dd for dd in divisors(q) if factorize(dd).is_squarefree()):
-            rep = frakC2_glue(
-                d, q, pick(), pick(), pick(), pick(), pick(), pick(),
-                int(rng.integers(q)), int(rng.integers(q)), int(rng.integers(d)),
-                pick(),
-            )
+        for _, rep in glue_tuples(q, rng):
             worst_glue = max(worst_glue, rep.ratio)
             n_glue += 1
             if rep.aux["crt_value"] is not None:
@@ -397,7 +343,7 @@ def criterion_calc_glue(quick: bool = False) -> CheckResult:
         passed,
         f"{n_calc} calC tuples and {n_glue} glue tuples (q<={qcap}, "
         f"{n_crt} with coprime-split cross-check); max calC ratio "
-        f"{_fmt(worst_calc)}; max glue ratio {_fmt(worst_glue)}; "
+        f"{fmt(worst_calc)}; max glue ratio {fmt(worst_glue)}; "
         f"congruence predicates exact: {predicates_ok}",
         t0,
     )
@@ -412,21 +358,14 @@ def criterion_voronoi(quick: bool = False) -> CheckResult:
     qcap = 6 if quick else 20
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
     worst = 0.0
-    cells = 0
-    for x in xs:
-        h = SmoothWeight(x)
-        for q in range(1, qcap + 1):
-            for a in range(1, q + 1):
-                if math.gcd(a, q) != 1:
-                    continue
-                rep = voronoi_residual(a, q, h)
-                worst = max(worst, rep.relative_residual)
-                cells += 1
+    cells = voronoi_cells(range(1, qcap + 1), xs)
+    for q, a, x in cells:
+        worst = max(worst, voronoi_residual(a, q, SmoothWeight(x)).relative_residual)
     return _result(
         "voronoi_identity",
         worst <= 1e-6,
-        f"{cells} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
-        f"worst relative residual {_fmt(worst)}",
+        f"{len(cells)} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
+        f"worst relative residual {fmt(worst)}",
         t0,
     )
 
@@ -454,7 +393,7 @@ def criterion_distribution(quick: bool = False) -> CheckResult:
         q for q in range(2, sf_cap + 1) if factorize(q).is_squarefree()
     ] + powers
     # raises on any zero-sum or splitting violation
-    rows = discrepancy_scan(big_x, moduli, check_ramanujan=True)
+    rows = discrepancy_scan(big_x, moduli)
     sieve = divisor_table(3, loop_x).values.astype(np.int64)
     loop = _d3_triple_loop(loop_x)
     sieve_ok = bool(np.array_equal(sieve, loop))
@@ -476,7 +415,7 @@ def criterion_distribution(quick: bool = False) -> CheckResult:
         passed,
         f"zero-sum and Ramanujan splitting verified for {n_pairs} (q,a) "
         f"pairs at X={big_x}; sieve equals triple loop to X={loop_x}: "
-        f"{sieve_ok}; worst re-bracketing error {_fmt(worst_glue)}",
+        f"{sieve_ok}; worst re-bracketing error {fmt(worst_glue)}",
         t0,
     )
 
@@ -491,8 +430,7 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
         moduli = [1, 5, 12, 49, 210, 343, 27, 64, 121, 101]
     configs = []
     for i, q in enumerate(moduli):
-        units = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
-        b = units[len(units) // 2]
+        b = middle_unit(q)
         n = 2 + i % 4
         phase = np.exp(2j * np.pi * 0.37 * np.arange(n))
         alpha = tuple(0.9 * phase)
@@ -530,18 +468,7 @@ def criterion_bilinear(quick: bool = False) -> CheckResult:
 
 def reports_csv(reports: list[CancellationReport]) -> str:
     """Render cancellation reports as the canonical CSV text."""
-    lines = [
-        "q,p,M,N,abs_S,trivial,thm_squarefree,thm_primepower,thm_alt,"
-        "exponent,hypothesis_ok"
-    ]
-    for r in reports:
-        lines.append(
-            f"{r.q},{r.p},{r.M},{r.N},{_fmt(abs(r.sum_value))},"
-            f"{_fmt(r.trivial_bound)},{_fmt(r.thm_squarefree)},"
-            f"{_fmt(r.thm_primepower)},{_fmt(r.thm_alt)},"
-            f"{_fmt(r.exponent)},{int(r.hypothesis_ok)}"
-        )
-    return "\n".join(lines) + "\n"
+    return render([bilinear_row(r) for r in reports], BILINEAR_HEADER)
 
 
 # ------------------------------------------------------------------ 12
@@ -608,10 +535,6 @@ def _run_one(f: Callable[[bool], CheckResult], quick: bool) -> CheckResult:
         )
 
 
-def run_checks(
-    quick: bool = False, jobs: int = 1, pmap=None
-) -> list[CheckResult]:
+def run_checks(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
     """Run checks 1-11 and return results in canonical order."""
-    if pmap is not None and jobs > 1:
-        return pmap(lambda f: _run_one(f, quick), ALL_CHECKS, jobs)
-    return [_run_one(f, quick) for f in ALL_CHECKS]
+    return pmap(lambda f: _run_one(f, quick), ALL_CHECKS, jobs)

@@ -240,16 +240,6 @@ def _gl64() -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _g_of(X: float, u: np.ndarray) -> np.ndarray:
-    """g(u) = 2u h(u^2): the substituted weight on [sqrt(X), sqrt(2X)]."""
-    x = u * u
-    s = (2 * x - 3 * X) / X
-    out = np.zeros_like(u)
-    inside = np.abs(s) < 1
-    out[inside] = np.exp(1 - 1 / (1 - s[inside] ** 2)) * 2 * u[inside]
-    return out
-
-
 @dataclass(frozen=True)
 class _BkGrid:
     """FFT-sampled oscillatory moments B_k on a uniform kappa grid."""
@@ -267,7 +257,7 @@ def _bk_grid(X: float, kmax: float) -> _BkGrid:
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / _NG
     u = u0 + np.arange(_NG) * du
-    g = _g_of(X, u)
+    g = 2 * u * SmoothWeight(X)(u * u)
     dk = 2 * math.pi / (_NFFT * du)
     mmax = int(kmax / dk) + 16
     vals = np.empty((_KTERMS, mmax), dtype=complex)
@@ -330,7 +320,8 @@ def _gy_panels(kappa: float, X: float) -> float:
     for i in range(npan):
         lo, hi = edges[i], edges[i + 1]
         u = (lo + hi) / 2 + (hi - lo) / 2 * nodes
-        total += (hi - lo) / 2 * np.dot(weights, _g_of(X, u) * _scipy_y0(kappa * u))
+        g = 2 * u * SmoothWeight(X)(u * u)
+        total += (hi - lo) / 2 * np.dot(weights, g * _scipy_y0(kappa * u))
     return total
 
 
@@ -345,7 +336,8 @@ def _gk_panels(kappa: float, X: float, npan: int = 8) -> float:
     for i in range(npan):
         lo, hi = edges[i], edges[i + 1]
         u = (lo + hi) / 2 + (hi - lo) / 2 * nodes
-        total += (hi - lo) / 2 * np.dot(weights, _g_of(X, u) * _scipy_k0(kappa * u))
+        g = 2 * u * SmoothWeight(X)(u * u)
+        total += (hi - lo) / 2 * np.dot(weights, g * _scipy_k0(kappa * u))
     return total
 
 

@@ -1,11 +1,13 @@
 """CLI: parsing, validation, output formats, reproducibility."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from expsum import distribution
 from expsum.cli import (
     CAPS,
     ParseError,
@@ -85,15 +87,60 @@ def test_csv_json_same_content(capsys):
     assert {k: str(v) for k, v in rows[0].items()} == first_csv
 
 
-def test_out_file_and_jobs_reproducibility(tmp_path):
-    f1 = tmp_path / "a.csv"
-    f2 = tmp_path / "b.csv"
-    assert main(["voronoi", "--q", "3,4", "--X", "50", "--out", str(f1)]) == 0
-    assert main(
-        ["voronoi", "--q", "3,4", "--X", "50", "--out", str(f2), "--jobs", "4"]
-    ) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-    assert len(f1.read_bytes()) > 0
+# Pinned sha256 of stdout for one small invocation of each scan
+# subcommand (bilinear also as JSON); any byte that moves fails here.
+SCAN_GOLDENS = [
+    (["kloosterman", "--q", "12,25"],
+     "43cc3b40f8d7696026c2c20ecb840448be16d6e95365af7c5a9e5c747093f58b"),
+    (["hyperkl3", "--q", "9,10"],
+     "79b9e9ca0db0992d07bfd09cedc2ff381ba10085e258e8b810e74014510c0e04"),
+    (["charsum-pp", "--p", "3", "--gamma-max", "3"],
+     "b62279c2244a03f64895b71227ad6cc7e3712e30f696a22116c317af96271951"),
+    (["charsum-prime", "--p", "5,7"],
+     "41a6adb361610e29508c9fb9bec328ea7a13c675d2d2f8a0f5e1bb99b5ffe2fb"),
+    (["df", "--p", "3,5", "--gamma-max", "2"],
+     "6f91a7ec91e5a5f68b1a805d5aeb0625b8ea68f9d742a95c454769e58e50e025"),
+    (["calC", "--q", "2..12"],
+     "129991de64cd650f4ea15a7a283b4b9c64064a521a351af77df1c55bdb9e7b22"),
+    (["glue", "--q", "2..15"],
+     "fe5a74fe337bc9c5a6b06519791faf212d5057e784164e53c16afbe471e838c6"),
+    (["voronoi", "--q", "3,4", "--X", "50"],
+     "04bffa4a9c1196d1830e9d2a4e679033064e47330f3c2b2517e399ae50fb153f"),
+    (["bilinear", "--q", "27,49", "--N", "2,3"],
+     "c9e650ef40b6af39bfe8d4feb84b1fc326d348e5479f7d1726a7c75dad4e326f"),
+    (["bilinear", "--q", "27,49", "--N", "2,3", "--format", "json"],
+     "6de6763472f79adbb255d1f957736bdce05b5743bb9120a9babe3e4a586a73d0"),
+    (["distribution", "--q", "3,4", "--X", "1000"],
+     "e78f050eb8dab39f3bd1e9fbddb00a557464343a4a43ebde327566e68b8e31f6"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", SCAN_GOLDENS, ids=[" ".join(a) for a, _ in SCAN_GOLDENS]
+)
+def test_scan_bytes_are_pinned_and_jobs_independent(argv, digest, tmp_path, capsys):
+    assert main(argv + ["--jobs", "1"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == digest
+    path = tmp_path / "out"
+    assert main(argv + ["--jobs", "2", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out
+
+
+def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
+    calls = []
+    real = distribution.ramanujan_decomposition
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distribution, "ramanujan_decomposition", spy)
+    argv = ["distribution", "--q", "3,4", "--X", "1000"]
+    assert main(argv + ["--tol", "1e-3"]) == 0
+    assert len(calls) == 4  # one per coprime (q, a): a = 1, 2 mod 3 and 1, 3 mod 4
+    capsys.readouterr()
 
 
 def test_charsum_prime_runs(capsys):

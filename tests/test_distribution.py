@@ -85,7 +85,7 @@ def test_principal_term_dominates():
 
 
 def test_discrepancy_scan_rows_and_aggregates():
-    rows = discrepancy_scan(2000, [3, 4, 9], check_ramanujan=True)
+    rows = discrepancy_scan(2000, [3, 4, 9])
     per_a = [r for r in rows if r["a"] != "*"]
     agg = [r for r in rows if r["a"] == "*"]
     assert len(agg) == 3

@@ -1,6 +1,4 @@
-"""Exact modular arithmetic: inverses, CRT, Legendre, square roots, series."""
-
-import math
+"""Exact modular arithmetic: Legendre, valuations, square roots, series."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,20 +6,12 @@ from hypothesis import strategies as st
 
 from expsum.modarith import (
     EvenPrime,
-    ModuliNotCoprime,
-    NonInvertible,
     NonResidue,
     PrimePower,
-    Residue,
-    ZeroInput,
-    crt_combine,
     inv_sqrt_series,
     is_prime,
     legendre,
-    mod_inv,
-    mod_pow,
     sqrt_mod_pp,
-    valuation,
     valuation_capped,
 )
 
@@ -31,48 +21,6 @@ PRIMES_BELOW_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 def test_is_prime_matches_frozen_table():
     assert [n for n in range(100) if is_prime(n)] == PRIMES_BELOW_100
-
-
-def test_residue_reduces_into_range():
-    assert Residue(-1, 7).value == 6
-    assert Residue(15, 7).value == 1
-    with pytest.raises(ValueError):
-        Residue(1, 0)
-
-
-@settings(deadline=None)
-@given(st.integers(min_value=1, max_value=500), st.integers(-1000, 1000))
-def test_mod_inv_is_inverse_on_units(q, a):
-    if math.gcd(a, q) != 1:
-        with pytest.raises(NonInvertible):
-            mod_inv(Residue(a, q))
-    else:
-        inv = mod_inv(Residue(a, q))
-        assert (inv.value * a) % q == 1 % q
-
-
-@settings(deadline=None)
-@given(
-    st.integers(min_value=1, max_value=300),
-    st.integers(0, 300),
-    st.integers(0, 40),
-)
-def test_mod_pow_matches_builtin(q, a, e):
-    assert mod_pow(Residue(a, q), e).value == pow(a, e, q)
-
-
-def test_crt_combine_round_trip():
-    parts = [Residue(2, 3), Residue(3, 5), Residue(2, 7)]
-    combined = crt_combine(parts)
-    assert combined.modulus == 105
-    assert combined.value % 3 == 2
-    assert combined.value % 5 == 3
-    assert combined.value % 7 == 2
-
-
-def test_crt_combine_rejects_shared_factor():
-    with pytest.raises(ModuliNotCoprime):
-        crt_combine([Residue(1, 6), Residue(2, 4)])
 
 
 @settings(deadline=None)
@@ -94,15 +42,17 @@ def test_legendre_counts_squares():
 @settings(deadline=None)
 @given(st.integers(-10**6, 10**6).filter(lambda n: n != 0), st.sampled_from([2, 3, 5, 7]))
 def test_valuation_reconstructs(n, p):
-    v = valuation(n, p)
-    assert p**v.nu * v.unit == n
-    assert v.unit % p != 0
+    nu = valuation_capped(n, p, 64)  # p^64 > 10^6: this cap never binds
+    assert n % p**nu == 0
+    assert (n // p**nu) % p != 0
+    for cap in range(nu + 2):
+        assert valuation_capped(n, p, cap) == min(nu, cap)
 
 
 def test_valuation_refuses_zero_and_caps():
-    with pytest.raises(ZeroInput):
-        valuation(0, 3)
-    assert valuation_capped(0, 3, 5) == 5
+    with pytest.raises(ValueError):
+        valuation_capped(4, 1, 5)
+    assert valuation_capped(0, 3, 5) == 5  # nu_p(0) is infinite
     assert valuation_capped(18, 3, 5) == 2
     assert valuation_capped(3**9, 3, 5) == 5
 
@@ -152,7 +102,7 @@ def test_inv_sqrt_series_squares_to_inverse(cell, data):
         with pytest.raises(NonResidue):
             inv_sqrt_series(s, t, a, pp, u)
         return
-    x = inv_sqrt_series(s, t, a, pp, u).value
+    x = inv_sqrt_series(s, t, a, pp, u)
     w = (s * p ** (gamma - u) * a + t) % q
     assert (x * x % q) * w % q == 1
 
