@@ -169,8 +169,14 @@ def kloosterman_explicit_pp(beta: int, pp: PrimePower) -> complex:
 
 @lru_cache(maxsize=16)
 def unit_mask(q: int) -> np.ndarray:
-    """Boolean array over [0, q): which residues are units."""
-    m = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    """Boolean array over [0, q): which residues are units.
+
+    Sieved: every residue starts True and the multiples of each prime
+    dividing q are cleared.
+    """
+    m = np.ones(q, dtype=bool)
+    for p, _ in factorize(q).pairs:
+        m[::p] = False
     m.setflags(write=False)
     return m
 
@@ -179,8 +185,10 @@ def unit_mask(q: int) -> np.ndarray:
 def unit_inverse_table(q: int) -> np.ndarray:
     """inv(x) mod q for units x, 0 for non-units; vectorised modular power.
 
-    Uses x^(phi(q)-1) == inv(x) (mod q) for units; q <= 10^6 keeps the
-    int64 products exact.
+    Raises the units alone to lambda(q) - 1, where lambda is the
+    Carmichael function: the exponent of the unit group, so x^lambda(q)
+    == 1 and x^(lambda(q)-1) == inv(x) (mod q) for every unit x.
+    q <= 10^6 keeps the int64 products exact.
     """
     if q == 1:
         out = np.zeros(1, dtype=np.int64)
@@ -188,16 +196,23 @@ def unit_inverse_table(q: int) -> np.ndarray:
         return out
     if q > 10**6:
         raise ValueError(f"q = {q} beyond desk-scale table range")
-    x = np.arange(q, dtype=np.int64)
-    e = factorize(q).phi() - 1
-    acc = np.ones(q, dtype=np.int64)
-    base = x.copy()
+    lam = 1
+    for p, k in factorize(q).pairs:
+        # lambda(p^k) = phi(p^k), except lambda(2^k) = 2^(k-2) for k >= 3
+        lam_pk = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
+        lam = math.lcm(lam, lam_pk)
+    mask = unit_mask(q)
+    base = np.flatnonzero(mask)
+    acc = np.ones(len(base), dtype=np.int64)
+    e = lam - 1
     while e:
         if e & 1:
             acc = (acc * base) % q
-        base = (base * base) % q
         e >>= 1
-    out = np.where(unit_mask(q), acc, 0)
+        if e:
+            base = (base * base) % q
+    out = np.zeros(q, dtype=np.int64)
+    out[mask] = acc
     out.setflags(write=False)
     return out
 

@@ -195,14 +195,14 @@ BILINEAR_HEADER = [
 
 
 def bilinear_row(r: CancellationReport) -> dict:
-    """One cancellation report as string-valued BILINEAR_HEADER fields."""
+    """One cancellation report as BILINEAR_HEADER fields; floats formatted."""
     return {
-        "q": str(r.q), "p": str(r.p), "M": str(r.M), "N": str(r.N),
+        "q": r.q, "p": r.p, "M": r.M, "N": r.N,
         "abs_S": fmt(abs(r.sum_value)),
         "trivial": fmt(r.trivial_bound),
         "thm_squarefree": fmt(r.thm_squarefree),
         "thm_primepower": fmt(r.thm_primepower),
         "thm_alt": fmt(r.thm_alt),
         "exponent": fmt(r.exponent),
-        "hypothesis_ok": str(int(r.hypothesis_ok)),
+        "hypothesis_ok": int(r.hypothesis_ok),
     }

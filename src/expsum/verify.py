@@ -37,6 +37,7 @@ from .expsums import (
     kloosterman_explicit_pp_table,
     kloosterman_split,
     kloosterman_table,
+    unit_mask,
     weil_audit,
 )
 from .families import (
@@ -181,7 +182,7 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
         if is_prime(q):
             continue
         tab = kloosterman_table(q).values
-        units = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
+        units = np.flatnonzero(unit_mask(q))
         for _ in range(2):
             a = int(units[rng.integers(len(units))])
             b = int(rng.integers(q))

@@ -109,7 +109,7 @@ SCAN_GOLDENS = [
     (["bilinear", "--q", "27,49", "--N", "2,3"],
      "c9e650ef40b6af39bfe8d4feb84b1fc326d348e5479f7d1726a7c75dad4e326f"),
     (["bilinear", "--q", "27,49", "--N", "2,3", "--format", "json"],
-     "6de6763472f79adbb255d1f957736bdce05b5743bb9120a9babe3e4a586a73d0"),
+     "2ab7ade3d61100ef63b5d203693e50d2600189bfd3eca4595b5d60373ecf2a27"),
     (["distribution", "--q", "3,4", "--X", "1000"],
      "e78f050eb8dab39f3bd1e9fbddb00a557464343a4a43ebde327566e68b8e31f6"),
 ]

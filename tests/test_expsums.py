@@ -101,14 +101,16 @@ def test_explicit_pp_rejects_bad_modulus():
 
 
 def test_unit_inverse_table_inverts():
-    for q in (1, 2, 12, 45, 97):
-        inv = unit_inverse_table(q)
+    # every q <= 2048 covers 2^k with k >= 3, where lambda(q) = phi(q)/2,
+    # and every composite q whose Carmichael exponent is below phi(q);
+    # 7^7 is the largest modulus criterion 01 builds tables for
+    for q in [*range(1, 2049), 7**7]:
+        x = np.arange(q, dtype=np.int64)
         mask = unit_mask(q)
-        for x in range(q):
-            if mask[x]:
-                assert (x * int(inv[x])) % q == 1 % q
-            else:
-                assert inv[x] == 0
+        assert np.array_equal(mask, np.gcd(x, q) == 1), q
+        # x * inv(x) == 1 on units; inv(x) == 0, so the product is 0, elsewhere
+        prod = (x * unit_inverse_table(q)) % q
+        assert np.array_equal(prod, np.where(mask, 1 % q, 0)), q
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 9, 12, 45])
