@@ -24,6 +24,7 @@ __all__ = [
     "divisors",
     "sigma_w",
     "sigma00",
+    "sigma00_grid",
     "ramanujan_sum",
     "d_exact",
     "d3_exact",
@@ -138,19 +139,32 @@ class DivisorTable:
 
 @lru_cache(maxsize=8)
 def divisor_table(k: int, X: int) -> DivisorTable:
-    """Sieve d_k as the k-fold Dirichlet convolution of 1; exact uint32."""
+    """Sieve d_k as the k-fold Dirichlet convolution of 1; exact uint32.
+
+    Only divisors up to s = isqrt(X) are sieved.  d(n) counts each pair
+    (i, n/i) with i <= s and i*i <= n twice, minus one when n = i*i.
+    d_3(n) = sum_{i | n} d(n/i) splits into the divisors i <= s, one
+    slice each, and the cofactors i > s, for which m = n/i <= s, so each
+    m <= s adds d(m) along n = m*i, s < i <= X/m.
+    """
     if k not in (2, 3):
         raise ValueError(f"k must be 2 or 3, got {k}")
     if X < 1 or (k == 3 and X > 10**8):
         raise ValueError(f"X = {X} outside desk-scale range")
+    s = math.isqrt(X)
     d2 = np.zeros(X + 1, dtype=np.uint32)
-    for i in range(1, X + 1):
-        d2[i::i] += 1
+    for i in range(1, s + 1):
+        d2[i * i :: i] += 2
+        d2[i * i] -= 1
     if k == 2:
         return DivisorTable(2, X, d2)
     d3 = np.zeros(X + 1, dtype=np.uint32)
-    for i in range(1, X + 1):
+    for i in range(1, s + 1):
         d3[i::i] += d2[1 : X // i + 1]
+    for m in range(1, s + 1):
+        top = X // m
+        if top > s:
+            d3[m * (s + 1) : m * top + 1 : m] += d2[m]
     return DivisorTable(3, X, d3)
 
 
@@ -194,6 +208,36 @@ def sigma00(k: int, l: int, check: bool = True) -> int:
             raise IdentityViolation(
                 f"sigma00({k},{l}): literal {literal} != moebius {mobius_form}"
             )
+    return mobius_form
+
+
+def sigma00_grid(cap: int) -> np.ndarray:
+    """grid[k, l] = sigma00(k, l) for 1 <= k, l <= cap (row and column 0 unused).
+
+    Both routes of sigma00, each vectorised over k.  Literal: for each l,
+    count the pairs (d1, d2 | l/d1) with gcd(d2, k) = 1.  Moebius: add
+    mu(a) d_3(l/a) into the rows k = 0 mod a, for each squarefree a | l.
+    The two grids must agree exactly; the first (k, l) where they do not
+    raises IdentityViolation.
+    """
+    if cap < 1:
+        raise ValueError(f"cap must be positive, got {cap}")
+    ks = np.arange(1, cap + 1)
+    literal = np.zeros((cap + 1, cap + 1), dtype=np.int64)
+    mobius_form = np.zeros((cap + 1, cap + 1), dtype=np.int64)
+    for l in range(1, cap + 1):
+        d2s = np.array([d2 for d1 in divisors(l) for d2 in divisors(l // d1)])
+        literal[1:, l] = (np.gcd(d2s[None, :], ks[:, None]) == 1).sum(axis=1)
+        for a in divisors(l):
+            mu = factorize(a).mobius()
+            if mu:
+                mobius_form[a::a, l] += mu * d3_exact(l // a)
+    bad = np.argwhere(literal != mobius_form)
+    if len(bad):
+        k, l = (int(v) for v in bad[0])
+        raise IdentityViolation(
+            f"sigma00({k},{l}): literal {literal[k, l]} != moebius {mobius_form[k, l]}"
+        )
     return mobius_form
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import factorize
+from .arith import divisor_table, factorize
 from .expsums import hyper_kl3_table
 from .voronoi import SmoothWeight
 
@@ -143,12 +143,14 @@ def _m_support(cfg: BilinearConfig) -> np.ndarray:
 def _sigma_power_window(m: np.ndarray, s: complex) -> np.ndarray:
     """sigma_s(m) for every m in a contiguous window, by sieving."""
     lo, hi = int(m[0]), int(m[-1])
+    if s == 0:
+        return divisor_table(2, hi).values[lo : hi + 1].astype(complex)
     out = np.zeros(len(m), dtype=complex)
     for dd in range(1, hi + 1):
         first = ((lo + dd - 1) // dd) * dd
         if first > hi:
             continue
-        out[first - lo :: dd] += dd**s if s != 0 else 1.0
+        out[first - lo :: dd] += dd**s
     return out
 
 

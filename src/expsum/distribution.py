@@ -7,10 +7,13 @@ function over invertible residue classes: for gcd(a, q) = 1,
 
 Everything on the left and right is computed exactly (integers and
 rationals), so the discrepancy delta(X; q, a) = ap_sum - coprime_mean
-satisfies the construction identity sum_a delta = 0 exactly.  The
-asymptotic error term itself has unspecified constants and is not a
-pass/fail subject; scans record the normalised discrepancy and a
-log-log slope fit as empirical reference output.
+satisfies the identity sum_a delta = 0 exactly.  The identity compares
+two different computations: the coprime total comes from the Moebius
+sum over squarefree d | q of the multiples of d, the progression sums
+from the slices n = a mod q.  The asymptotic error term itself has
+unspecified constants and is not a pass/fail subject; scans record the
+normalised discrepancy and a log-log slope fit as empirical reference
+output.
 
 The Ramanujan decomposition splits the progression indicator into
 additive characters grouped by conductor:
@@ -99,22 +102,36 @@ def d3_ap_sum(X: int, q: int, a: int) -> int:
 
 
 def coprime_mean(X: int, q: int) -> Fraction:
-    """Exact rational (1/phi(q)) sum of d_3(n) over n <= X coprime to q."""
+    """Exact rational (1/phi(q)) sum of d_3(n) over n <= X coprime to q.
+
+    The coprime total is the Moebius sum over squarefree d | q of
+    mu(d) times the sum of d_3 over the multiples of d, so it shares no
+    slicing with the progression sums it is compared against.
+    """
     if q < 1:
         raise ValueError(f"need q >= 1, got q={q}")
     if X < 1:
         return Fraction(0)
     vals = divisor_table(3, X).values
-    mask = np.gcd(np.arange(X + 1, dtype=np.int64), q) == 1
-    total = int(np.sum(vals[mask], dtype=np.uint64))
+    total = 0
+    for d in divisors(q):
+        mu = factorize(d).mobius()
+        if mu:
+            total += mu * int(np.sum(vals[d::d], dtype=np.uint64))
     return Fraction(total, factorize(q).phi())
 
 
 def _residue_totals(X: int, d: int) -> np.ndarray:
-    """T[r] = sum of d_3(n) over n <= X, n = r mod d."""
+    """T[r] = sum of d_3(n) over n <= X, n = r mod d.
+
+    Summed exactly in uint64; every total is below 2^53, so the float64
+    result is exact.
+    """
     vals = divisor_table(3, X).values
-    idx = np.arange(X + 1, dtype=np.int64) % d
-    return np.bincount(idx, weights=vals.astype(np.float64), minlength=d)[:d]
+    full = (X + 1) // d * d
+    t = vals[:full].reshape(-1, d).sum(axis=0, dtype=np.uint64)
+    t[: X + 1 - full] += vals[full:]
+    return t.astype(np.float64)
 
 
 @lru_cache(maxsize=2048)

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arith import divisor_table, factorize, sigma00
+from .arith import divisor_table, factorize, sigma00, sigma00_grid
 from .bilinear import BilinearConfig, CancellationReport, cancellation_scan
 from .charsums import RATIO_CAP, df_correlation, frakC2_glue
 from .distribution import d3_to_bilinear, discrepancy_scan
@@ -144,9 +144,7 @@ def criterion_sigma00(quick: bool = False) -> CheckResult:
     cap = 120 if quick else 500
     spots = {(1, 12): 18, (2, 4): 3, (6, 1): 1}
     bad = 0
-    for k in range(1, cap + 1):
-        for l in range(1, cap + 1):
-            sigma00(k, l, check=True)  # raises IdentityViolation on mismatch
+    sigma00_grid(cap)  # raises IdentityViolation on mismatch
     for (k, l), expect in spots.items():
         if sigma00(k, l) != expect:
             bad += 1

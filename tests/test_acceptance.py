@@ -6,10 +6,10 @@ deterministic details string.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the lines as they complete; plain pytest shows them for
 failing criteria only.
 
-The Kloosterman-table criteria (01, 03, 04) also compare their details
-string with the one recorded in perfbench/golden.json, so a speed-up
-that moves any byte of those tables fails here and not only in the
-benchmark.
+The Kloosterman-table criteria (01, 03, 04) and the divisor-sum
+criteria (02, 10) also compare their details string with the one
+recorded in perfbench/golden.json, so a speed-up that moves any byte of
+those tables or sums fails here and not only in the benchmark.
 """
 
 import json
@@ -34,7 +34,7 @@ def test_criterion_01_explicit_prime_power_formula():
 
 
 def test_criterion_02_sigma00_identity():
-    _report(verify.criterion_sigma00(quick=False))
+    _report(verify.criterion_sigma00(quick=False), "sigma00")
 
 
 def test_criterion_03_crt_split_and_two_path_tables():
@@ -66,7 +66,7 @@ def test_criterion_09_voronoi_identity():
 
 
 def test_criterion_10_d3_distribution():
-    _report(verify.criterion_distribution(quick=False))
+    _report(verify.criterion_distribution(quick=False), "distribution")
 
 
 def test_criterion_11_bilinear_cancellation():

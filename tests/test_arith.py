@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsum import arith
 from expsum.arith import (
     IdentityViolation,
     d3_exact,
@@ -15,8 +17,10 @@ from expsum.arith import (
     factorize,
     ramanujan_sum,
     sigma00,
+    sigma00_grid,
     sigma_w,
 )
+from expsum.verify import _d3_triple_loop
 
 
 @settings(deadline=None)
@@ -64,12 +68,19 @@ def test_divisors_by_trial_division(n):
 
 
 def test_divisor_table_matches_exact_formulas():
-    t2 = divisor_table(2, 500)
-    t3 = divisor_table(3, 500)
-    for n in range(1, 501):
-        assert int(t2.values[n]) == d_exact(n)
-        assert int(t3.values[n]) == d3_exact(n)
-    assert t2.values[0] == 0 and t3.values[0] == 0
+    # every X <= 300, and the squares +-1 around the sqrt(X) split at 10^4
+    ref2 = np.array([0] + [d_exact(n) for n in range(1, 10002)])
+    ref3 = np.array([0] + [d3_exact(n) for n in range(1, 10002)])
+    for X in [*range(1, 301), 9999, 10000, 10001]:
+        for k, ref in ((2, ref2), (3, ref3)):
+            vals = divisor_table(k, X).values
+            assert vals.dtype == np.uint32 and not vals.flags.writeable
+            assert np.array_equal(vals, ref[: X + 1]), (k, X)
+
+
+def test_divisor_table_d3_equals_triple_loop():
+    loop = _d3_triple_loop(10**4)
+    assert np.array_equal(divisor_table(3, 10**4).values.astype(np.int64), loop)
 
 
 def test_divisor_table_rejects_bad_k():
@@ -113,6 +124,23 @@ def test_sigma00_frozen_spots():
 @given(st.integers(1, 120), st.integers(1, 120))
 def test_sigma00_dual_route_always_agrees(k, l):
     sigma00(k, l, check=True)  # raises IdentityViolation on any mismatch
+
+
+def test_sigma00_grid_equals_scalar_routes():
+    grid = sigma00_grid(60)
+    assert grid.shape == (61, 61)
+    for k in range(1, 61):
+        for l in range(1, 61):
+            assert grid[k, l] == sigma00(k, l)
+    with pytest.raises(ValueError):
+        sigma00_grid(0)
+
+
+def test_sigma00_grid_routes_are_independent(monkeypatch):
+    # only the Moebius route reads d3_exact, so a wrong d_3 must split them
+    monkeypatch.setattr(arith, "d3_exact", lambda n: d3_exact(n) + 1)
+    with pytest.raises(IdentityViolation, match=r"sigma00\(1,1\): literal 1 != moebius 2"):
+        sigma00_grid(20)
 
 
 def test_ramanujan_sum_closed_form_vs_direct():

@@ -3,13 +3,15 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsum.arith import d3_exact
+from expsum.arith import d3_exact, divisor_table, factorize
 from expsum.distribution import (
     ApDiscrepancy,
+    _residue_totals,
     coprime_mean,
     d3_ap_sum,
     d3_to_bilinear,
@@ -39,6 +41,32 @@ def test_coprime_mean_is_exact_rational():
     mean = coprime_mean(X, q)
     assert mean == Fraction(total, 2)  # phi(6) = 2
     assert isinstance(mean, Fraction)
+
+
+def _coprime_mean_gcd_mask(X, q):
+    """The coprime mean by an explicit gcd mask over n <= X (reference)."""
+    vals = divisor_table(3, X).values
+    mask = np.gcd(np.arange(X + 1), q) == 1
+    return Fraction(int(np.sum(vals[mask], dtype=np.uint64)), factorize(q).phi())
+
+
+def test_coprime_mean_moebius_route_equals_gcd_mask():
+    X = 10**4
+    for q in [*range(1, 301), 729, 2310]:
+        assert coprime_mean(X, q) == _coprime_mean_gcd_mask(X, q), q
+    # X < q: the Moebius terms with d > X are empty slices
+    assert coprime_mean(5, 30) == _coprime_mean_gcd_mask(5, 30) == Fraction(1, 8)
+
+
+def test_residue_totals_equal_bincount():
+    for X in (100, 10**4):
+        vals = divisor_table(3, X).values
+        for d in range(1, 251):  # d > X + 1 leaves trailing zero classes
+            ref = np.bincount(
+                np.arange(X + 1) % d, weights=vals.astype(np.float64), minlength=d
+            )[:d]
+            got = _residue_totals(X, d)
+            assert got.dtype == np.float64 and np.array_equal(got, ref), (X, d)
 
 
 def test_progressions_partition_the_coprime_mass():
