@@ -17,9 +17,7 @@ from .arith import (
     d_exact,
     divisor_table,
     factorize,
-    ramanujan_sum,
     sigma00,
-    sigma_w,
 )
 from .bilinear import (
     BilinearConfig,
@@ -74,11 +72,8 @@ from .verify import CheckResult, reports_csv, run_checks
 from .voronoi import (
     SmoothWeight,
     VoronoiReport,
-    bessel_k0,
-    bessel_y0,
     voronoi_lhs,
     voronoi_residual,
-    voronoi_rhs,
 )
 
 __version__ = "0.1.0"

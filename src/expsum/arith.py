@@ -1,14 +1,12 @@
 """Multiplicative-function machinery.
 
 Divisor functions and their sieved tables, Moebius and Euler-phi
-accessors on exact factorizations, twisted divisor sums sigma_w, the
-two-sided sigma_{0,0} identity, and Ramanujan sums with a closed form
-cross-checked against the direct exponential sum.
+accessors on exact factorizations, and the two-sided sigma_{0,0}
+identity, scalar and over a whole grid.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,10 +20,8 @@ __all__ = [
     "factorize",
     "divisor_table",
     "divisors",
-    "sigma_w",
     "sigma00",
     "sigma00_grid",
-    "ramanujan_sum",
     "d_exact",
     "d3_exact",
 ]
@@ -168,22 +164,6 @@ def divisor_table(k: int, X: int) -> DivisorTable:
     return DivisorTable(3, X, d3)
 
 
-def sigma_w(n: int, w: complex) -> complex:
-    """sigma_w(n) = sum of d^w over divisors d | n.
-
-    Returns an exact Python integer when w is a nonnegative integer,
-    otherwise a complex value.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ds = divisors(n)
-    if isinstance(w, int) or (isinstance(w, float) and w.is_integer() and w >= 0):
-        wi = int(w)
-        if wi >= 0:
-            return sum(d**wi for d in ds)
-    return sum(cmath.exp(w * math.log(d)) for d in ds)
-
-
 def sigma00(k: int, l: int, check: bool = True) -> int:
     """The ternary-divisor count sum_{d1|l} sum_{d2|(l/d1), (d2,k)=1} 1.
 
@@ -239,28 +219,3 @@ def sigma00_grid(cap: int) -> np.ndarray:
             f"sigma00({k},{l}): literal {literal[k, l]} != moebius {mobius_form[k, l]}"
         )
     return mobius_form
-
-
-def ramanujan_sum(q: int, n: int, check: bool = False) -> int:
-    """c_q(n) = sum over units alpha mod q of e(alpha*n/q), exactly.
-
-    Closed form mu(q/g)*phi(q)/phi(q/g) with g = gcd(n, q); with
-    check=True the direct complex sum is evaluated and compared to
-    within 1e-9 * q.
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    g = math.gcd(n, q)
-    qg = q // g
-    value = factorize(qg).mobius() * factorize(q).phi() // factorize(qg).phi()
-    if check:
-        direct = sum(
-            cmath.exp(2j * math.pi * ((a * n) % q) / q)
-            for a in range(1, q + 1)
-            if math.gcd(a, q) == 1
-        )
-        if abs(direct - value) > 1e-9 * q:
-            raise IdentityViolation(
-                f"ramanujan_sum({q},{n}): closed form {value} vs direct {direct}"
-            )
-    return value

@@ -1,4 +1,4 @@
-"""Multiplicative functions: factorization, divisor tables, sigma sums."""
+"""Multiplicative functions: factorization, divisor tables, sigma_{0,0}."""
 
 import math
 
@@ -15,10 +15,8 @@ from expsum.arith import (
     divisor_table,
     divisors,
     factorize,
-    ramanujan_sum,
     sigma00,
     sigma00_grid,
-    sigma_w,
 )
 from expsum.verify import _d3_triple_loop
 
@@ -101,17 +99,6 @@ def test_d3_exact_is_triple_convolution():
         assert d3_exact(n) == count
 
 
-def test_sigma_w_integer_and_complex_routes():
-    assert sigma_w(12, 0) == 6
-    assert sigma_w(12, 1) == 28
-    assert isinstance(sigma_w(12, 1), int)
-    z = sigma_w(12, 0.5 + 0.25j)
-    direct = sum(d ** (0.5 + 0.25j) for d in divisors(12))
-    assert abs(z - direct) < 1e-12
-    with pytest.raises(ValueError):
-        sigma_w(0, 1)
-
-
 def test_sigma00_frozen_spots():
     # both routes checked internally; these values pin the convention
     assert sigma00(1, 12) == 18
@@ -141,18 +128,3 @@ def test_sigma00_grid_routes_are_independent(monkeypatch):
     monkeypatch.setattr(arith, "d3_exact", lambda n: d3_exact(n) + 1)
     with pytest.raises(IdentityViolation, match=r"sigma00\(1,1\): literal 1 != moebius 2"):
         sigma00_grid(20)
-
-
-def test_ramanujan_sum_closed_form_vs_direct():
-    for q in range(1, 61):
-        for n in range(q):
-            ramanujan_sum(q, n, check=True)
-
-
-def test_ramanujan_sum_frozen_values():
-    assert ramanujan_sum(12, 0) == factorize(12).phi()
-    for p in (3, 5, 7):
-        assert ramanujan_sum(p, 1) == -1
-        assert ramanujan_sum(p, 0) == p - 1
-    assert ramanujan_sum(9, 3) == -3
-    assert IdentityViolation is not None

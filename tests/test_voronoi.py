@@ -1,25 +1,20 @@
-"""Voronoi summation for d(n): weights, Bessel recipes, both sides."""
+"""Voronoi summation for d(n): weights, kernel transforms, both sides."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from expsum import verify, voronoi
 from expsum.arith import d_exact
+from expsum.cli import main
 from expsum.voronoi import (
     CutoffTooSmall,
     NonCoprime,
-    NonPositiveArgument,
     SmoothWeight,
-    _k0_asymptotic,
-    _k0_series,
-    _y0_hankel,
-    _y0_series,
-    bessel_k0,
-    bessel_y0,
     voronoi_lhs,
     voronoi_residual,
-    voronoi_rhs,
 )
 
 
@@ -43,32 +38,55 @@ def test_smooth_weight_scalar_array_agree():
     assert 0.0 < h(12.0) < 1.0
 
 
-def test_bessel_positive_domain_only():
-    with pytest.raises(NonPositiveArgument):
-        bessel_y0(0.0)
-    with pytest.raises(NonPositiveArgument):
-        bessel_k0(-1.0)
+X_ORACLE = 50.0
 
 
-def test_bessel_series_recipes_match_library_small_x():
-    for x in (0.05, 0.3, 1.0, 2.0, 4.0, 6.0):
-        assert _y0_series(x) == pytest.approx(bessel_y0(x), abs=1e-10)
-        assert _k0_series(x) == pytest.approx(bessel_k0(x), abs=1e-10)
+def _oracle(kernel, kx: float) -> float:
+    """integral g(u) kernel(kappa u) du at X = 50, kappa*sqrt(X) = kx.
+
+    The kernel values come from mpmath; 32-point Gauss-Legendre on at
+    least 6 panels, none wider than a period, is good to 2e-15 of
+    integral g du by itself.
+    """
+    u0, u1 = math.sqrt(X_ORACLE), math.sqrt(2 * X_ORACLE)
+    kappa = kx / u0
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    npan = max(6, math.ceil((u1 - u0) * kappa / (2 * math.pi)))
+    edges = np.linspace(u0, u1, npan + 1)
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        u = (lo + hi) / 2 + (hi - lo) / 2 * nodes
+        g = 2 * u * SmoothWeight(X_ORACLE)(u * u)
+        total += (hi - lo) / 2 * math.fsum(
+            float(w * gi * kernel(kappa * ui)) for w, gi, ui in zip(weights, g, u)
+        )
+    return total
 
 
-def test_y0_hankel_matches_library_large_x():
-    for x in (35.0, 50.0, 120.0, 400.0):
-        assert _y0_hankel(x) == pytest.approx(bessel_y0(x), rel=1e-11, abs=1e-13)
+def _oracle_tol() -> float:
+    return 1e-12 * _oracle(lambda z: 1, 1.0)  # integral g du = 30.17
 
 
-def test_k0_asymptotic_accuracy_profile():
-    # honest at x = 20 ...
-    assert _k0_asymptotic(20.0) == pytest.approx(bessel_k0(20.0), rel=1e-10)
-    # ... but the series is divergent: at x = 2 even its optimal 4-term
-    # truncation only reaches ~1e-2 relative, and the fixed 13-term
-    # evaluation is worse still.  A switch point that low is unusable.
-    rel = abs(_k0_asymptotic(2.0) - bessel_k0(2.0)) / bessel_k0(2.0)
-    assert rel > 1e-2
+@pytest.mark.parametrize("kx", [0.5, 10.0, 40.0, 100.0])
+def test_y0_transform_matches_mpmath_oracle(kx):
+    # one panel, quarter-period panels, then the Hankel moments near the
+    # switch and far past it; c_3 scaled by 1.01 moves kx = 40 by 2.4e-11
+    # of integral g du, so these points pin the Hankel coefficients
+    kappa = kx / math.sqrt(X_ORACLE)
+    if kx < voronoi.Z_HANKEL:
+        got = voronoi._gy_panels(kappa, X_ORACLE)
+    else:
+        got = voronoi._gy_hankel(np.array([kappa]), voronoi._bk_grid(X_ORACLE))[0]
+    want = _oracle(lambda z: mpmath.bessely(0, z), kx)
+    assert abs(got - want) < _oracle_tol()
+
+
+@pytest.mark.parametrize("kx", [0.5, 40.0, 100.0])
+def test_k0_transform_matches_mpmath_oracle(kx):
+    # panels where K0 is large and just below Z_KZERO, exactly 0 past it
+    got = voronoi._gk_panels(kx / math.sqrt(X_ORACLE), X_ORACLE)
+    want = _oracle(lambda z: mpmath.besselk(0, z), kx)
+    assert abs(got - want) < _oracle_tol()
 
 
 def test_voronoi_lhs_is_a_finite_divisor_sum():
@@ -92,21 +110,49 @@ def test_voronoi_identity_small_cells():
         assert abs(rep.rhs_main.imag) < 1e-12
 
 
-def test_voronoi_rhs_explicit_level_agrees_with_auto():
-    h = SmoothWeight(50.0)
-    main_auto, dual_auto = voronoi_rhs(1, 4, h)
-    rep = voronoi_residual(1, 4, h)
-    main_exp, dual_exp = voronoi_rhs(1, 4, h, N_max=rep.truncation_level)
-    assert main_auto == main_exp
-    assert dual_exp == pytest.approx(dual_auto, rel=1e-9)
-
-
 def test_voronoi_rejects_bad_arguments():
     h = SmoothWeight(50.0)
     with pytest.raises(NonCoprime):
         voronoi_residual(2, 4, h)
-    with pytest.raises(CutoffTooSmall):
-        voronoi_rhs(1, 5, h, N_max=32)
+    with pytest.raises(ValueError):
+        voronoi_residual(1, 0, h)
+
+
+def test_unconverged_dual_sum_raises(monkeypatch, capsys):
+    # q = 20 at X = 50 needs 409600 terms; with one block allowed the build
+    # stops at the cap, and the CLI reports it as a failed check
+    voronoi._kernels.cache_clear()
+    monkeypatch.setattr(voronoi, "N_HARD_CAP", voronoi.BLOCK)
+    with pytest.raises(CutoffTooSmall, match="not converged below 8192 terms"):
+        voronoi_residual(1, 20, SmoothWeight(50.0))
+    assert main(["voronoi", "--q", "20", "--X", "50"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "check failed: CutoffTooSmall" in err
+
+
+def test_fft_grid_edge_is_checked(monkeypatch):
+    # past the grid edge the Y0 kernel reads as 0, so a grid whose edge
+    # moments are not below TAIL_TOL must raise; __wrapped__ builds afresh
+    monkeypatch.setattr(voronoi, "TAIL_TOL", 1e-16)
+    with pytest.raises(CutoffTooSmall, match="FFT grid edge"):
+        voronoi._bk_grid.__wrapped__(50.0)
+
+
+def test_kernels_are_a_function_of_q_and_X():
+    h = SmoothWeight(50.0)
+    voronoi._kernels.cache_clear()
+    cold = voronoi_residual(2, 5, h)
+    voronoi._kernels.cache_clear()
+    for q in (3, 4, 7):
+        voronoi_residual(1, q, h)
+    assert voronoi_residual(2, 5, h) == cold
+
+
+def test_gate_builds_one_kernel_per_q_and_X():
+    voronoi._kernels.cache_clear()
+    assert verify.criterion_voronoi(quick=True).passed
+    assert voronoi._kernels.cache_info().misses == 6
 
 
 def test_conjugate_symmetry():
