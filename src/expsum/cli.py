@@ -125,12 +125,17 @@ class RunConfig:
         for p in self.p:
             if not 2 <= p <= CAPS["p"] or not is_prime(p):
                 raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
-        cap_x = (
-            CAPS["X_voronoi"] if self.subcommand == "voronoi" else CAPS["X_distribution"]
-        )
+        if self.subcommand == "voronoi":
+            # for X <= 1/2 the weight's open support (X, 2X) holds no
+            # integer, so the divisor sum is 0 and has no relative residual
+            lo_x, cap_x = 0.5, CAPS["X_voronoi"]
+            why = ": the support (X, 2X) holds no integer"
+        else:
+            lo_x, cap_x, why = 0, CAPS["X_distribution"], ""
         for x in self.X:
-            if not 0 < x <= cap_x:
-                raise ValidationError(f"X = {x} outside (0, {cap_x}]")
+            if not lo_x < x <= cap_x:
+                reason = why if x <= lo_x else ""
+                raise ValidationError(f"X = {x} outside ({lo_x}, {cap_x}]{reason}")
         for m in self.M:
             if not 1 <= m <= CAPS["M"]:
                 raise ValidationError(f"M = {m} outside [1, {CAPS['M']}]")

@@ -36,13 +36,23 @@ blocks; the true remainder is empirically within ~10x of that block
 maximum, so the truncation error is ~1e-9 absolute, far inside the
 1e-6-relative acceptance budget (the smallest |lhs| over the verified
 grid is ~0.5).  A dual sum still above that at 1.5M terms raises
-CutoffTooSmall.  The kernels depend only on (q, X), so they are built
-once per (q, X) into a small cache and shared by every a mod q.
+CutoffTooSmall.
+
+Work is done once per (q, X) and shared by every a mod q.  The kernels
+are stored already multiplied by d(n), so a cell is two dot products
+against phases read from a q-point table of roots of unity.  The gate
+and the CLI visit cells with X outermost, then q, then a, so the kernel
+and moment-grid caches hold one entry each; a serial run never rebuilds
+one (under --jobs, threads can still build the same entry twice).  The 13
+moment FFTs of one X run two at a time on threads (pocketfft releases
+the GIL); each row is the same serial transform, so the bits do not
+depend on the pairing.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -72,6 +82,9 @@ BLOCK = 8192
 _NG = 4096  # g samples for the moment FFTs
 _NFFT = 1 << 21  # zero-padded FFT length
 _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
+# moment FFTs in flight at once; pocketfft releases the GIL, and each
+# transform holds about 64 MB (its complex pad and the library's scratch)
+_FFT_WORKERS = 2
 
 
 class NonCoprime(ValueError):
@@ -156,13 +169,15 @@ class _BkGrid:
     values: np.ndarray  # shape (_KTERMS, Mmax), S_k(kappa_m); B = du e^{i k u0} S
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=1)
 def _bk_grid(X: float) -> _BkGrid:
     """The moments of g up to kappa*u0 = 4608, checked to be negligible there.
 
     Past the grid edge _gy_hankel returns 0, so the moments in the last
     interpolation window must already be below TAIL_TOL; CutoffTooSmall
-    otherwise.
+    otherwise.  Worker w transforms rows w, w + _FFT_WORKERS, ... in
+    place in its own pad; each row is the serial transform of that pad.
+    One entry suffices: callers visit every q of one X before the next X.
     """
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / _NG
@@ -171,11 +186,16 @@ def _bk_grid(X: float) -> _BkGrid:
     dk = 2 * math.pi / (_NFFT * du)
     mmax = int(4608.0 / u0 / dk) + 16
     vals = np.empty((_KTERMS, mmax), dtype=complex)
-    pad = np.zeros(_NFFT)
-    for k in range(_KTERMS):
-        pad[:] = 0.0
-        pad[:_NG] = g * u ** (-0.5 - k)
-        vals[k] = _NFFT * np.fft.ifft(pad)[:mmax]
+
+    def rows(w: int) -> None:
+        pad = np.empty(_NFFT, dtype=complex)
+        for k in range(w, _KTERMS, _FFT_WORKERS):
+            pad[:] = 0.0
+            pad[:_NG] = g * u ** (-0.5 - k)
+            vals[k] = _NFFT * np.fft.ifft(pad, out=pad)[:mmax]
+
+    with ThreadPoolExecutor(_FFT_WORKERS) as pool:
+        list(pool.map(rows, range(_FFT_WORKERS)))
     edge = du * float(np.max(np.abs(vals[:, -9:])))
     if not edge < TAIL_TOL:
         raise CutoffTooSmall(
@@ -259,14 +279,14 @@ def _divisors(n: int) -> np.ndarray:
     return divisor_table(2, size).values
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """(kerY, kerK, n_auto): the dual-sum kernels of one (q, X).
+    """(wY, wK, n_auto): the d(n)-weighted dual-sum kernels of one (q, X).
 
-    kerY[i] = Hminus((i+1)/q^2) and kerK[i] = Hplus((i+1)/q^2) for
-    i < n_auto, where n_auto ends the second consecutive block whose
+    wY[i] = d(i+1)*Hminus((i+1)/q^2) and wK[i] = d(i+1)*Hplus((i+1)/q^2)
+    for i < n_auto, where n_auto ends the second consecutive block whose
     weighted terms all stay below TAIL_TOL.  Callers visit each (q, X)
-    in one consecutive run, so a few entries never rebuild.
+    in one consecutive run, so one entry never rebuilds.
     """
     u0 = math.sqrt(X)
     pieces_y, pieces_k = [], []
@@ -290,17 +310,19 @@ def _kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
         kk = np.zeros(len(idx))
         for i in np.nonzero(kappas * u0 < Z_KZERO)[0]:
             kk[i] = _gk_panels(float(kappas[i]), X)
-        pieces_y.append(-2 * math.pi * y)
-        pieces_k.append(4 * kk)
+        hminus = -2 * math.pi * y
+        hplus = 4 * kk
         d = _divisors(hi)[n + 1 : hi + 1]
-        wmax = float(np.max(d * (np.abs(pieces_y[-1]) + np.abs(pieces_k[-1]))) / q)
+        pieces_y.append(d * hminus)
+        pieces_k.append(d * hplus)
+        wmax = float(np.max(d * (np.abs(hminus) + np.abs(hplus))) / q)
         n = hi
         quiet_blocks = quiet_blocks + 1 if wmax < TAIL_TOL else 0
-    kerY = np.concatenate(pieces_y)
-    kerK = np.concatenate(pieces_k)
-    kerY.setflags(write=False)
-    kerK.setflags(write=False)
-    return kerY, kerK, n
+    wY = np.concatenate(pieces_y)
+    wK = np.concatenate(pieces_k)
+    wY.setflags(write=False)
+    wK.setflags(write=False)
+    return wY, wK, n
 
 
 @lru_cache(maxsize=64)
@@ -347,14 +369,11 @@ def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
     """(main term, dual sum, truncation level); voronoi_lhs checked (a, q)."""
     X = h.X
     main = complex(_main_term(q, X))
-    kerY, kerK, n_auto = _kernels(q, X)
-    n = np.arange(1, n_auto + 1)
-    d = _divisors(n_auto)[1 : n_auto + 1]
+    wY, wK, n_auto = _kernels(q, X)
     abar = pow(a, -1, q) if q > 1 else 0
-    phases = np.exp(2j * np.pi * ((abar * n) % q) / q)
-    wy = d * kerY
-    wk = d * kerK
-    dual = complex((np.dot(wy, np.conj(phases)) + np.dot(wk, phases)) / q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    phases = roots[(abar * np.arange(1, n_auto + 1)) % q]
+    dual = complex((np.dot(wY, np.conj(phases)) + np.dot(wK, phases)) / q)
     return main, dual, n_auto
 
 

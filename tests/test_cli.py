@@ -68,6 +68,16 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("x", ["0.5", "0.3"])
+def test_voronoi_rejects_scales_with_an_empty_support(x, capsys):
+    # (X, 2X) holds no integer for X <= 1/2, so lhs = 0 and the relative
+    # residual would be inf; the run is refused before any kernel is built
+    assert main(["voronoi", "--q", "1", "--X", x]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "holds no integer" in err
+
+
 def test_kloosterman_golden_first_rows(capsys):
     assert main(["kloosterman", "--q", "5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")

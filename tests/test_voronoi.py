@@ -150,9 +150,43 @@ def test_kernels_are_a_function_of_q_and_X():
 
 
 def test_gate_builds_one_kernel_per_q_and_X():
+    # the gate visits X outermost, then q, so one entry of each cache
+    # builds every (q, X) kernel and every X grid exactly once
     voronoi._kernels.cache_clear()
+    voronoi._bk_grid.cache_clear()
     assert verify.criterion_voronoi(quick=True).passed
-    assert voronoi._kernels.cache_info().misses == 6
+    for cache, builds in ((voronoi._kernels, 6), (voronoi._bk_grid, 1)):
+        assert cache.cache_parameters()["maxsize"] == 1
+        assert cache.cache_info().misses == builds
+
+
+@pytest.mark.parametrize("q", range(1, 21))
+def test_root_table_phases_equal_the_exp_expression(q):
+    # _rhs reads e(abar n / q) from a q-point table; each entry is the
+    # same np.exp expression, so the phases agree bit for bit
+    n = np.arange(1, voronoi._kernels(20, 50.0)[2] + 1)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    for a in range(q):
+        if math.gcd(a, q) == 1:
+            r = (a * n) % q
+            want = np.exp(2j * np.pi * r / q)
+            assert roots[r].tobytes() == want.tobytes()
+
+
+def test_paired_moment_ffts_equal_the_serial_transform():
+    # rows 0 and 12 come from different workers; a swapped row or a pad
+    # left uncleared between rows changes their bits
+    X = 50.0
+    values = voronoi._bk_grid(X).values
+    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
+    du = (u1 - u0) / voronoi._NG
+    u = u0 + np.arange(voronoi._NG) * du
+    g = 2 * u * SmoothWeight(X)(u * u)
+    for k in (0, voronoi._KTERMS - 1):
+        pad = np.zeros(voronoi._NFFT)
+        pad[: voronoi._NG] = g * u ** (-0.5 - k)
+        want = voronoi._NFFT * np.fft.ifft(pad)[: values.shape[1]]
+        assert values[k].tobytes() == want.tobytes()
 
 
 def test_conjugate_symmetry():
