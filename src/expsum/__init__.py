@@ -63,6 +63,7 @@ from .expsums import (
     kloosterman_explicit_pp,
     kloosterman_explicit_pp_table,
     kloosterman_split,
+    kloosterman_split_row,
     kloosterman_table,
     unit_inverse_table,
     weil_audit,

@@ -6,6 +6,12 @@ normalised hyper-Kloosterman sum Kl3 with two independent evaluation
 paths, the degeneration identity for non-coprime arguments, and
 Weil/Deligne bound audits.
 
+Tables are cached per modulus in lru_cache(16)s, except the prime-power
+factor tables of the CRT split: every prime power up to _FACTOR_KEEP =
+5000 keeps its table S(1, .; p^e) for the life of the process, so each
+is built once however many moduli share it (at most 12.8 MB of
+float64, when all 711 are held).
+
 Conventions used throughout:
   * e(x) = exp(2*pi*i*x), always evaluated on a reduced fraction
     (numerator mod q)/q so angles stay small.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -37,6 +44,7 @@ __all__ = [
     "kloosterman_explicit_pp",
     "kloosterman_explicit_pp_table",
     "kloosterman_split",
+    "kloosterman_split_row",
     "kloosterman_table",
     "unit_inverse_table",
     "unit_mask",
@@ -233,13 +241,15 @@ def kloosterman_table(q: int) -> KloosterTable:
     """All S(1, c; q) at once via one inverse FFT.
 
     S(1, c; q) = sum over units z of e(inv(z)/q) * e(c*z/q), which is q
-    times the inverse DFT of V[z] = e(inv(z)/q) * [z unit].  The result
-    is checked to be real to within 1e-9 * q.
+    times the inverse DFT of V[z] = e(inv(z)/q) * [z unit].  The phases
+    are computed at the units alone; V is 0 elsewhere.  The result is
+    checked to be real to within 1e-9 * q.
     """
     if q == 1:
         return KloosterTable(1, np.ones(1))
-    inv = unit_inverse_table(q)
-    V = np.where(unit_mask(q), np.exp(2j * np.pi * inv / q), 0.0)
+    mask = unit_mask(q)
+    V = np.zeros(q, dtype=complex)
+    V[mask] = np.exp(2j * np.pi * unit_inverse_table(q)[mask] / q)
     vals = q * np.fft.ifft(V)
     worst = float(np.max(np.abs(vals.imag)))
     if worst > 1e-9 * q:
@@ -273,18 +283,39 @@ def kloosterman_explicit_pp_table(pp: PrimePower) -> np.ndarray:
     return vals
 
 
+# Prime powers up to this size keep their factor table for the life of
+# the process.  Every prime-power factor of a composite modulus up to the
+# CLI cap 10^4 is at most 5000; holding all 711 prime powers <= 5000 at
+# once takes 12.8 MB of float64.  Larger ones (explicit_pp builds up to
+# 10^6) go through kloosterman_table's LRU cache.
+_FACTOR_KEEP = 5000
+_factor_tables: dict[int, np.ndarray] = {}
+_factor_lock = threading.Lock()  # two --jobs threads never build one table twice
+
+
+def _factor_values(qi: int) -> np.ndarray:
+    """kloosterman_table(qi).values, kept when qi <= _FACTOR_KEEP."""
+    if qi > _FACTOR_KEEP:
+        return kloosterman_table(qi).values
+    vals = _factor_tables.get(qi)
+    if vals is None:
+        with _factor_lock:
+            vals = _factor_tables.get(qi)
+            if vals is None:
+                vals = _factor_tables[qi] = kloosterman_table(qi).values
+    return vals
+
+
 def _kloosterman_factor(a: int, b: int, q: int) -> complex:
     """S(a, b; q) for a prime-power q, via table lookup when possible."""
     if q == 1:
         return 1 + 0j
     a %= q
     b %= q
-    if math.gcd(a, q) == 1:
-        # substitute x -> inv(a) x:  S(a, b; q) = S(1, a*b; q)
-        return complex(kloosterman_table(q).values[(a * b) % q])
-    if math.gcd(b, q) == 1:
-        # symmetry S(a, b; q) = S(b, a; q) under x -> inv(x)
-        return complex(kloosterman_table(q).values[(a * b) % q])
+    if math.gcd(a, q) == 1 or math.gcd(b, q) == 1:
+        # a unit: substitute x -> inv(a) x, so S(a, b; q) = S(1, a*b; q);
+        # b unit: the same after the symmetry S(a, b; q) = S(b, a; q)
+        return complex(_factor_values(q)[(a * b) % q])
     return kloosterman_direct(a, b, q)
 
 
@@ -296,6 +327,9 @@ def kloosterman_split(a: int, b: int, q: int) -> complex:
     valid for all a, b including degenerate gcd cases.  Specialised to
     a = 1 and a squarefree modulus this reproduces
     S(1, x-bar; q) = prod_i S(1, inv(q/q_i)^2 * x-bar; q_i).
+    The factor tables S(1, .; q_i) of prime powers q_i <= _FACTOR_KEEP
+    (5000) are built once and kept, 12.8 MB at most; larger ones come
+    from kloosterman_table's LRU cache.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -304,8 +338,25 @@ def kloosterman_split(a: int, b: int, q: int) -> complex:
     out = 1 + 0j
     for p, e in factorize(q).pairs:
         qi = p**e
-        vi = pow(q // qi, -1, qi) if qi > 1 else 0
+        vi = pow(q // qi, -1, qi)
         out *= _kloosterman_factor(a * vi, b * vi, qi)
+    return out
+
+
+def kloosterman_split_row(q: int) -> np.ndarray:
+    """S(1, m; q) for every m in [0, q) by twisted multiplicativity.
+
+    The factor lookups of kloosterman_split(1, m, q), made for all m in
+    one gather per factor; entry m equals that scalar bit for bit.
+    """
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    out = np.ones(q, dtype=complex)
+    m = np.arange(q, dtype=np.int64)
+    for p, e in factorize(q).pairs:
+        qi = p**e
+        vi = pow(q // qi, -1, qi)
+        out *= _factor_values(qi)[(vi * ((m * vi) % qi)) % qi]
     return out
 
 
@@ -345,12 +396,17 @@ def hyper_kl3_table(q: int) -> np.ndarray:
     return out
 
 
+_ROW_BLOCK = 2**18  # terms per block of hyper_kl3_table_direct: 4 MB of complex
+
+
 def hyper_kl3_table_direct(q: int) -> np.ndarray:
     """values[r] = Kl3(r, q) with the inner y-sum evaluated literally.
 
     Independent of the FFT-built Kloosterman table: for each unit x the
     sum W[x] = sum over units y of e((y + inv(x*y))/q) is accumulated
-    term by term, then contracted against e(m*x/q).
+    term by term, then contracted against e(m*x/q).  The rows x are
+    summed in blocks of at most _ROW_BLOCK terms; each row is still one
+    contiguous pairwise sum, so W does not depend on the block size.
     """
     if q == 1:
         return np.ones(1, dtype=complex)
@@ -358,8 +414,10 @@ def hyper_kl3_table_direct(q: int) -> np.ndarray:
     inv = unit_inverse_table(q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     W = np.zeros(q, dtype=complex)
-    for x in units:
-        W[x] = roots[(units + inv[(x * units) % q]) % q].sum()
+    rows = max(1, _ROW_BLOCK // len(units))
+    for lo in range(0, len(units), rows):
+        xs = units[lo : lo + rows]
+        W[xs] = roots[(units + inv[np.outer(xs, units) % q]) % q].sum(axis=1)
     return np.fft.ifft(W)
 
 

@@ -28,7 +28,7 @@ from .charsums import (
     moebius_reduce,
     ppower_bound,
 )
-from .expsums import BoundReport, kloosterman_split, kloosterman_table
+from .expsums import BoundReport, kloosterman_split_row, kloosterman_table
 from .modarith import PrimePower
 
 __all__ = [
@@ -86,7 +86,8 @@ def middle_unit(q: int) -> int:
 def split_vs_table(q: int) -> list[tuple[int, float, complex]]:
     """(m, S(1, m; q) from the FFT table, S(1, m; q) by CRT splitting), all m."""
     tab = kloosterman_table(q).values
-    return [(m, float(tab[m]), kloosterman_split(1, m, q)) for m in range(q)]
+    split = kloosterman_split_row(q)
+    return [(m, float(tab[m]), complex(split[m])) for m in range(q)]
 
 
 def charsum_pp_cells(

@@ -1,12 +1,16 @@
 """Kloosterman and hyper-Kloosterman sums: oracles, identities, bounds."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsum import expsums
+from expsum.arith import factorize
 from expsum.expsums import (
     BadModulus,
     NotDegenerate,
@@ -20,12 +24,13 @@ from expsum.expsums import (
     kloosterman_explicit_pp,
     kloosterman_explicit_pp_table,
     kloosterman_split,
+    kloosterman_split_row,
     kloosterman_table,
     unit_inverse_table,
     unit_mask,
     weil_audit,
 )
-from expsum.modarith import PrimePower
+from expsum.modarith import PrimePower, is_prime
 
 SQRT5 = math.sqrt(5.0)
 
@@ -75,6 +80,79 @@ def test_kloosterman_table_matches_direct(q, m):
 def test_kloosterman_split_equals_direct(q, a, b):
     # twisted multiplicativity holds for every a, b, unit or not
     assert abs(kloosterman_split(a, b, q) - kloosterman_direct(a, b, q)) < 1e-9 * q
+
+
+def test_split_builds_each_factor_table_once():
+    # 1058 builds when the factor tables came from the 16-entry LRU alone
+    expsums._factor_tables.clear()
+    kloosterman_table.cache_clear()
+    composites = [q for q in range(4, 1001) if not is_prime(q)]
+    for q in composites:
+        kloosterman_split(1, 1, q)
+    factors = {p**e for q in composites for p, e in factorize(q).pairs}
+    assert len(factors) == 120
+    assert kloosterman_table.cache_info().misses == len(factors)
+
+
+def test_factor_tables_built_once_under_threads():
+    # more workers than cores, all asking for the same factor tables at once
+    expsums._factor_tables.clear()
+    kloosterman_table.cache_clear()
+    qs = [q for q in range(4, 301) if not is_prime(q)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda: [kloosterman_split_row(q) for q in qs])
+                       for _ in range(4)]
+            rows = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    want = [_packed(r) for r in rows[0]]
+    assert all([_packed(r) for r in worker] == want for worker in rows[1:])
+    factors = {p**e for q in qs for p, e in factorize(q).pairs}
+    assert kloosterman_table.cache_info().misses == len(factors)
+
+
+def _packed(z) -> bytes:
+    """(re, im) doubles of a complex array, so the sign of a zero counts."""
+    return np.asarray(z, dtype=complex).view(np.float64).tobytes()
+
+
+@pytest.mark.parametrize("qs", [range(1, 601), [997, 2310, 4096, 4999, 5000]],
+                         ids=["q<=600", "large"])
+def test_split_row_equals_scalar_split_bit_for_bit(qs):
+    for q in qs:
+        scalar = [kloosterman_split(1, m, q) for m in range(q)]
+        assert _packed(kloosterman_split_row(q)) == _packed(scalar), q
+
+
+def _hyper_kl3_table_direct_per_unit(q):
+    """hyper_kl3_table_direct as one numpy sum per unit x: the reference."""
+    if q == 1:
+        return np.ones(1, dtype=complex)
+    units = np.nonzero(unit_mask(q))[0].astype(np.int64)
+    inv = unit_inverse_table(q)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    W = np.zeros(q, dtype=complex)
+    for x in units:
+        W[x] = roots[(units + inv[(x * units) % q]) % q].sum()
+    return np.fft.ifft(W)
+
+
+def test_hyper_kl3_row_blocks_equal_per_unit_sums():
+    # phi(q) > 512 at 1009 and 4096, so the 2^18-term blocks hold several rows
+    # and 1009 leaves a short last block
+    for q in [*range(1, 61), 1009, 4096]:
+        got = hyper_kl3_table_direct(q)
+        assert _packed(got) == _packed(_hyper_kl3_table_direct_per_unit(q)), q
+
+
+def test_kloosterman_table_phases_at_units_only():
+    for q in [*range(1, 2049), 7**7]:
+        inv, mask = unit_inverse_table(q), unit_mask(q)
+        want = (q * np.fft.ifft(np.where(mask, np.exp(2j * np.pi * inv / q), 0.0))).real
+        assert kloosterman_table(q).values.tobytes() == want.tobytes(), q
 
 
 @pytest.mark.parametrize("pp", [PrimePower(3, 2), PrimePower(3, 3), PrimePower(5, 2),
