@@ -10,7 +10,6 @@ dual-route checks, deterministic output.
 """
 
 from .arith import (
-    DivisorTable,
     Factorization,
     IdentityViolation,
     d3_exact,
@@ -54,13 +53,9 @@ from .distribution import (
 )
 from .expsums import (
     BoundReport,
-    hyper_kl3,
-    hyper_kl3_degenerate_check,
-    hyper_kl3_direct,
     hyper_kl3_table,
     hyper_kl3_table_direct,
     kloosterman_direct,
-    kloosterman_explicit_pp,
     kloosterman_explicit_pp_table,
     kloosterman_split,
     kloosterman_split_row,

@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Factorization",
-    "DivisorTable",
     "IdentityViolation",
     "factorize",
     "divisor_table",
@@ -53,22 +52,6 @@ class Factorization:
 
     def omega(self) -> int:
         return len(self.pairs)
-
-    def squarefree_part(self) -> int:
-        """Product of the primes appearing to the first power exactly."""
-        out = 1
-        for p, e in self.pairs:
-            if e == 1:
-                out *= p
-        return out
-
-    def squarefull_part(self) -> int:
-        """Complementary product of the prime powers with exponent >= 2."""
-        out = 1
-        for p, e in self.pairs:
-            if e >= 2:
-                out *= p**e
-        return out
 
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.pairs)
@@ -121,23 +104,12 @@ def d3_exact(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class DivisorTable:
-    """values[n] = d_k(n) for 1 <= n <= X (values[0] unused, = 0)."""
-
-    k: int
-    X: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-
 @lru_cache(maxsize=8)
-def divisor_table(k: int, X: int) -> DivisorTable:
-    """Sieve d_k as the k-fold Dirichlet convolution of 1; exact uint32.
+def divisor_table(k: int, X: int) -> np.ndarray:
+    """values[n] = d_k(n) for 1 <= n <= X (values[0] = 0), read-only uint32.
 
-    Only divisors up to s = isqrt(X) are sieved.  d(n) counts each pair
+    The k-fold Dirichlet convolution of 1, sieved exactly; only divisors
+    up to s = isqrt(X) are sieved.  d(n) counts each pair
     (i, n/i) with i <= s and i*i <= n twice, minus one when n = i*i.
     d_3(n) = sum_{i | n} d(n/i) splits into the divisors i <= s, one
     slice each, and the cofactors i > s, for which m = n/i <= s, so each
@@ -153,7 +125,8 @@ def divisor_table(k: int, X: int) -> DivisorTable:
         d2[i * i :: i] += 2
         d2[i * i] -= 1
     if k == 2:
-        return DivisorTable(2, X, d2)
+        d2.setflags(write=False)
+        return d2
     d3 = np.zeros(X + 1, dtype=np.uint32)
     for i in range(1, s + 1):
         d3[i::i] += d2[1 : X // i + 1]
@@ -161,15 +134,16 @@ def divisor_table(k: int, X: int) -> DivisorTable:
         top = X // m
         if top > s:
             d3[m * (s + 1) : m * top + 1 : m] += d2[m]
-    return DivisorTable(3, X, d3)
+    d3.setflags(write=False)
+    return d3
 
 
-def sigma00(k: int, l: int, check: bool = True) -> int:
+def sigma00(k: int, l: int) -> int:
     """The ternary-divisor count sum_{d1|l} sum_{d2|(l/d1), (d2,k)=1} 1.
 
     Evaluates both the literal double divisor sum and the equivalent
-    Moebius convolution sum_{a | gcd(k,l)} mu(a) d_3(l/a); with
-    check=True (the default) the two must agree exactly.
+    Moebius convolution sum_{a | gcd(k,l)} mu(a) d_3(l/a); the two must
+    agree exactly.
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be positive")
@@ -178,16 +152,15 @@ def sigma00(k: int, l: int, check: bool = True) -> int:
         mu = factorize(a).mobius()
         if mu:
             mobius_form += mu * d3_exact(l // a)
-    if check:
-        literal = 0
-        for d1 in divisors(l):
-            for d2 in divisors(l // d1):
-                if math.gcd(d2, k) == 1:
-                    literal += 1
-        if literal != mobius_form:
-            raise IdentityViolation(
-                f"sigma00({k},{l}): literal {literal} != moebius {mobius_form}"
-            )
+    literal = 0
+    for d1 in divisors(l):
+        for d2 in divisors(l // d1):
+            if math.gcd(d2, k) == 1:
+                literal += 1
+    if literal != mobius_form:
+        raise IdentityViolation(
+            f"sigma00({k},{l}): literal {literal} != moebius {mobius_form}"
+        )
     return mobius_form
 
 

@@ -144,7 +144,7 @@ def _sigma_power_window(m: np.ndarray, s: complex) -> np.ndarray:
     """sigma_s(m) for every m in a contiguous window, by sieving."""
     lo, hi = int(m[0]), int(m[-1])
     if s == 0:
-        return divisor_table(2, hi).values[lo : hi + 1].astype(complex)
+        return divisor_table(2, hi)[lo : hi + 1].astype(complex)
     out = np.zeros(len(m), dtype=complex)
     for dd in range(1, hi + 1):
         first = ((lo + dd - 1) // dd) * dd
@@ -243,25 +243,20 @@ def hypothesis_flags(q: int, M: int, N: int) -> tuple[bool, bool]:
     return sf, pp
 
 
-def cancellation_scan(
-    configs: list[BilinearConfig], check_paths: bool = True
-) -> list[CancellationReport]:
+def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]:
     """Evaluate |S| against trivial and theorem bounds for each config.
 
-    With check_paths=True the grouped evaluation is compared to the
-    literal double sum at 1e-9 relative; theorem bounds are recorded
-    but never asserted (their constants are unspecified).
+    Every sum is evaluated both ways, literal and grouped, and the two
+    must agree to 1e-9 relative; theorem bounds are recorded but never
+    asserted (their constants are unspecified).
     """
     out = []
     for cfg in configs:
         s = bilinear_sum(cfg)
-        if check_paths:
-            s2 = bilinear_grouped(cfg)
-            scale = max(abs(s), abs(s2), 1.0)
-            if abs(s - s2) > 1e-9 * scale:
-                raise AssertionError(
-                    f"evaluation paths disagree at {cfg}: {s} vs {s2}"
-                )
+        s2 = bilinear_grouped(cfg)
+        scale = max(abs(s), abs(s2), 1.0)
+        if abs(s - s2) > 1e-9 * scale:
+            raise AssertionError(f"evaluation paths disagree at {cfg}: {s} vs {s2}")
         pairs = factorize(cfg.q).pairs
         p_small = pairs[0][0] if pairs else 1
         sf_ok, pp_ok = hypothesis_flags(cfg.q, cfg.M, cfg.N)

@@ -107,7 +107,7 @@ def frakC_gamma_u(params: CharSumParams) -> complex:
     q = params.pp.q
     pu = p**u
     pg_u = p ** (gamma - u)
-    table = kloosterman_table(q).values
+    table = kloosterman_table(q)
     invq = unit_inverse_table(q)
     umq = unit_mask(q)
     units = np.nonzero(unit_mask(pu))[0].astype(np.int64)
@@ -210,7 +210,7 @@ def frakC_11_completed(
     d1: Matrix2 = ((0, 1), (s1 % p, t1 % p))
     d2: Matrix2 = ((0, 1), (s2 % p, t2 % p))
     d3: Matrix2 = ((lam2 % p, 0), ((-m) % p, lam1 % p))
-    table = kloosterman_table(p).values
+    table = kloosterman_table(p)
 
     def F(x: int | None) -> float:
         return 0.0 if x is None else float(table[x])
@@ -287,7 +287,7 @@ def moebius_correlation(mat: Matrix2, p: int) -> complex:
     projective completion of the congruence-constrained double sum.
     """
     (m00, m01), (m10, m11) = mat
-    table = kloosterman_table(p).values
+    table = kloosterman_table(p)
     total = 0.0
     for a in range(p):
         den = (m10 * a + m11) % p
@@ -310,7 +310,7 @@ def df_correlation(a: int, b: int, pp: PrimePower) -> BoundReport:
     p, gamma, q = pp.p, pp.gamma, pp.q
     if math.gcd(a, p) != 1:
         raise ValueError(f"a = {a} must be coprime to p = {p}")
-    table = kloosterman_table(q).values
+    table = kloosterman_table(q)
     inv = unit_inverse_table(q)
     um = unit_mask(q)
     x = np.nonzero(um)[0].astype(np.int64)
@@ -338,7 +338,7 @@ def _calC_factor(n1: int, n2: int, mtil: int, b: int, qi: int, v: int) -> comple
     """One CRT factor of calC at the prime-power modulus qi with twist v."""
     if qi == 1:
         return 1 + 0j
-    table = kloosterman_table(qi).values
+    table = kloosterman_table(qi)
     inv = unit_inverse_table(qi)
     um = unit_mask(qi)
     v2 = v * v % qi
@@ -390,7 +390,7 @@ def _glue_factor(c_mult: int, w: int, q: int) -> float:
     w %= q
     if math.gcd(w, q) != 1:
         return 0.0
-    return float(kloosterman_table(q).values[c_mult * pow(w, -1, q) % q])
+    return float(kloosterman_table(q)[c_mult * pow(w, -1, q) % q])
 
 
 def _glue_double_sum(

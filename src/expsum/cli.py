@@ -41,7 +41,7 @@ from .families import (
 )
 from .modarith import is_prime
 from .verify import criterion_determinism, run_checks
-from .voronoi import SmoothWeight, voronoi_residual
+from .voronoi import SmoothWeight, voronoi_lhs, voronoi_residual
 
 __all__ = ["main", "load_config", "parse_int_list", "ParseError", "ValidationError"]
 
@@ -71,6 +71,11 @@ CAPS = {
     "N": 10**4,
     "jobs": 64,
 }
+
+# smallest integer mass sum d(n) h(n) of the voronoi weight at scale X: the
+# dual sum's ~1e-9 absolute truncation over the 1e-6 relative gate, so that
+# a cell can meet the gate at all (its |lhs| is at most this mass)
+VORONOI_MASS_FLOOR = 1e-3
 
 # the correlation-sum parameters of the charsum-pp and charsum-prime rows
 _TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
@@ -125,17 +130,19 @@ class RunConfig:
         for p in self.p:
             if not 2 <= p <= CAPS["p"] or not is_prime(p):
                 raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
-        if self.subcommand == "voronoi":
-            # for X <= 1/2 the weight's open support (X, 2X) holds no
-            # integer, so the divisor sum is 0 and has no relative residual
-            lo_x, cap_x = 0.5, CAPS["X_voronoi"]
-            why = ": the support (X, 2X) holds no integer"
-        else:
-            lo_x, cap_x, why = 0, CAPS["X_distribution"], ""
+        voronoi = self.subcommand == "voronoi"
+        cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
         for x in self.X:
-            if not lo_x < x <= cap_x:
-                reason = why if x <= lo_x else ""
-                raise ValidationError(f"X = {x} outside ({lo_x}, {cap_x}]{reason}")
+            if not 0 < x <= cap_x:
+                raise ValidationError(f"X = {x} outside (0, {cap_x}]")
+            if not voronoi:
+                continue
+            mass = abs(voronoi_lhs(1, 1, SmoothWeight(x)))  # sum d(n) h(n)
+            if mass < VORONOI_MASS_FLOOR:
+                raise ValidationError(
+                    f"X = {x}: the support (X, 2X) holds no integer mass of at least "
+                    f"{VORONOI_MASS_FLOOR}: sum d(n) h(n) = {mass:.3e}"
+                )
         for m in self.M:
             if not 1 <= m <= CAPS["M"]:
                 raise ValidationError(f"M = {m} outside [1, {CAPS['M']}]")
@@ -393,7 +400,7 @@ def _run_bilinear(cfg: RunConfig) -> int:
         for m in cfg.M or [max(4, q // 2)]
         for n in cfg.N or [3]
     ]
-    reports = cancellation_scan(configs, check_paths=True)
+    reports = cancellation_scan(configs)
     _emit([bilinear_row(r) for r in reports], BILINEAR_HEADER, cfg)
     return 0 if all(r.within_trivial for r in reports) else 1
 

@@ -84,10 +84,8 @@ class RamanujanDecomposition:
     def total(self) -> complex:
         return sum(s for _, s in self.terms)
 
-    def defect(self, ap: int | None = None) -> float:
-        """|sum_d S(d) - ap_sum|; roundoff only, <= 1e-6 at desk scale."""
-        if ap is None:
-            ap = d3_ap_sum(self.X, self.q, self.a)
+    def defect(self, ap: int) -> float:
+        """|sum_d S(d) - ap| for the exact progression sum ap; roundoff only."""
         return abs(self.total - ap)
 
 
@@ -97,7 +95,7 @@ def d3_ap_sum(X: int, q: int, a: int) -> int:
         raise ValueError(f"need q >= 1 and 1 <= a <= q, got q={q}, a={a}")
     if X < 1:
         return 0
-    vals = divisor_table(3, X).values
+    vals = divisor_table(3, X)
     return int(np.sum(vals[a::q], dtype=np.uint64))
 
 
@@ -112,7 +110,7 @@ def coprime_mean(X: int, q: int) -> Fraction:
         raise ValueError(f"need q >= 1, got q={q}")
     if X < 1:
         return Fraction(0)
-    vals = divisor_table(3, X).values
+    vals = divisor_table(3, X)
     total = 0
     for d in divisors(q):
         mu = factorize(d).mobius()
@@ -127,7 +125,7 @@ def _residue_totals(X: int, d: int) -> np.ndarray:
     Summed exactly in uint64; every total is below 2^53, so the float64
     result is exact.
     """
-    vals = divisor_table(3, X).values
+    vals = divisor_table(3, X)
     full = (X + 1) // d * d
     t = vals[:full].reshape(-1, d).sum(axis=0, dtype=np.uint64)
     t[: X + 1 - full] += vals[full:]
@@ -247,10 +245,10 @@ def d3_to_bilinear(Y: int, q: int, b: int = 1) -> tuple[complex, complex]:
         raise ValueError("need q >= 1 and 1 <= Y <= 10^6")
     tab = hyper_kl3_table(q)
     hi = 2 * Y
-    d3 = divisor_table(3, hi).values
+    d3 = divisor_table(3, hi)
     k = np.arange(Y + 1, hi + 1, dtype=np.int64)
     direct = complex(np.dot(d3[Y + 1 :].astype(float), tab[(k * b) % q]))
-    d2 = divisor_table(2, hi).values
+    d2 = divisor_table(2, hi)
     glued = 0j
     for n1 in range(1, hi + 1):
         m_lo, m_hi = Y // n1 + 1, hi // n1

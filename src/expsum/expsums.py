@@ -3,14 +3,14 @@
 Direct evaluators with compensated summation, the explicit evaluation
 modulo odd prime powers, twisted multiplicativity (CRT splitting), the
 normalised hyper-Kloosterman sum Kl3 with two independent evaluation
-paths, the degeneration identity for non-coprime arguments, and
-Weil/Deligne bound audits.
+paths, and Weil/Deligne bound audits.
 
-Tables are cached per modulus in lru_cache(16)s, except the prime-power
-factor tables of the CRT split: every prime power up to _FACTOR_KEEP =
-5000 keeps its table S(1, .; p^e) for the life of the process, so each
-is built once however many moduli share it (at most 12.8 MB of
-float64, when all 711 are held).
+Tables are read-only numpy arrays indexed by residue, cached per
+modulus in lru_cache(16)s, except the prime-power factor tables of the
+CRT split: every prime power up to _FACTOR_KEEP = 5000 keeps its table
+S(1, .; p^e) for the life of the process, so each is built once however
+many moduli share it (at most 12.8 MB of float64, when all 711 are
+held).
 
 Conventions used throughout:
   * e(x) = exp(2*pi*i*x), always evaluated on a reduced fraction
@@ -32,27 +32,21 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import factorize
-from .modarith import PrimePower, is_prime, legendre, sqrt_mod_pp
+from .modarith import PrimePower, is_prime, legendre
 
 __all__ = [
     "BoundReport",
-    "KloosterTable",
     "BadModulus",
-    "NotDegenerate",
     "e_frac",
     "kloosterman_direct",
-    "kloosterman_explicit_pp",
     "kloosterman_explicit_pp_table",
     "kloosterman_split",
     "kloosterman_split_row",
     "kloosterman_table",
     "unit_inverse_table",
     "unit_mask",
-    "hyper_kl3",
-    "hyper_kl3_direct",
     "hyper_kl3_table",
     "hyper_kl3_table_direct",
-    "hyper_kl3_degenerate_check",
     "weil_audit",
     "make_report",
 ]
@@ -60,10 +54,6 @@ __all__ = [
 
 class BadModulus(ValueError):
     """The explicit prime-power formula needs p odd and gamma >= 2."""
-
-
-class NotDegenerate(ValueError):
-    """gcd(n, q) = 1: there is nothing to degenerate."""
 
 
 @dataclass
@@ -153,28 +143,6 @@ def kloosterman_direct(a: int, b: int, q: int) -> complex:
     return acc.value()
 
 
-def kloosterman_explicit_pp(beta: int, pp: PrimePower) -> complex:
-    """Closed-form S(1, beta; p^gamma) for p odd, gamma >= 2, p coprime to beta.
-
-    Zero when (beta/p) = -1; otherwise
-    2 * (l/p)^gamma * p^(gamma/2) * Re[eps_q * e(2*l/q)] where l^2 == beta
-    (mod q) and eps_q is 1 for q == 1 (mod 4), i for q == 3 (mod 4).
-    The value is independent of which root l is chosen.
-    """
-    if pp.gamma < 2 or pp.p == 2:
-        raise BadModulus(f"need p odd and gamma >= 2, got p={pp.p}, gamma={pp.gamma}")
-    if beta % pp.p == 0:
-        raise ValueError(f"beta = {beta} must be coprime to p = {pp.p}")
-    q = pp.q
-    roots = sqrt_mod_pp(beta % q, pp)
-    if roots is None:
-        return 0j
-    ell = roots[0]
-    eps = 1 if q % 4 == 1 else 1j
-    val = (eps * e_frac(2 * ell, q)).real
-    return complex(2 * legendre(ell, pp.p) ** pp.gamma * pp.p ** (pp.gamma / 2) * val)
-
-
 @lru_cache(maxsize=16)
 def unit_mask(q: int) -> np.ndarray:
     """Boolean array over [0, q): which residues are units.
@@ -225,20 +193,9 @@ def unit_inverse_table(q: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class KloosterTable:
-    """values[c] = S(1, c; q) for c in [0, q); real-valued."""
-
-    q: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-
-
 @lru_cache(maxsize=16)
-def kloosterman_table(q: int) -> KloosterTable:
-    """All S(1, c; q) at once via one inverse FFT.
+def kloosterman_table(q: int) -> np.ndarray:
+    """values[c] = S(1, c; q) for c in [0, q), all at once via one inverse FFT.
 
     S(1, c; q) = sum over units z of e(inv(z)/q) * e(c*z/q), which is q
     times the inverse DFT of V[z] = e(inv(z)/q) * [z unit].  The phases
@@ -246,7 +203,9 @@ def kloosterman_table(q: int) -> KloosterTable:
     checked to be real to within 1e-9 * q.
     """
     if q == 1:
-        return KloosterTable(1, np.ones(1))
+        out = np.ones(1)
+        out.setflags(write=False)
+        return out
     mask = unit_mask(q)
     V = np.zeros(q, dtype=complex)
     V[mask] = np.exp(2j * np.pi * unit_inverse_table(q)[mask] / q)
@@ -254,7 +213,9 @@ def kloosterman_table(q: int) -> KloosterTable:
     worst = float(np.max(np.abs(vals.imag)))
     if worst > 1e-9 * q:
         raise AssertionError(f"S(1,.;{q}) imaginary part {worst} exceeds 1e-9*q")
-    return KloosterTable(q, vals.real.copy())
+    out = vals.real.copy()
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -294,15 +255,15 @@ _factor_lock = threading.Lock()  # two --jobs threads never build one table twic
 
 
 def _factor_values(qi: int) -> np.ndarray:
-    """kloosterman_table(qi).values, kept when qi <= _FACTOR_KEEP."""
+    """kloosterman_table(qi), kept when qi <= _FACTOR_KEEP."""
     if qi > _FACTOR_KEEP:
-        return kloosterman_table(qi).values
+        return kloosterman_table(qi)
     vals = _factor_tables.get(qi)
     if vals is None:
         with _factor_lock:
             vals = _factor_tables.get(qi)
             if vals is None:
-                vals = _factor_tables[qi] = kloosterman_table(qi).values
+                vals = _factor_tables[qi] = kloosterman_table(qi)
     return vals
 
 
@@ -360,25 +321,6 @@ def kloosterman_split_row(q: int) -> np.ndarray:
     return out
 
 
-def hyper_kl3_direct(m: int, q: int) -> complex:
-    """Kl3(m, q) by the literal normalised double sum over unit pairs.
-
-    (1/q) * sum over units x, y of e((m*x + y + inv(x*y))/q); O(q^2).
-    """
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return 1 + 0j
-    units = np.nonzero(unit_mask(q))[0].astype(np.int64)
-    inv = unit_inverse_table(q)
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    total = 0j
-    for x in units:
-        idx = (m * x + units + inv[(x * units) % q]) % q
-        total += roots[idx].sum()
-    return total / q
-
-
 @lru_cache(maxsize=16)
 def hyper_kl3_table(q: int) -> np.ndarray:
     """values[r] = Kl3(r, q) for all r mod q, via the Kloosterman-table path.
@@ -389,7 +331,7 @@ def hyper_kl3_table(q: int) -> np.ndarray:
     if q == 1:
         return np.ones(1, dtype=complex)
     inv = unit_inverse_table(q)
-    sk = kloosterman_table(q).values
+    sk = kloosterman_table(q)
     U = np.where(unit_mask(q), sk[inv], 0.0)
     out = np.fft.ifft(U)
     out.setflags(write=False)
@@ -421,57 +363,14 @@ def hyper_kl3_table_direct(q: int) -> np.ndarray:
     return np.fft.ifft(W)
 
 
-def hyper_kl3(m: int, q: int) -> complex:
-    """Kl3(m, q) by the O(q) fast path given the Kloosterman table."""
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return 1 + 0j
-    return complex(hyper_kl3_table(q)[m % q])
-
-
-def hyper_kl3_degenerate_check(m: int, n: int, b: int, q: int) -> BoundReport:
-    """Verify the reduction of Kl3(m*n*b, q) when d = gcd(n, q) > 1.
-
-    For d squarefree with gcd(d, q/d) = 1 the sum collapses to a smaller
-    modulus:
-        Kl3(m*n*b, q) = (1/d) * Kl3(m*(n/d)*b*inv(d)^2, q/d),
-    the inverse of d^2 taken mod q/d.  When d has a square factor or
-    shares a factor with q/d both sides vanish identically, and the
-    check asserts that the left side is 0.  The report's sum_value is
-    the defect (lhs - rhs) and the bound is the 1e-9 tolerance, so
-    ratio <= 1 means the identity holds.
-    """
-    d = math.gcd(n, q)
-    if d == 1:
-        raise NotDegenerate(f"gcd({n}, {q}) = 1")
-    lhs = hyper_kl3((m * n * b) % q, q)
-    qd = q // d
-    clean = factorize(d).is_squarefree() and math.gcd(d, qd) == 1
-    if clean:
-        dbar2 = pow(d * d, -1, qd) if qd > 1 else 0
-        rhs = hyper_kl3((m * (n // d) * b * dbar2) % qd, qd) / d
-    else:
-        rhs = 0j
-    defect = lhs - rhs
-    report = make_report(
-        sum_value=defect,
-        bound_value=1e-9,
-        vanishing_predicted=True,
-        term_count=1,
-        aux={"lhs": lhs, "rhs": rhs, "d": d, "collapses": clean, "residual": abs(defect)},
-    )
-    return report
-
-
-def weil_audit(P: int, samples_per_prime: int = 3) -> BoundReport:
+def weil_audit(P: int) -> BoundReport:
     """Exhaustive Weil and Deligne bound scan over primes p <= P.
 
     Checks |S(a, b; p)| <= 2*sqrt(p) for all unit pairs (reduced to the
     table S(1, a*b; p), with the reduction itself spot-checked against
-    literal sums) and |Kl3(m, p)| <= 3 for all units m.  The report's
-    ratio is the worst observed normalised value; bound_value 1 means
-    ratio <= 1 is a pass.
+    three literal sums per prime) and |Kl3(m, p)| <= 3 for all units m.
+    The report's ratio is the worst observed normalised value;
+    bound_value 1 means ratio <= 1 is a pass.
     """
     max_weil = 0.0
     max_deligne = 0.0
@@ -480,11 +379,11 @@ def weil_audit(P: int, samples_per_prime: int = 3) -> BoundReport:
     for p in range(2, P + 1):
         if not is_prime(p):
             continue
-        sk = kloosterman_table(p).values
+        sk = kloosterman_table(p)
         weil = float(np.max(np.abs(sk[1:]))) / (2 * math.sqrt(p))
         if weil > max_weil:
             max_weil, arg_weil = weil, (p, int(np.argmax(np.abs(sk[1:])) + 1))
-        for k in range(samples_per_prime):
+        for k in range(3):
             a = 1 + (k * 7919) % (p - 1) if p > 2 else 1
             b = 1 + (k * 104729) % (p - 1) if p > 2 else 1
             lit = kloosterman_direct(a, b, p)

@@ -85,7 +85,7 @@ def middle_unit(q: int) -> int:
 
 def split_vs_table(q: int) -> list[tuple[int, float, complex]]:
     """(m, S(1, m; q) from the FFT table, S(1, m; q) by CRT splitting), all m."""
-    tab = kloosterman_table(q).values
+    tab = kloosterman_table(q)
     split = kloosterman_split_row(q)
     return [(m, float(tab[m]), complex(split[m])) for m in range(q)]
 

@@ -2,35 +2,26 @@
 
 Everything here is integer-exact and pure: primality, prime powers,
 Legendre symbols, capped p-adic valuations, square roots modulo odd
-prime powers (Tonelli-Shanks lifted by Hensel), and the truncated
-inverse-square-root binomial series used by the correlation character
-sums.  Modular inverses are Python's pow(x, -1, q).  No floating point
-enters this module.
+prime powers (Tonelli-Shanks lifted by Hensel).  Modular inverses are
+Python's pow(x, -1, q).  No floating point enters this module.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = [
     "PrimePower",
     "EvenPrime",
-    "NonResidue",
     "is_prime",
     "legendre",
     "valuation_capped",
     "sqrt_mod_pp",
-    "inv_sqrt_series",
 ]
 
 
 class EvenPrime(ArithmeticError):
     """p = 2 is outside the supported range (odd prime powers only)."""
-
-
-class NonResidue(ArithmeticError):
-    """The leading coefficient t is a quadratic non-residue mod p."""
 
 
 def is_prime(n: int) -> bool:
@@ -145,38 +136,3 @@ def sqrt_mod_pp(beta: int, pp: PrimePower) -> tuple[int, int] | None:
         r = (r - (r * r - beta) * pow(2 * r, -1, mod)) % mod
     return (r, q - r) if r <= q - r else (q - r, r)
 
-
-def inv_sqrt_series(s: int, t: int, a: int, pp: PrimePower, u: int) -> int:
-    """Truncated binomial series for (s*p^(gamma-u)*a + t)^(-1/2) mod p^gamma.
-
-    Computes x = sum_{i=0}^{I} binom(-1/2, i) * t^(-i-1/2) * (s*p^(gamma-u))^i * a^i
-    with I minimal such that (I+1)*(gamma-u) >= gamma, so that
-    x^2 * (s*p^(gamma-u)*a + t) == 1 (mod p^gamma).  The square-root branch
-    t^(1/2) is the root with the smallest representative; binom(-1/2, i) is
-    (-1)^i * C(2i, i) / 4^i, whose denominator is a power of 2 and hence
-    invertible mod any odd prime power for every i.
-    Raises NonResidue when (t/p) = -1.
-    """
-    if pp.p == 2:
-        raise EvenPrime("series requires an odd prime")
-    if not (0 <= u < pp.gamma):
-        raise ValueError(f"need 0 <= u < gamma, got u={u}, gamma={pp.gamma}")
-    q = pp.q
-    if math.gcd(t, pp.p) != 1:
-        raise ValueError(f"t = {t} must be coprime to p = {pp.p}")
-    roots = sqrt_mod_pp(t % q, pp)
-    if roots is None:
-        raise NonResidue(f"t = {t} is not a square mod {pp.p}")
-    ell = roots[0]
-    depth = pp.gamma - u
-    n_terms = -(-pp.gamma // depth)  # ceil(gamma / depth) terms, i = 0..I
-    t_inv = pow(t, -1, q)
-    ell_inv = pow(ell, -1, q)
-    step = (s % q) * pow(pp.p, depth, q) % q * (a % q) % q  # (s p^(gamma-u) a)
-    acc = 0
-    term_pow = 1  # step^i
-    for i in range(n_terms):
-        binom = (-1) ** i * math.comb(2 * i, i) * pow(4, -i, q)
-        acc = (acc + binom * pow(t_inv, i, q) % q * ell_inv % q * term_pow) % q
-        term_pow = (term_pow * step) % q
-    return acc

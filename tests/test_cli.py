@@ -6,15 +6,27 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expsum import distribution
 from expsum.cli import (
     CAPS,
     ParseError,
+    RunConfig,
     ValidationError,
     load_config,
     main,
     parse_int_list,
+)
+
+_INTS = st.integers(-10**6, 10**6)
+# one list piece: a single integer, or a range lo..hi with lo <= hi
+_PIECES = st.one_of(
+    _INTS.map(lambda v: (str(v), [v])),
+    st.tuples(_INTS, st.integers(0, 20)).map(
+        lambda t: (f"{t[0]}..{t[0] + t[1]}", list(range(t[0], t[0] + t[1] + 1)))
+    ),
 )
 
 
@@ -23,6 +35,28 @@ def test_parse_int_list_forms():
     assert parse_int_list("1..5") == [1, 2, 3, 4, 5]
     assert parse_int_list("1..3,9,20..21") == [1, 2, 3, 9, 20, 21]
     assert parse_int_list("7") == [7]
+
+
+@given(st.lists(_PIECES, min_size=1, max_size=6))
+def test_parse_int_list_round_trips(pieces):
+    text = ",".join(piece for piece, _ in pieces)
+    assert parse_int_list(text) == [v for _, values in pieces for v in values]
+
+
+@given(
+    st.lists(st.integers(-3, CAPS["q"] + 3), max_size=4),
+    st.lists(st.integers(-3, CAPS["N"] + 3), max_size=4),
+)
+def test_validate_rejects_exactly_the_q_and_N_outside_the_caps(qs, ns):
+    outside = any(not 1 <= q <= CAPS["q"] for q in qs) or any(
+        not 1 <= n <= CAPS["N"] for n in ns
+    )
+    cfg = RunConfig(subcommand="bilinear", q=qs, N=ns)
+    if outside:
+        with pytest.raises(ValidationError):
+            cfg.validate()
+    else:
+        cfg.validate()
 
 
 def test_parse_int_list_errors():
@@ -76,6 +110,21 @@ def test_voronoi_rejects_scales_with_an_empty_support(x, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "holds no integer" in err
+
+
+@pytest.mark.parametrize("x,code", [("0.99", 2), ("1", 2), ("1.01", 2),
+                                    ("0.9", 0), ("1.03", 0)])
+def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
+    # near X = 1 the integers of (X, 2X) sit at the weight's edges: the mass
+    # sum d(n) h(n) is 0 to 1.4e-5, so |lhs| is below what the 1e-9 absolute
+    # truncation can resolve to 1e-6 relative; 0.9 and 1.03 hold enough
+    assert main(["voronoi", "--q", "1", "--X", x]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert out == ""
+        assert "holds no integer" in err
+    else:
+        assert out.startswith("q,a,X,")
 
 
 def test_kloosterman_golden_first_rows(capsys):

@@ -1,4 +1,4 @@
-"""Exact modular arithmetic: Legendre, valuations, square roots, series."""
+"""Exact modular arithmetic: Legendre, valuations, square roots."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from expsum.modarith import (
     EvenPrime,
-    NonResidue,
     PrimePower,
-    inv_sqrt_series,
     is_prime,
     legendre,
     sqrt_mod_pp,
@@ -85,33 +83,3 @@ def test_sqrt_mod_pp_rejects_bad_input():
         sqrt_mod_pp(3, PrimePower(3, 2))
     assert sqrt_mod_pp(2, PrimePower(5, 2)) is None  # (2/5) = -1
 
-
-@settings(deadline=None)
-@given(
-    st.sampled_from([(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1), (5, 3, 2), (7, 4, 3)]),
-    st.data(),
-)
-def test_inv_sqrt_series_squares_to_inverse(cell, data):
-    p, gamma, u = cell
-    pp = PrimePower(p, gamma)
-    q = pp.q
-    s = data.draw(st.integers(1, q - 1).filter(lambda v: v % p != 0))
-    t = data.draw(st.integers(1, q - 1).filter(lambda v: v % p != 0))
-    a = data.draw(st.integers(0, q - 1))
-    if legendre(t, p) == -1:
-        with pytest.raises(NonResidue):
-            inv_sqrt_series(s, t, a, pp, u)
-        return
-    x = inv_sqrt_series(s, t, a, pp, u)
-    w = (s * p ** (gamma - u) * a + t) % q
-    assert (x * x % q) * w % q == 1
-
-
-def test_inv_sqrt_series_validates_range():
-    pp = PrimePower(5, 2)
-    with pytest.raises(ValueError):
-        inv_sqrt_series(1, 1, 0, pp, 2)  # u must stay below gamma
-    with pytest.raises(EvenPrime):
-        inv_sqrt_series(1, 1, 0, PrimePower(2, 3), 1)
-    with pytest.raises(ValueError):
-        inv_sqrt_series(1, 5, 0, pp, 1)  # t not coprime to p
