@@ -161,9 +161,12 @@ def parse_int_list(text: str) -> list[int]:
         if ".." in piece:
             lo, _, hi = piece.partition("..")
             try:
-                out.extend(range(int(lo), int(hi) + 1))
+                lo_i, hi_i = int(lo), int(hi)
             except ValueError as exc:
                 raise ParseError(f"bad range {piece!r}") from exc
+            if lo_i > hi_i:
+                raise ParseError(f"reversed range {piece!r}")
+            out.extend(range(lo_i, hi_i + 1))
         else:
             try:
                 out.append(int(piece))

@@ -25,7 +25,8 @@ kappa = 4*pi*sqrt(n)/q over u in [sqrt(X), sqrt(2X)]):
     the B_k are sampled on a uniform kappa-grid by one zero-padded FFT
     per k (trapezoid sums are spectrally accurate because g vanishes to
     all orders at both endpoints) and read off by 8-point Lagrange
-    interpolation (~1e-15 relative).  The grid ends at kappa*u_min = 4608,
+    interpolation (~1e-15 relative), one moment row at a time so that
+    the gathers stay in one contiguous row.  The grid ends at kappa*u_min = 4608,
     beyond which the Y0 kernel is taken as 0; building the grid raises
     CutoffTooSmall unless the moments there are already below 1e-10.
 
@@ -40,25 +41,29 @@ CutoffTooSmall.
 
 Work is done once per (q, X) and shared by every a mod q.  The kernels
 are stored already multiplied by d(n), so a cell is two dot products
-against phases read from a q-point table of roots of unity.  The gate
-and the CLI visit cells with X outermost, then q, then a, so the kernel
-and moment-grid caches hold one entry each; a serial run never rebuilds
-one (under --jobs, threads can still build the same entry twice).  The 13
-moment FFTs of one X run two at a time on threads (pocketfft releases
-the GIL); each row is the same serial transform, so the bits do not
-depend on the pairing.
+against phases e(abar*n/q), which have period q in n: one period is read
+from a q-point table of roots of unity and tiled.  The gate and the CLI
+visit cells with X outermost, then q, then a, so the kernel and
+moment-grid caches hold one entry each; a serial run never rebuilds one,
+and under --jobs the kernel lookup is taken under a lock, so two threads
+never build one (q, X) together.  The 13 moment FFTs of one X run two at
+a time on threads (pocketfft releases the GIL); each row is the same
+serial transform, so the bits do not depend on the pairing.  The
+Gauss-Legendre panels evaluate their integrand once on the whole node
+matrix and reduce it panel by panel.  scipy.special is imported by the
+panel quadratures only, so importing this module does not load scipy.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.special import k0 as _scipy_k0, y0 as _scipy_y0
 
 from .arith import divisor_table
 
@@ -201,21 +206,6 @@ def _bk_grid(X: float) -> _BkGrid:
     return _BkGrid(u0=u0, du=du, dk=dk, values=vals)
 
 
-def _lagrange8_rows(grid: np.ndarray, dk: float, kappas: np.ndarray) -> np.ndarray:
-    """8-point Lagrange interpolation of every row of grid at kappas."""
-    t = kappas / dk
-    base = np.clip(np.floor(t).astype(np.int64) - 3, 0, grid.shape[1] - 8)
-    frac = t - base
-    out = np.zeros((grid.shape[0], len(kappas)), dtype=complex)
-    for i in range(8):
-        w = np.ones(len(kappas))
-        for m in range(8):
-            if m != i:
-                w *= (frac - m) / (i - m)
-        out += grid[:, base + i] * w
-    return out
-
-
 def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
     """integral g(u) Y0(kappa u) du via the Hankel moment expansion.
 
@@ -229,10 +219,29 @@ def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
     if not live.any():
         return out
     kap = kappas[live]
-    s = _lagrange8_rows(bk.values, bk.dk, kap)
+    # the 8-point Lagrange taps, built once for all 13 moment rows; each
+    # weight is made complex, as the complex-times-real product would
+    # cast it for every row
+    t = kap / bk.dk
+    base = np.clip(np.floor(t).astype(np.int64) - 3, 0, bk.values.shape[1] - 8)
+    frac = t - base
+    offsets = [frac - m for m in range(8)]
+    taps = []
+    for i in range(8):
+        w = np.ones(len(kap))
+        for m in range(8):
+            if m != i:
+                w *= offsets[m] / (i - m)
+        taps.append((base + i, w.astype(complex)))
+    # interpolate one moment row at a time, so the gathers stay inside one
+    # contiguous row; each element still sums its taps in order from 0
     total = np.zeros(len(kap), dtype=complex)
     for k in range(_KTERMS):
-        total += ((-1j) ** k) * _HANKEL_C[k] * kap ** (-float(k)) * s[k]
+        row = bk.values[k]
+        s = np.zeros(len(kap), dtype=complex)
+        for idx, w in taps:
+            s += row[idx] * w
+        total += ((-1j) ** k) * _HANKEL_C[k] * kap ** (-float(k)) * s
     prefactor = bk.du * np.exp(1j * kap * bk.u0)
     root = np.sqrt(2 / (np.pi * kap))
     out[live] = root * np.imag(np.exp(-1j * math.pi / 4) * prefactor * total)
@@ -240,23 +249,29 @@ def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
 
 
 def _gl64(f, lo: float, hi: float, npan: int) -> float:
-    """integral of f over [lo, hi] on npan equal 64-point Gauss-Legendre panels."""
+    """integral of f over [lo, hi] on npan equal 64-point Gauss-Legendre panels.
+
+    f is elementwise and is called once, on the (npan, 64) node matrix;
+    the panels are still reduced one at a time, in order.
+    """
     edges = np.linspace(lo, hi, npan + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    fx = f((a + b) / 2 + (b - a) / 2 * _GL_NODES)
     total = 0.0
     for i in range(npan):
-        a, b = edges[i], edges[i + 1]
-        x = (a + b) / 2 + (b - a) / 2 * _GL_NODES
-        total += (b - a) / 2 * np.dot(_GL_WEIGHTS, f(x))
+        total += (edges[i + 1] - edges[i]) / 2 * np.dot(_GL_WEIGHTS, fx[i])
     return total
 
 
 def _gy_panels(kappa: float, X: float) -> float:
     """integral g(u) Y0(kappa u) du on quarter-period GL64 panels."""
+    from scipy.special import y0  # deferred: most callers never build a kernel
+
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     width = min(math.pi / (2 * kappa), u1 - u0)
     npan = int(math.ceil((u1 - u0) / width))
     h = SmoothWeight(X)
-    return _gl64(lambda u: 2 * u * h(u * u) * _scipy_y0(kappa * u), u0, u1, npan)
+    return _gl64(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
 
 
 def _gk_panels(kappa: float, X: float) -> float:
@@ -264,14 +279,21 @@ def _gk_panels(kappa: float, X: float) -> float:
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     if kappa * u0 >= Z_KZERO:
         return 0.0
+    from scipy.special import k0
+
     h = SmoothWeight(X)
-    return _gl64(lambda u: 2 * u * h(u * u) * _scipy_k0(kappa * u), u0, u1, 8)
+    return _gl64(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
 
 
 def _divisors(n: int) -> np.ndarray:
     """d(k) for k <= n, from a table rounded up to a power of two."""
     size = 1 << max(13, (n - 1).bit_length())
     return divisor_table(2, size)
+
+
+# held around every _kernels lookup, so that --jobs threads reaching a new
+# (q, X) together build it once instead of each missing the cache
+_KERNELS_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=1)
@@ -357,11 +379,16 @@ def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
     """(main term, dual sum, truncation level); voronoi_lhs checked (a, q)."""
     X = h.X
     main = complex(_main_term(q, X))
-    wY, wK, n_auto = _kernels(q, X)
+    with _KERNELS_LOCK:
+        wY, wK, n_auto = _kernels(q, X)
     abar = pow(a, -1, q) if q > 1 else 0
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    phases = roots[(abar * np.arange(1, n_auto + 1)) % q]
-    dual = complex((np.dot(wY, np.conj(phases)) + np.dot(wK, phases)) / q)
+    # e(abar n / q) has period q in n: gather one period, then tile it
+    period = roots[(abar * np.arange(1, q + 1)) % q]
+    reps = -(-n_auto // q)
+    phases = np.tile(period, reps)[:n_auto]
+    conj = np.tile(np.conj(period), reps)[:n_auto]
+    dual = complex((np.dot(wY, conj) + np.dot(wK, phases)) / q)
     return main, dual, n_auto
 
 

@@ -66,6 +66,11 @@ def test_parse_int_list_errors():
         parse_int_list("1.5")
     with pytest.raises(ParseError):
         parse_int_list("")
+    # a reversed range is an error, alone or beside other pieces
+    with pytest.raises(ParseError, match="'5..3'"):
+        parse_int_list("5..3")
+    with pytest.raises(ParseError, match="'5..3'"):
+        parse_int_list("5..3,7")
 
 
 def test_load_config_accepts_known_keys(tmp_path):

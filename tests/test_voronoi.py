@@ -1,6 +1,11 @@
 """Voronoi summation for d(n): weights, kernel transforms, both sides."""
 
+import hashlib
 import math
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -161,15 +166,18 @@ def test_gate_builds_one_kernel_per_q_and_X():
 
 @pytest.mark.parametrize("q", range(1, 21))
 def test_root_table_phases_equal_the_exp_expression(q):
-    # _rhs reads e(abar n / q) from a q-point table; each entry is the
-    # same np.exp expression, so the phases agree bit for bit
-    n = np.arange(1, voronoi._kernels(20, 50.0)[2] + 1)
+    # _rhs tiles one period of e(abar n / q), read from a q-point table;
+    # each entry is the same np.exp expression, so the phases agree bit
+    # for bit
+    n_auto = voronoi._kernels(20, 50.0)[2]
+    n = np.arange(1, n_auto + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
         if math.gcd(a, q) == 1:
-            r = (a * n) % q
-            want = np.exp(2j * np.pi * r / q)
-            assert roots[r].tobytes() == want.tobytes()
+            period = roots[(a * np.arange(1, q + 1)) % q]
+            got = np.tile(period, -(-n_auto // q))[:n_auto]
+            want = np.exp(2j * np.pi * ((a * n) % q) / q)
+            assert _packed(got) == _packed(want)
 
 
 def test_paired_moment_ffts_equal_the_serial_transform():
@@ -195,3 +203,157 @@ def test_conjugate_symmetry():
     r2 = voronoi_residual(5, 7, h)
     assert r1.lhs == pytest.approx(r2.lhs.conjugate(), rel=1e-12)
     assert r1.rhs_dual == pytest.approx(r2.rhs_dual.conjugate(), rel=1e-9)
+
+
+def _packed(z) -> bytes:
+    """(re, im) doubles of complex values, so the sign of a zero counts."""
+    return np.asarray(z, dtype=complex).reshape(-1).view(np.float64).tobytes()
+
+
+# The references below are the earlier formulations of the Hankel
+# interpolation, the GL64 panels and the dual-sum phases.  The module
+# reorders only how memory is touched, not any per-element operation or
+# summation order, so its results must match these byte for byte.
+
+
+def _lagrange8_rows_ref(grid, dk, kappas):
+    """8-point Lagrange interpolation of every row at once (column gathers)."""
+    t = kappas / dk
+    base = np.clip(np.floor(t).astype(np.int64) - 3, 0, grid.shape[1] - 8)
+    frac = t - base
+    out = np.zeros((grid.shape[0], len(kappas)), dtype=complex)
+    for i in range(8):
+        w = np.ones(len(kappas))
+        for m in range(8):
+            if m != i:
+                w *= (frac - m) / (i - m)
+        out += grid[:, base + i] * w
+    return out
+
+
+def _gy_hankel_ref(kappas, bk):
+    edge = bk.dk * (bk.values.shape[1] - 9)
+    out = np.zeros(len(kappas))
+    live = kappas <= edge
+    kap = kappas[live]
+    s = _lagrange8_rows_ref(bk.values, bk.dk, kap)
+    total = np.zeros(len(kap), dtype=complex)
+    for k in range(voronoi._KTERMS):
+        total += ((-1j) ** k) * voronoi._HANKEL_C[k] * kap ** (-float(k)) * s[k]
+    prefactor = bk.du * np.exp(1j * kap * bk.u0)
+    root = np.sqrt(2 / (np.pi * kap))
+    out[live] = root * np.imag(np.exp(-1j * math.pi / 4) * prefactor * total)
+    return out
+
+
+def _gl64_ref(f, lo, hi, npan):
+    """One call of f per panel."""
+    edges = np.linspace(lo, hi, npan + 1)
+    total = 0.0
+    for i in range(npan):
+        a, b = edges[i], edges[i + 1]
+        x = (a + b) / 2 + (b - a) / 2 * voronoi._GL_NODES
+        total += (b - a) / 2 * np.dot(voronoi._GL_WEIGHTS, f(x))
+    return total
+
+
+@pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
+def test_row_wise_hankel_equals_the_column_gather(X):
+    bk = voronoi._bk_grid(X)
+    width = bk.values.shape[1]
+    edge = bk.dk * (width - 9)
+    # base clipped to 0 (t < 3), every Hankel-regime kappa of q = 1 and
+    # q = 20 up to the grid edge, the edge itself and points past it
+    low = np.array([0.1, 1.0, 2.5, 2.999, 3.0]) * bk.dk
+    ns = np.arange(1, 3 * voronoi.BLOCK + 1, dtype=float)
+    regime = [4 * math.pi * np.sqrt(ns) / q for q in (1, 20)]
+    high = np.array([edge - bk.dk, edge, edge * (1 + 1e-12), 2 * edge])
+    kappas = np.concatenate([low, *regime, high])
+    got = voronoi._gy_hankel(kappas, bk)
+    assert got.tobytes() == _gy_hankel_ref(kappas, bk).tobytes()
+    assert not got[-2:].any()
+
+
+@pytest.mark.parametrize("X", [50.0, 200.0])
+def test_one_pass_panels_equal_the_per_panel_calls(X):
+    from scipy.special import k0, y0
+
+    h = SmoothWeight(X)
+    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
+    for kx in (0.5, 3.0, 10.0, 20.0, 34.9, 59.9):
+        kappa = kx / u0
+        width = min(math.pi / (2 * kappa), u1 - u0)
+        npan = int(math.ceil((u1 - u0) / width))
+        want_y = _gl64_ref(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
+        want_k = _gl64_ref(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
+        assert voronoi._gy_panels(kappa, X) == want_y
+        assert voronoi._gk_panels(kappa, X) == want_k
+    for q in (1, 7, 20):
+        def f(x):
+            return (np.log(np.sqrt(x) / q) + voronoi.EULER_GAMMA) * h(x)
+
+        want = 2.0 / q * _gl64_ref(f, X, 2 * X, 32)
+        assert voronoi._main_term.__wrapped__(q, X) == want
+
+
+@pytest.mark.parametrize("q", range(1, 21))
+def test_periodic_phases_give_the_same_dual_sum(q):
+    h = SmoothWeight(50.0)
+    wY, wK, n_auto = voronoi._kernels(q, 50.0)
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    for a in range(q):
+        if math.gcd(a, q) != 1:
+            continue
+        abar = pow(a, -1, q) if q > 1 else 0
+        phases = roots[(abar * np.arange(1, n_auto + 1)) % q]
+        want = complex((np.dot(wY, np.conj(phases)) + np.dot(wK, phases)) / q)
+        assert _packed(voronoi._rhs(a, q, h)[1]) == _packed(want)
+
+
+# sha256 of wY.tobytes() + wK.tobytes() and n_auto, recorded before the
+# row-wise interpolation and the one-pass panels
+_KERNEL_PINS = {
+    (1, 50.0): (24576, "f4e1454dc5e1dcec867caaf6a52972f7f45b0ae27020021c8b9c0bd404747a5e"),
+    (7, 100.0): (49152, "b63713be07513508b5a4ab19145b5877b9fb9371af28dfe17e0e8fc20e4ec2f4"),
+    (20, 200.0): (131072, "91c1d7935165ba5b6d54d5042f429a94fa0b93d60a24bb6f8858641c6cb0cca1"),
+}
+
+
+@pytest.mark.parametrize("q,X", list(_KERNEL_PINS))
+def test_kernel_bytes_are_pinned(q, X):
+    wY, wK, n_auto = voronoi._kernels(q, X)
+    digest = hashlib.sha256(wY.tobytes() + wK.tobytes()).hexdigest()
+    assert (n_auto, digest) == _KERNEL_PINS[(q, X)]
+
+
+def test_kernels_built_once_under_threads():
+    # more workers than cores reach one new (q, X) together; the lock
+    # around the lookup leaves one build and the rest cache hits
+    h = SmoothWeight(50.0)
+    voronoi._bk_grid(50.0)
+    voronoi._kernels.cache_clear()
+    start = threading.Barrier(4)
+
+    def cell(a):
+        start.wait(timeout=60)
+        return voronoi_residual(a, 7, h)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(cell, a) for a in (1, 2, 3, 4)]
+            reports = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert voronoi._kernels.cache_info().misses == 1
+    assert all(r.relative_residual < 1e-6 for r in reports)
+
+
+def test_importing_the_package_does_not_load_scipy():
+    # scipy.special is imported by the panel quadratures only, so the CLI
+    # and every scan that builds no Voronoi kernel skip its import
+    code = "import sys, expsum, expsum.cli, expsum.verify; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
