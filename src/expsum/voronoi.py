@@ -26,9 +26,10 @@ kappa = 4*pi*sqrt(n)/q over u in [sqrt(X), sqrt(2X)]):
     per k (trapezoid sums are spectrally accurate because g vanishes to
     all orders at both endpoints) and read off by 8-point Lagrange
     interpolation (~1e-15 relative), one moment row at a time so that
-    the gathers stay in one contiguous row.  The grid ends at kappa*u_min = 4608,
-    beyond which the Y0 kernel is taken as 0; building the grid raises
-    CutoffTooSmall unless the moments there are already below 1e-10.
+    the gathers stay in one contiguous row.  The grid ends at
+    kappa*u_min = 4608, beyond which the Y0 kernel is taken as 0;
+    building the grid raises CutoffTooSmall unless the moments there
+    are already below 1e-10.
 
 The dual sum has one route, truncated by a tail monitor: terms are
 produced in blocks and summation stops once the weighted magnitude
