@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 from .bilinear import BilinearConfig, cancellation_scan
 from .distribution import discrepancy_scan
@@ -41,7 +41,13 @@ from .families import (
 )
 from .modarith import is_prime
 from .verify import criterion_determinism, run_checks
-from .voronoi import SmoothWeight, voronoi_lhs, voronoi_residual
+from .voronoi import (
+    N_HARD_CAP,
+    SmoothWeight,
+    predicted_terms,
+    voronoi_lhs,
+    voronoi_residual,
+)
 
 __all__ = ["main", "load_config", "parse_int_list", "ParseError", "ValidationError"]
 
@@ -76,6 +82,9 @@ CAPS = {
 # dual sum's ~1e-9 absolute truncation over the 1e-6 relative gate, so that
 # a cell can meet the gate at all (its |lhs| is at most this mass)
 VORONOI_MASS_FLOOR = 1e-3
+
+# the moduli of `voronoi` when --q is not given
+VORONOI_QS = list(range(1, 21))
 
 # the correlation-sum parameters of the charsum-pp and charsum-prime rows
 _TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
@@ -142,6 +151,13 @@ class RunConfig:
                 raise ValidationError(
                     f"X = {x}: the support (X, 2X) holds no integer mass of at least "
                     f"{VORONOI_MASS_FLOOR}: sum d(n) h(n) = {mass:.3e}"
+                )
+            q = max(self.q or VORONOI_QS)
+            need = predicted_terms(q, x)
+            if need > N_HARD_CAP:
+                raise ValidationError(
+                    f"q = {q}, X = {x}: the dual sum needs at least {need} terms, "
+                    f"above the cap {N_HARD_CAP}"
                 )
         for m in self.M:
             if not 1 <= m <= CAPS["M"]:
@@ -384,7 +400,7 @@ def _run_voronoi(cfg: RunConfig) -> int:
 
     rows = _scan(
         one,
-        voronoi_cells(cfg.q or list(range(1, 21)), cfg.X or [50.0]),
+        voronoi_cells(cfg.q or VORONOI_QS, cfg.X or [50.0]),
         ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
          "truncation", "residual", "relative"],
         cfg,
@@ -435,7 +451,8 @@ def _run_verify_all(cfg: RunConfig) -> int:
     if cfg.self_test:
         results = results + [criterion_determinism()]
     for res in results:
-        print(f"[time] {res.name}: {res.elapsed:.2f}s", file=sys.stderr)
+        cpu = "" if res.cpu is None else f" cpu {res.cpu:.2f}s"
+        print(f"[time] {res.name}: {res.elapsed:.2f}s{cpu}", file=sys.stderr)
     rows = [
         {"check": r.name, "passed": int(r.passed), "details": r.details.replace(",", ";")}
         for r in results
@@ -530,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    t0 = perf_counter()
+    t0, c0 = perf_counter(), process_time()
     try:
         cfg = _build_config(args)
     except (ParseError, ValidationError) as exc:
@@ -541,7 +558,8 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, ValueError, ArithmeticError) as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(f"[time] total: {perf_counter() - t0:.2f}s", file=sys.stderr)
+    print(f"[time] total: {perf_counter() - t0:.2f}s cpu {process_time() - c0:.2f}s",
+          file=sys.stderr)
     return code
 
 

@@ -19,9 +19,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Callable
 
 import numpy as np
@@ -86,6 +86,7 @@ class CheckResult:
     passed: bool
     details: str
     elapsed: float
+    cpu: float | None = None  # process CPU seconds; set by serial run_checks only
 
 
 def _result(name: str, passed: bool, details: str, t0: float) -> CheckResult:
@@ -521,19 +522,25 @@ ALL_CHECKS: list[Callable[[bool], CheckResult]] = [
 ]
 
 
-def _run_one(f: Callable[[bool], CheckResult], quick: bool) -> CheckResult:
-    t0 = perf_counter()
+def _run_one(f: Callable[[bool], CheckResult], quick: bool, cpu: bool) -> CheckResult:
+    t0, c0 = perf_counter(), process_time()
     try:
-        return f(quick)
+        res = f(quick)
     except Exception as exc:  # invariant violations become failed rows
-        return _result(
+        res = _result(
             f.__name__.removeprefix("criterion_"),
             False,
             f"raised {type(exc).__name__}: {exc}",
             t0,
         )
+    return replace(res, cpu=process_time() - c0) if cpu else res
 
 
 def run_checks(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
-    """Run checks 1-11 and return results in canonical order."""
-    return pmap(lambda f: _run_one(f, quick), ALL_CHECKS, jobs)
+    """Run checks 1-11 and return results in canonical order.
+
+    At jobs=1 each result also carries the process CPU time of its check,
+    which counts the FFT and BLAS helper threads; under --jobs threads
+    that clock would count the other checks as well, so cpu stays None.
+    """
+    return pmap(lambda f: _run_one(f, quick, jobs == 1), ALL_CHECKS, jobs)

@@ -41,24 +41,36 @@ grid is ~0.5).  A dual sum still above that at 1.5M terms raises
 CutoffTooSmall.
 
 Work is done once per (q, X) and shared by every a mod q.  The kernels
-are stored already multiplied by d(n), so a cell is two dot products
-against phases e(abar*n/q), which have period q in n: one period is read
-from a q-point table of roots of unity and tiled.  The gate and the CLI
-visit cells with X outermost, then q, then a, so the kernel and
-moment-grid caches hold one entry each; a serial run never rebuilds one,
-and under --jobs the kernel lookup is taken under a lock, so two threads
-never build one (q, X) together.  The 13 moment FFTs of one X run two at
-a time on threads (pocketfft releases the GIL); each row is the same
-serial transform, so the bits do not depend on the pairing.  The
-Gauss-Legendre panels evaluate their integrand once on the whole node
-matrix and reduce it panel by panel.  scipy.special is imported by the
-panel quadratures only, so importing this module does not load scipy.
+are stored already multiplied by d(n), and complex (with zero imaginary
+parts), the type their dot products with the phases take.  A cell is two
+dot products against one vector of phases e(abar*n/q), which have period
+q in n: one period is read from a q-point table of roots of unity and
+tiled.  Since wY is real, its dot product with the conjugate phases is the
+conjugate of its dot product with the phases, bit for bit, so one phase
+vector serves both.  The gate and the CLI visit cells with X outermost,
+then q, then a, so one store holds the moment grid of the current X and
+at most two of its kernels (two cells are in flight under --jobs 2).  A
+new X drops the old grid and kernels before its own grid is built, so
+they never share memory with the new grid's FFT pads.  A serial run never
+rebuilds a kernel, and under --jobs the kernel lookup is taken under a
+lock, so two threads never build one (q, X) together.  The 13 moment FFTs
+of one X run two at a time on threads (pocketfft releases the GIL); each
+row is the same serial transform, so the bits do not depend on the
+pairing.  The Gauss-Legendre panels evaluate their integrand once on the
+whole node matrix (for K0, once for every kappa of a block) and reduce it
+panel by panel.  scipy.special is imported by the panel quadratures only,
+so importing this module does not load scipy.
+
+A dual sum needs at least 28,000*q^2/X terms (a lower envelope measured
+on a (q, X) grid), so predicted_terms lets a caller refuse a cell whose
+sum cannot converge below N_HARD_CAP before any kernel is built.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,6 +86,7 @@ __all__ = [
     "CutoffTooSmall",
     "SmoothWeight",
     "VoronoiReport",
+    "predicted_terms",
     "voronoi_lhs",
     "voronoi_residual",
 ]
@@ -88,6 +101,9 @@ BLOCK = 8192
 _NG = 4096  # g samples for the moment FFTs
 _NFFT = 1 << 21  # zero-padded FFT length
 _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
+# lower envelope of n_auto * X / q^2: the least value measured for X from
+# 0.51 to 400 was 29,648, at (q, X) = (5, 0.58); this keeps 5% below it
+_TERMS_Q2_PER_X = 28_000
 # moment FFTs in flight at once; pocketfft releases the GIL, and each
 # transform holds about 64 MB (its complex pad and the library's scratch)
 _FFT_WORKERS = 2
@@ -171,15 +187,13 @@ class _BkGrid:
     values: np.ndarray  # shape (_KTERMS, Mmax), S_k(kappa_m); B = du e^{i k u0} S
 
 
-@lru_cache(maxsize=1)
-def _bk_grid(X: float) -> _BkGrid:
+def _build_grid(X: float) -> _BkGrid:
     """The moments of g up to kappa*u0 = 4608, checked to be negligible there.
 
     Past the grid edge _gy_hankel returns 0, so the moments in the last
     interpolation window must already be below TAIL_TOL; CutoffTooSmall
     otherwise.  Worker w transforms rows w, w + _FFT_WORKERS, ... in
     place in its own pad; each row is the serial transform of that pad.
-    One entry suffices: callers visit every q of one X before the next X.
     """
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / _NG
@@ -194,7 +208,8 @@ def _bk_grid(X: float) -> _BkGrid:
         for k in range(w, _KTERMS, _FFT_WORKERS):
             pad[:] = 0.0
             pad[:_NG] = g * u ** (-0.5 - k)
-            vals[k] = _NFFT * np.fft.ifft(pad, out=pad)[:mmax]
+            # scaled straight into the grid row, with no 2.5 MB temporary
+            np.multiply(np.fft.ifft(pad, out=pad)[:mmax], _NFFT, out=vals[k])
 
     with ThreadPoolExecutor(_FFT_WORKERS) as pool:
         list(pool.map(rows, range(_FFT_WORKERS)))
@@ -211,7 +226,7 @@ def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
     """integral g(u) Y0(kappa u) du via the Hankel moment expansion.
 
     Beyond the stored grid the kernel is returned as 0, never
-    extrapolated; _bk_grid has checked that the moments are below
+    extrapolated; _build_grid has checked that the moments are below
     TAIL_TOL at the grid edge.
     """
     edge = bk.dk * (bk.values.shape[1] - 9)
@@ -249,19 +264,28 @@ def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
     return out
 
 
+def _gl_nodes(lo: float, hi: float, npan: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of npan equal panels of [lo, hi] and their (npan, 64) GL64 nodes."""
+    edges = np.linspace(lo, hi, npan + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    return edges, (a + b) / 2 + (b - a) / 2 * _GL_NODES
+
+
+def _gl_sum(edges: np.ndarray, fx: np.ndarray) -> float:
+    """The GL64 rule on the panels' integrand values, one panel at a time, in order."""
+    total = 0.0
+    for i in range(len(edges) - 1):
+        total += (edges[i + 1] - edges[i]) / 2 * np.dot(_GL_WEIGHTS, fx[i])
+    return total
+
+
 def _gl64(f, lo: float, hi: float, npan: int) -> float:
     """integral of f over [lo, hi] on npan equal 64-point Gauss-Legendre panels.
 
-    f is elementwise and is called once, on the (npan, 64) node matrix;
-    the panels are still reduced one at a time, in order.
+    f is elementwise and is called once, on the (npan, 64) node matrix.
     """
-    edges = np.linspace(lo, hi, npan + 1)
-    a, b = edges[:-1, None], edges[1:, None]
-    fx = f((a + b) / 2 + (b - a) / 2 * _GL_NODES)
-    total = 0.0
-    for i in range(npan):
-        total += (edges[i + 1] - edges[i]) / 2 * np.dot(_GL_WEIGHTS, fx[i])
-    return total
+    edges, x = _gl_nodes(lo, hi, npan)
+    return _gl_sum(edges, f(x))
 
 
 def _gy_panels(kappa: float, X: float) -> float:
@@ -275,15 +299,34 @@ def _gy_panels(kappa: float, X: float) -> float:
     return _gl64(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
 
 
-def _gk_panels(kappa: float, X: float) -> float:
-    """integral g(u) K0(kappa u) du on 8 GL64 panels; 0 once kappa*u0 >= Z_KZERO."""
+def _gk_panels(kappas: np.ndarray, X: float) -> np.ndarray:
+    """integral g(u) K0(kappa u) du on 8 GL64 panels per kappa; 0 once kappa*u0 >= Z_KZERO.
+
+    Every kappa shares the node matrix and g on it, and K0 is evaluated
+    once on the (kappas, 8, 64) array; each kappa's panels are still
+    reduced one at a time, in order.
+    """
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
-    if kappa * u0 >= Z_KZERO:
-        return 0.0
+    out = np.zeros(len(kappas))
+    live = np.nonzero(kappas * u0 < Z_KZERO)[0]
+    if not len(live):
+        return out
     from scipy.special import k0
 
-    h = SmoothWeight(X)
-    return _gl64(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
+    edges, u = _gl_nodes(u0, u1, 8)
+    fx = 2 * u * SmoothWeight(X)(u * u) * k0(kappas[live, None, None] * u)
+    for j, i in enumerate(live):
+        out[i] = _gl_sum(edges, fx[j])
+    return out
+
+
+def predicted_terms(q: int, X: float) -> int:
+    """A lower bound on the dual-sum length n_auto of (q, X): _TERMS_Q2_PER_X * q^2 / X.
+
+    A cell whose bound exceeds N_HARD_CAP cannot converge, so it can be
+    refused before any kernel is built.
+    """
+    return math.ceil(_TERMS_Q2_PER_X * q * q / X)
 
 
 def _divisors(n: int) -> np.ndarray:
@@ -292,21 +335,25 @@ def _divisors(n: int) -> np.ndarray:
     return divisor_table(2, size)
 
 
-# held around every _kernels lookup, so that --jobs threads reaching a new
-# (q, X) together build it once instead of each missing the cache
+# held around every kernel lookup, so that --jobs threads reaching a new
+# (q, X) together build it once instead of each missing the store
 _KERNELS_LOCK = threading.Lock()
 
 
-@lru_cache(maxsize=1)
-def _kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
+def _build_kernels(
+    q: int, X: float, grid: Callable[[], _BkGrid]
+) -> tuple[np.ndarray, np.ndarray, int]:
     """(wY, wK, n_auto): the d(n)-weighted dual-sum kernels of one (q, X).
 
     wY[i] = d(i+1)*Hminus((i+1)/q^2) and wK[i] = d(i+1)*Hplus((i+1)/q^2)
     for i < n_auto, where n_auto ends the second consecutive block whose
-    weighted terms all stay below TAIL_TOL.  Callers visit each (q, X)
-    in one consecutive run, so one entry never rebuilds.
+    weighted terms all stay below TAIL_TOL.  Both are complex with zero
+    imaginary parts, so the dot products of every cell take them as they
+    are.  grid() gives the moment grid of X; it is called once, at the
+    first block with a Hankel-regime kappa.
     """
     u0 = math.sqrt(X)
+    bk = None
     pieces_y, pieces_k = [], []
     quiet_blocks = 0
     n = 0
@@ -324,23 +371,70 @@ def _kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
             y[i] = _gy_panels(float(kappas[i]), X)
         big = ~small
         if big.any():
-            y[big] = _gy_hankel(kappas[big], _bk_grid(X))
-        kk = np.zeros(len(idx))
-        for i in np.nonzero(kappas * u0 < Z_KZERO)[0]:
-            kk[i] = _gk_panels(float(kappas[i]), X)
+            if bk is None:
+                bk = grid()
+            y[big] = _gy_hankel(kappas[big], bk)
         hminus = -2 * math.pi * y
-        hplus = 4 * kk
+        hplus = 4 * _gk_panels(kappas, X)
         d = _divisors(hi)[n + 1 : hi + 1]
         pieces_y.append(d * hminus)
         pieces_k.append(d * hplus)
         wmax = float(np.max(d * (np.abs(hminus) + np.abs(hplus))) / q)
         n = hi
         quiet_blocks = quiet_blocks + 1 if wmax < TAIL_TOL else 0
-    wY = np.concatenate(pieces_y)
-    wK = np.concatenate(pieces_k)
+    wY = np.concatenate(pieces_y, dtype=complex)
+    wK = np.concatenate(pieces_k, dtype=complex)
     wY.setflags(write=False)
     wK.setflags(write=False)
     return wY, wK, n
+
+
+class _XStore:
+    """The moment grid of one X and at most two of its kernels, with build counts.
+
+    Callers visit every q of one X before the next X.  A request for a new
+    X first drops the old grid and kernels, so a grid build never holds
+    them beside its FFT pads.  Two kernels cover the two cells in flight
+    under --jobs 2; the older one is dropped before a third is built.
+    """
+
+    KERNELS = 2
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop the grid and the kernels, and zero the build counts."""
+        self.X: float | None = None
+        self.bk: _BkGrid | None = None
+        self.held: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
+        self.grid_builds = 0
+        self.kernel_builds = 0
+
+    def _switch(self, X: float) -> None:
+        if X != self.X:
+            self.X, self.bk, self.held = X, None, {}
+
+    def grid(self, X: float) -> _BkGrid:
+        """The moment grid of X, built on the first request."""
+        self._switch(X)
+        if self.bk is None:
+            self.grid_builds += 1
+            self.bk = _build_grid(X)
+        return self.bk
+
+    def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """(wY, wK, n_auto) of (q, X), built on the first request."""
+        self._switch(X)
+        if q not in self.held:
+            if len(self.held) == self.KERNELS:
+                del self.held[next(iter(self.held))]
+            self.kernel_builds += 1
+            self.held[q] = _build_kernels(q, X, lambda: self.grid(X))
+        return self.held[q]
+
+
+_STORE = _XStore()
 
 
 @lru_cache(maxsize=64)
@@ -381,15 +475,16 @@ def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
     X = h.X
     main = complex(_main_term(q, X))
     with _KERNELS_LOCK:
-        wY, wK, n_auto = _kernels(q, X)
+        wY, wK, n_auto = _STORE.kernels(q, X)
     abar = pow(a, -1, q) if q > 1 else 0
     roots = np.exp(2j * np.pi * np.arange(q) / q)
-    # e(abar n / q) has period q in n: gather one period, then tile it
+    # e(abar n / q) has period q in n: gather one period, then tile it.
+    # wY is real, so wY . conj(phases) is conj(wY . phases) bit for bit:
+    # each product's imaginary part is negated exactly, and the sum runs
+    # in the same order
     period = roots[(abar * np.arange(1, q + 1)) % q]
-    reps = -(-n_auto // q)
-    phases = np.tile(period, reps)[:n_auto]
-    conj = np.tile(np.conj(period), reps)[:n_auto]
-    dual = complex((np.dot(wY, conj) + np.dot(wK, phases)) / q)
+    phases = np.tile(period, -(-n_auto // q))[:n_auto]
+    dual = complex((np.dot(wY, phases).conjugate() + np.dot(wK, phases)) / q)
     return main, dual, n_auto
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expsum import distribution
+from expsum import distribution, verify, voronoi
 from expsum.cli import (
     CAPS,
     ParseError,
@@ -132,6 +133,31 @@ def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
         assert out.startswith("q,a,X,")
 
 
+@pytest.mark.parametrize("argv,need", [(["--q", "13", "--X", "2"], 2_366_000),
+                                       (["--q", "16", "--X", "4"], 1_792_000),
+                                       (["--X", "7"], 1_600_000)])
+def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys):
+    # (13, 2) and (16, 4) would build kernels for 1.6-3.2 s and then fail
+    # with CutoffTooSmall; the bound 28,000 q^2/X is over the cap, so they
+    # are refused before any kernel is built; the default q range ends at 20
+    voronoi._STORE.clear()
+    assert main(["voronoi"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"at least {need} terms, above the cap 1500000" in err
+    assert voronoi._STORE.kernel_builds == 0
+
+
+@pytest.mark.parametrize("q,X", [(13, 5.0), (5, 0.58), (6, 0.8), (7, 1.1), (20, 50.0)])
+def test_voronoi_accepts_cells_that_converge(q, X):
+    # measured n_auto: (13, 5) 1,294,336 terms, (5, 0.58) 1,277,952 (the
+    # least n_auto X / q^2 measured), (6, 0.8) 1,425,408, (7, 1.1) 1,458,176
+    assert voronoi.predicted_terms(q, X) <= voronoi.N_HARD_CAP
+    RunConfig(subcommand="voronoi", q=[q], X=[X]).validate()
+    for x in (50.0, 100.0, 200.0):  # the whole gate
+        RunConfig(subcommand="voronoi", q=list(range(1, 21)), X=[x]).validate()
+
+
 def test_kloosterman_golden_first_rows(capsys):
     assert main(["kloosterman", "--q", "5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
@@ -237,11 +263,28 @@ def test_glue_runs(capsys):
     assert len(out) == 5
 
 
-def test_timings_go_to_stderr_not_stdout(capsys):
+def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
     assert main(["hyperkl3", "--q", "5"]) == 0
     captured = capsys.readouterr()
     assert "[time]" not in captured.out
-    assert "[time]" in captured.err
+    assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds\n", captured.err)
+    # at --jobs 1 each criterion line also gives process CPU; under threads
+    # that clock would count the other criteria, so it is left out; stdout
+    # is the same bytes either way
+    monkeypatch.setattr(verify, "ALL_CHECKS", [verify.criterion_df, verify.criterion_bilinear])
+    runs = {}
+    for jobs in ("1", "2"):
+        assert main(["verify-all", "--quick", "--jobs", jobs]) == 0
+        runs[jobs] = capsys.readouterr()
+    assert runs["1"].out == runs["2"].out
+    assert runs["1"].out.startswith("check,passed,details\n")
+    assert "[time]" not in runs["1"].out and "cpu" not in runs["1"].out
+    for jobs, cpu in (("1", r" cpu \d+\.\d\ds"), ("2", "")):
+        lines = runs[jobs].err.splitlines()
+        assert len(lines) == 3
+        for line in lines[:2]:
+            assert re.fullmatch(r"\[time\] \w+: \d+\.\d\ds" + cpu, line)
+        assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds", lines[2])
 
 
 def test_module_invocation_runs():

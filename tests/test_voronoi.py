@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -14,6 +15,7 @@ import pytest
 from expsum import verify, voronoi
 from expsum.arith import d_exact
 from expsum.cli import main
+from expsum.families import voronoi_cells
 from expsum.voronoi import (
     CutoffTooSmall,
     NonCoprime,
@@ -81,7 +83,7 @@ def test_y0_transform_matches_mpmath_oracle(kx):
     if kx < voronoi.Z_HANKEL:
         got = voronoi._gy_panels(kappa, X_ORACLE)
     else:
-        got = voronoi._gy_hankel(np.array([kappa]), voronoi._bk_grid(X_ORACLE))[0]
+        got = voronoi._gy_hankel(np.array([kappa]), voronoi._STORE.grid(X_ORACLE))[0]
     want = _oracle(lambda z: mpmath.bessely(0, z), kx)
     assert abs(got - want) < _oracle_tol()
 
@@ -89,7 +91,7 @@ def test_y0_transform_matches_mpmath_oracle(kx):
 @pytest.mark.parametrize("kx", [0.5, 40.0, 100.0])
 def test_k0_transform_matches_mpmath_oracle(kx):
     # panels where K0 is large and just below Z_KZERO, exactly 0 past it
-    got = voronoi._gk_panels(kx / math.sqrt(X_ORACLE), X_ORACLE)
+    got = voronoi._gk_panels(np.array([kx / math.sqrt(X_ORACLE)]), X_ORACLE)[0]
     want = _oracle(lambda z: mpmath.besselk(0, z), kx)
     assert abs(got - want) < _oracle_tol()
 
@@ -123,13 +125,14 @@ def test_voronoi_rejects_bad_arguments():
 
 
 def test_unconverged_dual_sum_raises(monkeypatch, capsys):
-    # q = 20 at X = 50 needs 409600 terms; with one block allowed the build
-    # stops at the cap, and the CLI reports it as a failed check
-    voronoi._kernels.cache_clear()
+    # q = 1 at X = 50 needs 24576 terms; with one block allowed the build
+    # stops at the cap, and the CLI reports it as a failed check (the
+    # up-front refusal predicts far fewer than 8192 terms for this cell)
+    voronoi._STORE.clear()
     monkeypatch.setattr(voronoi, "N_HARD_CAP", voronoi.BLOCK)
     with pytest.raises(CutoffTooSmall, match="not converged below 8192 terms"):
-        voronoi_residual(1, 20, SmoothWeight(50.0))
-    assert main(["voronoi", "--q", "20", "--X", "50"]) == 1
+        voronoi_residual(1, 1, SmoothWeight(50.0))
+    assert main(["voronoi", "--q", "1", "--X", "50"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert "check failed: CutoffTooSmall" in err
@@ -137,31 +140,63 @@ def test_unconverged_dual_sum_raises(monkeypatch, capsys):
 
 def test_fft_grid_edge_is_checked(monkeypatch):
     # past the grid edge the Y0 kernel reads as 0, so a grid whose edge
-    # moments are not below TAIL_TOL must raise; __wrapped__ builds afresh
+    # moments are not below TAIL_TOL must raise, and the store keeps none
+    voronoi._STORE.clear()
     monkeypatch.setattr(voronoi, "TAIL_TOL", 1e-16)
     with pytest.raises(CutoffTooSmall, match="FFT grid edge"):
-        voronoi._bk_grid.__wrapped__(50.0)
+        voronoi._STORE.grid(50.0)
+    assert voronoi._STORE.bk is None and voronoi._STORE.grid_builds == 1
 
 
 def test_kernels_are_a_function_of_q_and_X():
     h = SmoothWeight(50.0)
-    voronoi._kernels.cache_clear()
+    voronoi._STORE.clear()
     cold = voronoi_residual(2, 5, h)
-    voronoi._kernels.cache_clear()
+    voronoi._STORE.clear()
     for q in (3, 4, 7):
         voronoi_residual(1, q, h)
     assert voronoi_residual(2, 5, h) == cold
 
 
 def test_gate_builds_one_kernel_per_q_and_X():
-    # the gate visits X outermost, then q, so one entry of each cache
-    # builds every (q, X) kernel and every X grid exactly once
-    voronoi._kernels.cache_clear()
-    voronoi._bk_grid.cache_clear()
+    # the gate visits X outermost, then q, so a store of one grid and two
+    # kernels builds every (q, X) kernel and every X grid exactly once
+    store = voronoi._STORE
+    store.clear()
     assert verify.criterion_voronoi(quick=True).passed
-    for cache, builds in ((voronoi._kernels, 6), (voronoi._bk_grid, 1)):
-        assert cache.cache_parameters()["maxsize"] == 1
-        assert cache.cache_info().misses == builds
+    assert (store.kernel_builds, store.grid_builds) == (6, 1)
+    assert store.X == 50.0 and list(store.held) == [5, 6]
+
+
+def test_kernels_built_once_per_key_under_two_jobs(capsys):
+    # two pool threads work on neighbouring cells, at most two keys at
+    # once; the two-kernel store builds each (q, X) once, as jobs=1 does
+    store = voronoi._STORE
+    store.clear()
+    assert main(["voronoi", "--q", "1..8", "--X", "50", "--jobs", "2"]) == 0
+    assert (store.kernel_builds, store.grid_builds) == (8, 1)
+    capsys.readouterr()
+
+
+def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeypatch):
+    # the old X's grid and kernels are freed, not just unlisted, by the
+    # time the next grid's FFT pads are allocated
+    store = voronoi._STORE
+    store.clear()
+    voronoi_residual(1, 3, SmoothWeight(50.0))
+    voronoi_residual(1, 4, SmoothWeight(50.0))
+    old = [weakref.ref(store.bk)] + [weakref.ref(w) for k in store.held.values() for w in k[:2]]
+    seen = []
+    build = voronoi._build_grid
+
+    def spy(X):
+        seen.append((X, store.bk, dict(store.held), [r() is None for r in old]))
+        return build(X)
+
+    monkeypatch.setattr(voronoi, "_build_grid", spy)
+    voronoi_residual(1, 3, SmoothWeight(100.0))
+    assert seen == [(100.0, None, {}, [True] * 5)]
+    assert (store.kernel_builds, store.grid_builds) == (3, 2)
 
 
 @pytest.mark.parametrize("q", range(1, 21))
@@ -169,7 +204,7 @@ def test_root_table_phases_equal_the_exp_expression(q):
     # _rhs tiles one period of e(abar n / q), read from a q-point table;
     # each entry is the same np.exp expression, so the phases agree bit
     # for bit
-    n_auto = voronoi._kernels(20, 50.0)[2]
+    n_auto = voronoi._STORE.kernels(20, 50.0)[2]
     n = np.arange(1, n_auto + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
@@ -184,7 +219,7 @@ def test_paired_moment_ffts_equal_the_serial_transform():
     # rows 0 and 12 come from different workers; a swapped row or a pad
     # left uncleared between rows changes their bits
     X = 50.0
-    values = voronoi._bk_grid(X).values
+    values = voronoi._STORE.grid(X).values
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / voronoi._NG
     u = u0 + np.arange(voronoi._NG) * du
@@ -246,6 +281,17 @@ def _gy_hankel_ref(kappas, bk):
     return out
 
 
+def _gk_panels_ref(kappa, X):
+    """The scalar K0 formula, one kappa per call."""
+    from scipy.special import k0
+
+    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
+    if kappa * u0 >= voronoi.Z_KZERO:
+        return 0.0
+    h = SmoothWeight(X)
+    return voronoi._gl64(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
+
+
 def _gl64_ref(f, lo, hi, npan):
     """One call of f per panel."""
     edges = np.linspace(lo, hi, npan + 1)
@@ -259,7 +305,7 @@ def _gl64_ref(f, lo, hi, npan):
 
 @pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
 def test_row_wise_hankel_equals_the_column_gather(X):
-    bk = voronoi._bk_grid(X)
+    bk = voronoi._STORE.grid(X)
     width = bk.values.shape[1]
     edge = bk.dk * (width - 9)
     # base clipped to 0 (t < 3), every Hankel-regime kappa of q = 1 and
@@ -287,7 +333,7 @@ def test_one_pass_panels_equal_the_per_panel_calls(X):
         want_y = _gl64_ref(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
         want_k = _gl64_ref(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
         assert voronoi._gy_panels(kappa, X) == want_y
-        assert voronoi._gk_panels(kappa, X) == want_k
+        assert voronoi._gk_panels(np.array([kappa]), X)[0] == want_k
     for q in (1, 7, 20):
         def f(x):
             return (np.log(np.sqrt(x) / q) + voronoi.EULER_GAMMA) * h(x)
@@ -296,22 +342,45 @@ def test_one_pass_panels_equal_the_per_panel_calls(X):
         assert voronoi._main_term.__wrapped__(q, X) == want
 
 
+@pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
+def test_block_k0_panels_equal_the_scalar_formula(X):
+    # every kappa = 4 pi sqrt(n) / q of the gate with kappa*u0 < Z_KZERO,
+    # then a few past it, which read 0
+    u0 = math.sqrt(X)
+    kappas = np.concatenate([
+        4 * math.pi * np.sqrt(np.arange(1, 200 * q * q // int(X) + 2, dtype=float)) / q
+        for q in range(1, 21)
+    ])
+    live = kappas * u0 < voronoi.Z_KZERO
+    assert live.sum() > 300 and (~live).any()
+    want = np.array([_gk_panels_ref(float(k), X) for k in kappas])
+    assert voronoi._gk_panels(kappas, X).tobytes() == want.tobytes()
+    assert not want[~live].any()
+
+
 @pytest.mark.parametrize("q", range(1, 21))
 def test_periodic_phases_give_the_same_dual_sum(q):
+    # the oracle is the two-tile sum on the real kernel: one tile of
+    # e(abar n / q), one of its conjugate, each dotted with a float vector
     h = SmoothWeight(50.0)
-    wY, wK, n_auto = voronoi._kernels(q, 50.0)
+    wY, wK, n_auto = voronoi._STORE.kernels(q, 50.0)
+    wY, wK = np.ascontiguousarray(wY.real), np.ascontiguousarray(wK.real)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
         if math.gcd(a, q) != 1:
             continue
         abar = pow(a, -1, q) if q > 1 else 0
-        phases = roots[(abar * np.arange(1, n_auto + 1)) % q]
-        want = complex((np.dot(wY, np.conj(phases)) + np.dot(wK, phases)) / q)
+        period = roots[(abar * np.arange(1, q + 1)) % q]
+        reps = -(-n_auto // q)
+        phases = np.tile(period, reps)[:n_auto]
+        conj = np.tile(np.conj(period), reps)[:n_auto]
+        want = complex((np.dot(wY, conj) + np.dot(wK, phases)) / q)
         assert _packed(voronoi._rhs(a, q, h)[1]) == _packed(want)
 
 
-# sha256 of wY.tobytes() + wK.tobytes() and n_auto, recorded before the
-# row-wise interpolation and the one-pass panels
+# sha256 of the real parts wY.tobytes() + wK.tobytes() and n_auto,
+# recorded before the row-wise interpolation and the one-pass panels, when
+# the kernels were stored as float arrays
 _KERNEL_PINS = {
     (1, 50.0): (24576, "f4e1454dc5e1dcec867caaf6a52972f7f45b0ae27020021c8b9c0bd404747a5e"),
     (7, 100.0): (49152, "b63713be07513508b5a4ab19145b5877b9fb9371af28dfe17e0e8fc20e4ec2f4"),
@@ -321,17 +390,34 @@ _KERNEL_PINS = {
 
 @pytest.mark.parametrize("q,X", list(_KERNEL_PINS))
 def test_kernel_bytes_are_pinned(q, X):
-    wY, wK, n_auto = voronoi._kernels(q, X)
-    digest = hashlib.sha256(wY.tobytes() + wK.tobytes()).hexdigest()
-    assert (n_auto, digest) == _KERNEL_PINS[(q, X)]
+    wY, wK, n_auto = voronoi._STORE.kernels(q, X)
+    assert wY.dtype == wK.dtype == complex
+    assert not wY.imag.any() and not wK.imag.any()
+    real = np.ascontiguousarray(wY.real).tobytes() + np.ascontiguousarray(wK.real).tobytes()
+    assert (n_auto, hashlib.sha256(real).hexdigest()) == _KERNEL_PINS[(q, X)]
+
+
+def test_quick_grid_cells_are_pinned():
+    # every field of the 12 cells of criterion 9's quick grid, as float.hex,
+    # recorded before the complex kernels and the one-vector dual sum
+    digest = hashlib.sha256()
+    for q, a, x in voronoi_cells(range(1, 7), (50.0,)):
+        r = voronoi_residual(a, q, SmoothWeight(x))
+        parts = (r.lhs.real, r.lhs.imag, r.rhs_main.real, r.rhs_main.imag,
+                 r.rhs_dual.real, r.rhs_dual.imag, r.residual)
+        line = ",".join(float.hex(v) for v in parts) + f",{r.truncation_level}\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "3e5a1456444250a1c9d812f29fcce352e74fff72778975c8b0d900db8f6f8983"
+    )
 
 
 def test_kernels_built_once_under_threads():
     # more workers than cores reach one new (q, X) together; the lock
     # around the lookup leaves one build and the rest cache hits
     h = SmoothWeight(50.0)
-    voronoi._bk_grid(50.0)
-    voronoi._kernels.cache_clear()
+    voronoi._STORE.clear()
+    voronoi._STORE.grid(50.0)
     start = threading.Barrier(4)
 
     def cell(a):
@@ -346,7 +432,7 @@ def test_kernels_built_once_under_threads():
             reports = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(old)
-    assert voronoi._kernels.cache_info().misses == 1
+    assert voronoi._STORE.kernel_builds == 1
     assert all(r.relative_residual < 1e-6 for r in reports)
 
 
