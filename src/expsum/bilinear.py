@@ -4,13 +4,13 @@ The central object is
 
     S = sum_{n in W} sum_{m >= 1} alpha_n lam(m) Kl3~(m n b, q) V(m/M)
 
-where W is a window of N consecutive integers, |alpha_n| <= 1,
+where W = {1, ..., N}, |alpha_n| <= 1,
 lam(m) = sigma_{s1 - 2w}(m) * m^s2 (so the default w = s1 = s2 = 0
-gives the plain divisor function d(m)), and V is a smooth compactly
-supported weight.  Two independent evaluation paths are provided, a
-literal double sum and a residue-class grouping, plus reference
-evaluations of the three cancellation bounds used for exponent
-studies:
+gives the plain divisor function d(m)), and V is the smooth bump
+SmoothWeight(1.0) on [1, 2].  Two independent evaluation paths are
+provided, a literal double sum and a residue-class grouping, plus
+reference evaluations of the three cancellation bounds used for
+exponent studies:
 
     alt        : M N^(1/2) + M^(1/2) N q^(1/4)
     squarefree : q^(3/8) M^(1/2) N^(3/4) + q^(-1/4) M N^(3/2) + N q^(3/4)
@@ -33,7 +33,7 @@ whose kernel-sup factor makes it a genuine triangle inequality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,26 +51,25 @@ __all__ = [
     "cancellation_scan",
 ]
 
+V = SmoothWeight(1.0)  # the m-weight: m runs over (M, 2M)
+
 
 @dataclass(frozen=True)
 class BilinearConfig:
     """One bilinear-sum configuration.
 
-    The n-window is the N consecutive integers starting at n0; alpha
-    defaults to all ones.  V defaults to the standard bump on [1, 2],
-    so the m-sum effectively runs over (M, 2M).
+    The n-window is 1, ..., N; alpha defaults to all ones.  The m-sum
+    runs over (M, 2M), the support of V(m/M).
     """
 
     q: int
     M: int
     N: int
     b: int = 1
-    n0: int = 1
     w: complex = 0j
     s1: complex = 0j
     s2: complex = 0j
     alpha: tuple[complex, ...] | None = None
-    V: SmoothWeight = field(default_factory=lambda: SmoothWeight(1.0))
 
     def __post_init__(self) -> None:
         if self.q < 1 or self.M < 1 or self.N < 1:
@@ -90,7 +89,7 @@ class BilinearConfig:
 
     @property
     def n_window(self) -> np.ndarray:
-        return np.arange(self.n0, self.n0 + self.N, dtype=np.int64)
+        return np.arange(1, self.N + 1, dtype=np.int64)
 
     @property
     def alpha_vector(self) -> np.ndarray:
@@ -134,7 +133,7 @@ class CancellationReport:
 
 
 def _m_support(cfg: BilinearConfig) -> np.ndarray:
-    lo, hi = cfg.V.support
+    lo, hi = V.support
     m_lo = max(1, int(math.floor(lo * cfg.M)))
     m_hi = int(math.ceil(hi * cfg.M)) + 1
     return np.arange(m_lo, m_hi, dtype=np.int64)
@@ -160,7 +159,7 @@ def _lambda_weights(cfg: BilinearConfig) -> tuple[np.ndarray, np.ndarray]:
     lam = _sigma_power_window(m, cfg.shift)
     if cfg.s2 != 0:
         lam = lam * np.exp(cfg.s2 * np.log(m.astype(float)))
-    return m, lam * cfg.V(m.astype(float) / cfg.M)
+    return m, lam * V(m.astype(float) / cfg.M)
 
 
 def bilinear_sum(cfg: BilinearConfig) -> complex:

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from time import perf_counter, process_time
 
@@ -24,6 +25,7 @@ from .distribution import discrepancy_scan
 from .expsums import hyper_kl3_table
 from .families import (
     BILINEAR_HEADER,
+    BrokenExecutor,
     bilinear_row,
     calc_tuples,
     charsum_pp,
@@ -133,9 +135,10 @@ class RunConfig:
             raise ValidationError(f"gamma_max {self.gamma_max} above cap {CAPS['gamma_max']}")
         if self.u_max is not None and self.u_max > CAPS["u_max"]:
             raise ValidationError(f"u_max {self.u_max} above cap {CAPS['u_max']}")
-        for q in self.q:
-            if not 1 <= q <= CAPS["q"]:
-                raise ValidationError(f"q = {q} outside [1, {CAPS['q']}]")
+        for key in ("q", "M", "N"):
+            for v in getattr(self, key):
+                if not 1 <= v <= CAPS[key]:
+                    raise ValidationError(f"{key} = {v} outside [1, {CAPS[key]}]")
         for p in self.p:
             if not 2 <= p <= CAPS["p"] or not is_prime(p):
                 raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
@@ -159,12 +162,6 @@ class RunConfig:
                     f"q = {q}, X = {x}: the dual sum needs at least {need} terms, "
                     f"above the cap {N_HARD_CAP}"
                 )
-        for m in self.M:
-            if not 1 <= m <= CAPS["M"]:
-                raise ValidationError(f"M = {m} outside [1, {CAPS['M']}]")
-        for n in self.N:
-            if not 1 <= n <= CAPS["N"]:
-                raise ValidationError(f"N = {n} outside [1, {CAPS['N']}]")
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -398,9 +395,11 @@ def _run_voronoi(cfg: RunConfig) -> int:
             "_rel": rep.relative_residual,
         }]
 
+    # one item per (q, X), so that one worker builds each kernel
+    cells = voronoi_cells(cfg.q or VORONOI_QS, cfg.X or [50.0])
     rows = _scan(
-        one,
-        voronoi_cells(cfg.q or VORONOI_QS, cfg.X or [50.0]),
+        lambda group: [row for cell in group for row in one(cell)],
+        [list(g) for _, g in groupby(cells, key=lambda c: (c[0], c[2]))],
         ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
          "truncation", "residual", "relative"],
         cfg,
@@ -451,8 +450,7 @@ def _run_verify_all(cfg: RunConfig) -> int:
     if cfg.self_test:
         results = results + [criterion_determinism()]
     for res in results:
-        cpu = "" if res.cpu is None else f" cpu {res.cpu:.2f}s"
-        print(f"[time] {res.name}: {res.elapsed:.2f}s{cpu}", file=sys.stderr)
+        print(f"[time] {res.name}: {res.elapsed:.2f}s cpu {res.cpu:.2f}s", file=sys.stderr)
     rows = [
         {"check": r.name, "passed": int(r.passed), "details": r.details.replace(",", ";")}
         for r in results
@@ -496,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", help="window sizes, e.g. 2,4")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--jobs", type=int, help="parallel workers "
+        sp.add_argument("--jobs", type=int, help="worker processes "
                         "(default: EXPSUM_JOBS or 1)")
         sp.add_argument("--tol", type=float, help="tolerance override")
         if name == "verify-all":
@@ -508,37 +506,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
-    if args.config:
-        base = load_config(args.config)
+    base: dict = load_config(args.config) if args.config else {}
+
+    def given(key: str):
+        """The flag's value, else the config file's, else None."""
+        val = getattr(args, key, None)
+        return base.get(key) if val is None else val
+
     cfg = RunConfig(subcommand=args.subcommand)
     for key in ("p", "q", "M", "N"):
-        val = getattr(args, key, None)
-        if val is None:
-            val = base.get(key)
+        val = given(key)
         if val is not None:
-            setattr(cfg, key, parse_int_list(val) if not isinstance(val, list)
-                    else [int(v) for v in val])
-    xval = args.X if args.X is not None else base.get("X")
+            setattr(cfg, key, [int(v) for v in val] if isinstance(val, list)
+                    else parse_int_list(val))
+    xval = given("X")
     if xval is not None:
-        cfg.X = (parse_float_list(xval) if not isinstance(xval, list)
-                 else [float(v) for v in xval])
+        cfg.X = [float(v) for v in xval] if isinstance(xval, list) else parse_float_list(xval)
     for key in ("gamma_max", "u_max", "out", "format", "tol"):
-        val = getattr(args, key, None)
-        if val is None:
-            val = base.get(key)
-        if val is not None:
-            setattr(cfg, key, val)
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = base.get("jobs")
-    if jobs is None:
-        jobs = int(os.environ.get("EXPSUM_JOBS", "1"))
-    cfg.jobs = int(jobs)
+        if given(key) is not None:
+            setattr(cfg, key, given(key))
+    jobs = given("jobs")
+    cfg.jobs = int(jobs if jobs is not None else os.environ.get("EXPSUM_JOBS", "1"))
     cfg.quick = bool(getattr(args, "quick", False) or base.get("quick", False))
     cfg.self_test = bool(getattr(args, "self_test", False))
     cfg.validate()
     return cfg
+
+
+def _cpu() -> float:
+    """CPU seconds of this process and of its reaped children (the --jobs workers)."""
+    t = os.times()
+    return process_time() + t.children_user + t.children_system
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -547,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    t0, c0 = perf_counter(), process_time()
+    t0, c0 = perf_counter(), _cpu()
     try:
         cfg = _build_config(args)
     except (ParseError, ValidationError) as exc:
@@ -558,7 +556,10 @@ def main(argv: list[str] | None = None) -> int:
     except (AssertionError, ValueError, ArithmeticError) as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(f"[time] total: {perf_counter() - t0:.2f}s cpu {process_time() - c0:.2f}s",
+    except BrokenExecutor as exc:  # a --jobs worker died
+        print(f"worker failed: {exc}", file=sys.stderr)
+        return 1
+    print(f"[time] total: {perf_counter() - t0:.2f}s cpu {_cpu() - c0:.2f}s",
           file=sys.stderr)
     return code
 

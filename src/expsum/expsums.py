@@ -10,7 +10,8 @@ modulus in lru_cache(16)s, except the prime-power factor tables of the
 CRT split: every prime power up to _FACTOR_KEEP = 5000 keeps its table
 S(1, .; p^e) for the life of the process, so each is built once however
 many moduli share it (at most 12.8 MB of float64, when all 711 are
-held).
+held).  The caches take no lock: --jobs runs in worker processes, and
+each worker fills its own copies.
 
 Conventions used throughout:
   * e(x) = exp(2*pi*i*x), always evaluated on a reduced fraction
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -133,8 +133,6 @@ def kloosterman_direct(a: int, b: int, q: int) -> complex:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return 1 + 0j
     acc = _Kahan()
     for x in range(1, q + 1):
         if math.gcd(x, q) != 1:
@@ -202,10 +200,6 @@ def kloosterman_table(q: int) -> np.ndarray:
     are computed at the units alone; V is 0 elsewhere.  The result is
     checked to be real to within 1e-9 * q.
     """
-    if q == 1:
-        out = np.ones(1)
-        out.setflags(write=False)
-        return out
     mask = unit_mask(q)
     V = np.zeros(q, dtype=complex)
     V[mask] = np.exp(2j * np.pi * unit_inverse_table(q)[mask] / q)
@@ -251,26 +245,19 @@ def kloosterman_explicit_pp_table(pp: PrimePower) -> np.ndarray:
 # 10^6) go through kloosterman_table's LRU cache.
 _FACTOR_KEEP = 5000
 _factor_tables: dict[int, np.ndarray] = {}
-_factor_lock = threading.Lock()  # two --jobs threads never build one table twice
 
 
 def _factor_values(qi: int) -> np.ndarray:
     """kloosterman_table(qi), kept when qi <= _FACTOR_KEEP."""
     if qi > _FACTOR_KEEP:
         return kloosterman_table(qi)
-    vals = _factor_tables.get(qi)
-    if vals is None:
-        with _factor_lock:
-            vals = _factor_tables.get(qi)
-            if vals is None:
-                vals = _factor_tables[qi] = kloosterman_table(qi)
-    return vals
+    if qi not in _factor_tables:
+        _factor_tables[qi] = kloosterman_table(qi)
+    return _factor_tables[qi]
 
 
 def _kloosterman_factor(a: int, b: int, q: int) -> complex:
     """S(a, b; q) for a prime-power q, via table lookup when possible."""
-    if q == 1:
-        return 1 + 0j
     a %= q
     b %= q
     if math.gcd(a, q) == 1 or math.gcd(b, q) == 1:
@@ -294,8 +281,6 @@ def kloosterman_split(a: int, b: int, q: int) -> complex:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    if q == 1:
-        return 1 + 0j
     out = 1 + 0j
     for p, e in factorize(q).pairs:
         qi = p**e
@@ -328,8 +313,6 @@ def hyper_kl3_table(q: int) -> np.ndarray:
     Kl3(m, q) = (1/q) * sum over units x of e(m*x/q) * S(1, inv(x); q),
     which is the inverse DFT of U[x] = S(1, inv(x); q) * [x unit].
     """
-    if q == 1:
-        return np.ones(1, dtype=complex)
     inv = unit_inverse_table(q)
     sk = kloosterman_table(q)
     U = np.where(unit_mask(q), sk[inv], 0.0)
@@ -350,8 +333,6 @@ def hyper_kl3_table_direct(q: int) -> np.ndarray:
     summed in blocks of at most _ROW_BLOCK terms; each row is still one
     contiguous pairwise sum, so W does not depend on the block size.
     """
-    if q == 1:
-        return np.ones(1, dtype=complex)
     units = np.nonzero(unit_mask(q))[0].astype(np.int64)
     inv = unit_inverse_table(q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)

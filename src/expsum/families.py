@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .modarith import PrimePower
 
 __all__ = [
     "BILINEAR_HEADER",
+    "BrokenExecutor",
     "fmt",
     "pmap",
     "render",
@@ -55,12 +57,37 @@ def fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
+_TASK: tuple = ()  # (fn, items) of the running pmap, inherited by its forked workers
+
+
+def _run_item(i: int):
+    fn, items = _TASK
+    return fn(items[i])
+
+
 def pmap(fn, items, jobs: int) -> list:
-    """Order-preserving parallel map; canonical merge regardless of jobs."""
-    if jobs <= 1 or len(items) <= 1:
+    """[fn(it) for it in items] on min(jobs, len(items), cpu count) forked workers.
+
+    With one worker the items run in the caller.  A worker takes the next
+    item when it is free, so it sees its items in list order; results come
+    back in list order.  fn is inherited, never pickled; its results and
+    exceptions are.  A worker that dies raises BrokenExecutor.
+    """
+    global _TASK
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    # deferred: multiprocessing adds about 10 ms to every start of the CLI
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    _TASK = (fn, items)
+    try:
+        ctx = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+            return list(pool.map(_run_item, range(len(items))))
+    finally:
+        _TASK = ()
 
 
 def render(rows: list[dict], header: list[str], kind: str = "csv") -> str:

@@ -3,8 +3,9 @@
 Each criterion function computes a family of sums two independent ways
 (or against a frozen bound/oracle) and returns a CheckResult whose
 details string is deterministic: fixed ranges, fixed seeds, fixed float
-formatting, no timings.  The CLI's verify-all subcommand runs checks
-1-11; the determinism check 12 runs verify-all itself twice in a
+formatting, no timings (the wall and CPU seconds of the check travel
+beside it).  run_checks runs checks 1-11, at jobs > 1 in forked worker
+processes; the determinism check 12 runs verify-all itself twice in a
 subprocess and compares bytes, so it is invoked separately (by the
 acceptance test or `expsum verify-all --self-test`).
 
@@ -19,7 +20,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter, process_time
 from typing import Callable
@@ -86,11 +87,12 @@ class CheckResult:
     passed: bool
     details: str
     elapsed: float
-    cpu: float | None = None  # process CPU seconds; set by serial run_checks only
+    cpu: float  # CPU seconds of the process running the check, helper threads included
 
 
-def _result(name: str, passed: bool, details: str, t0: float) -> CheckResult:
-    return CheckResult(name, passed, details, perf_counter() - t0)
+def _result(name: str, passed: bool, details: str, t0: tuple[float, float]) -> CheckResult:
+    """The check's result, timed from t0 = (perf_counter(), process_time())."""
+    return CheckResult(name, passed, details, perf_counter() - t0[0], process_time() - t0[1])
 
 
 # ------------------------------------------------------------------ 1
@@ -98,7 +100,7 @@ def _result(name: str, passed: bool, details: str, t0: float) -> CheckResult:
 
 def criterion_explicit_pp(quick: bool = False) -> CheckResult:
     """Explicit prime-power formula vs the FFT Kloosterman tables, scaled 1e-9."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     cap = 10**4 if quick else 10**6
     worst = 0.0
     worst_zero = 0.0
@@ -141,7 +143,7 @@ def criterion_explicit_pp(quick: bool = False) -> CheckResult:
 
 def criterion_sigma00(quick: bool = False) -> CheckResult:
     """Double-divisor route equals the Moebius route, exactly."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     cap = 120 if quick else 500
     spots = {(1, 12): 18, (2, 4): 3, (6, 1): 1}
     bad = 0
@@ -163,7 +165,7 @@ def criterion_sigma00(quick: bool = False) -> CheckResult:
 
 def criterion_crt_split(quick: bool = False) -> CheckResult:
     """CRT splitting and hyper-Kloosterman two-path agreement, 1e-9*q."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     qcap = 120 if quick else 500
     comp_cap = 1000 if quick else 10**4
     deg_cap = 500 if quick else 2000
@@ -213,7 +215,7 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
 
 def criterion_weil_deligne(quick: bool = False) -> CheckResult:
     """|S(a,b;p)| <= 2 sqrt p and |Kl3~(m,p)| <= 3, exhaustively."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     cap = 50 if quick else 200
     rep = weil_audit(cap)
     return _result(
@@ -231,7 +233,7 @@ def criterion_weil_deligne(quick: bool = False) -> CheckResult:
 
 def criterion_charsum_pp(quick: bool = False) -> CheckResult:
     """c_{gamma,u} scan: predicted vanishing is real; ratios <= 16."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     gmax = 4 if quick else 6
     per_cell = 40 if quick else 200
     worst_ratio = 0.0
@@ -259,7 +261,7 @@ def criterion_charsum_pp(quick: bool = False) -> CheckResult:
 
 def criterion_charsum_prime(quick: bool = False) -> CheckResult:
     """c_{1,1}: projective completion equals the Moebius route."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     pcap = 13 if quick else 31
     per_p = 15 if quick else 50
     worst_diff = 0.0
@@ -287,7 +289,7 @@ def criterion_charsum_prime(quick: bool = False) -> CheckResult:
 
 def criterion_df(quick: bool = False) -> CheckResult:
     """Second-moment correlation bound; |S(1,x;5)|^2 spot value 19."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     caps = {3: 4, 5: 3, 7: 2} if quick else {3: 6, 5: 4, 7: 3}
     per_mod = 30 if quick else 100
     worst_ratio = 0.0
@@ -314,7 +316,7 @@ def criterion_df(quick: bool = False) -> CheckResult:
 
 def criterion_calc_glue(quick: bool = False) -> CheckResult:
     """calC and glue sums: CRT equals direct; ratios <= 16; deltas exact."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     qcap = 60 if quick else 200
     worst_calc = 0.0
     worst_glue = 0.0
@@ -354,7 +356,7 @@ def criterion_calc_glue(quick: bool = False) -> CheckResult:
 
 def criterion_voronoi(quick: bool = False) -> CheckResult:
     """Voronoi identity residual <= 1e-6 relative across the grid."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     qcap = 6 if quick else 20
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
     worst = 0.0
@@ -384,7 +386,7 @@ def _d3_triple_loop(X: int) -> np.ndarray:
 
 def criterion_distribution(quick: bool = False) -> CheckResult:
     """Zero-sum exactness, Ramanujan splitting, sieve vs triple loop."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     big_x = 10**4 if quick else 10**6
     sf_cap = 30 if quick else 200
     powers = [9, 27] if quick else [9, 27, 81, 243]
@@ -446,7 +448,7 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
 
 def criterion_bilinear(quick: bool = False) -> CheckResult:
     """Path agreement, trivial bound, and the hypothesis-flag CSV."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     configs = _bilinear_grid(quick)
     reports = cancellation_scan(configs)  # raises on split
     exceed = [r for r in reports if not r.within_trivial]
@@ -476,7 +478,7 @@ def reports_csv(reports: list[CancellationReport]) -> str:
 
 def criterion_determinism(quick: bool = True) -> CheckResult:
     """verify-all twice: byte-identical output files, exit code 0."""
-    t0 = perf_counter()
+    t0 = perf_counter(), process_time()
     src_root = str(Path(__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + (
@@ -522,25 +524,19 @@ ALL_CHECKS: list[Callable[[bool], CheckResult]] = [
 ]
 
 
-def _run_one(f: Callable[[bool], CheckResult], quick: bool, cpu: bool) -> CheckResult:
-    t0, c0 = perf_counter(), process_time()
+def _run_one(f: Callable[[bool], CheckResult], quick: bool) -> CheckResult:
+    t0 = perf_counter(), process_time()
     try:
-        res = f(quick)
+        return f(quick)
     except Exception as exc:  # invariant violations become failed rows
-        res = _result(
-            f.__name__.removeprefix("criterion_"),
-            False,
-            f"raised {type(exc).__name__}: {exc}",
-            t0,
-        )
-    return replace(res, cpu=process_time() - c0) if cpu else res
+        name = f.__name__.removeprefix("criterion_")
+        return _result(name, False, f"raised {type(exc).__name__}: {exc}", t0)
 
 
 def run_checks(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
     """Run checks 1-11 and return results in canonical order.
 
-    At jobs=1 each result also carries the process CPU time of its check,
-    which counts the FFT and BLAS helper threads; under --jobs threads
-    that clock would count the other checks as well, so cpu stays None.
+    At jobs > 1 the checks run in worker processes (families.pmap), so the
+    CPU time of each result counts its own check alone, as at jobs=1.
     """
-    return pmap(lambda f: _run_one(f, quick, jobs == 1), ALL_CHECKS, jobs)
+    return pmap(lambda f: _run_one(f, quick), ALL_CHECKS, jobs)

@@ -49,11 +49,10 @@ tiled.  Since wY is real, its dot product with the conjugate phases is the
 conjugate of its dot product with the phases, bit for bit, so one phase
 vector serves both.  The gate and the CLI visit cells with X outermost,
 then q, then a, so one store holds the moment grid of the current X and
-at most two of its kernels (two cells are in flight under --jobs 2).  A
-new X drops the old grid and kernels before its own grid is built, so
-they never share memory with the new grid's FFT pads.  A serial run never
-rebuilds a kernel, and under --jobs the kernel lookup is taken under a
-lock, so two threads never build one (q, X) together.  The 13 moment FFTs
+the kernels of the current q.  Under --jobs the CLI hands each worker
+process whole (q, X) groups in that order, so no kernel is built twice.
+A new X drops the old grid and kernels before its own grid is built, so
+they never share memory with the new grid's FFT pads.  The 13 moment FFTs
 of one X run two at a time on threads (pocketfft releases the GIL); each
 row is the same serial transform, so the bits do not depend on the
 pairing.  The Gauss-Legendre panels evaluate their integrand once on the
@@ -61,15 +60,15 @@ whole node matrix (for K0, once for every kappa of a block) and reduce it
 panel by panel.  scipy.special is imported by the panel quadratures only,
 so importing this module does not load scipy.
 
-A dual sum needs at least 28,000*q^2/X terms (a lower envelope measured
-on a (q, X) grid), so predicted_terms lets a caller refuse a cell whose
-sum cannot converge below N_HARD_CAP before any kernel is built.
+A dual sum needs at least c(X)*q^2/X terms, where c(X) grows from about
+27,600 at X = 1/2 to 51,800 at X = 400 (a lower envelope measured on an X
+grid), so predicted_terms lets a caller refuse a cell whose sum cannot
+converge below N_HARD_CAP before any kernel is built.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -101,9 +100,12 @@ BLOCK = 8192
 _NG = 4096  # g samples for the moment FFTs
 _NFFT = 1 << 21  # zero-padded FFT length
 _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
-# lower envelope of n_auto * X / q^2: the least value measured for X from
-# 0.51 to 400 was 29,648, at (q, X) = (5, 0.58); this keeps 5% below it
-_TERMS_Q2_PER_X = 28_000
+# lower envelope c(X) of n_auto * X / q^2: _TERMS_C at the scales _TERMS_X,
+# linear in log X between them.  At each of 46 scales X from 0.51 to 400 it
+# keeps 5% below the least value measured at the largest q whose sum
+# converges below N_HARD_CAP and at the q before it
+_TERMS_X = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
+_TERMS_C = (27_620, 30_150, 32_170, 35_330, 37_510, 39_140, 42_980, 46_430, 48_530, 51_790)
 # moment FFTs in flight at once; pocketfft releases the GIL, and each
 # transform holds about 64 MB (its complex pad and the library's scratch)
 _FFT_WORKERS = 2
@@ -321,23 +323,20 @@ def _gk_panels(kappas: np.ndarray, X: float) -> np.ndarray:
 
 
 def predicted_terms(q: int, X: float) -> int:
-    """A lower bound on the dual-sum length n_auto of (q, X): _TERMS_Q2_PER_X * q^2 / X.
+    """A lower bound on the dual-sum length n_auto of (q, X): c(X) * q^2 / X.
 
+    c interpolates _TERMS_C linearly in log X (constant beyond the ends).
     A cell whose bound exceeds N_HARD_CAP cannot converge, so it can be
     refused before any kernel is built.
     """
-    return math.ceil(_TERMS_Q2_PER_X * q * q / X)
+    c = float(np.interp(math.log(X), np.log(_TERMS_X), _TERMS_C))
+    return math.ceil(c * q * q / X)
 
 
 def _divisors(n: int) -> np.ndarray:
     """d(k) for k <= n, from a table rounded up to a power of two."""
     size = 1 << max(13, (n - 1).bit_length())
     return divisor_table(2, size)
-
-
-# held around every kernel lookup, so that --jobs threads reaching a new
-# (q, X) together build it once instead of each missing the store
-_KERNELS_LOCK = threading.Lock()
 
 
 def _build_kernels(
@@ -390,30 +389,25 @@ def _build_kernels(
 
 
 class _XStore:
-    """The moment grid of one X and at most two of its kernels, with build counts.
+    """The moment grid of one X and the kernels of one (q, X), with build counts.
 
     Callers visit every q of one X before the next X.  A request for a new
-    X first drops the old grid and kernels, so a grid build never holds
-    them beside its FFT pads.  Two kernels cover the two cells in flight
-    under --jobs 2; the older one is dropped before a third is built.
+    X first drops the old grid and kernels, and a request for a new q drops
+    the old kernels, before anything is built, so a build never holds what
+    it replaces.
     """
-
-    KERNELS = 2
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
         """Drop the grid and the kernels, and zero the build counts."""
-        self.X: float | None = None
-        self.bk: _BkGrid | None = None
-        self.held: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        self.grid_builds = 0
-        self.kernel_builds = 0
+        self.X = self.bk = self.q = self.kern = None
+        self.grid_builds = self.kernel_builds = 0
 
     def _switch(self, X: float) -> None:
         if X != self.X:
-            self.X, self.bk, self.held = X, None, {}
+            self.X, self.bk, self.q, self.kern = X, None, None, None
 
     def grid(self, X: float) -> _BkGrid:
         """The moment grid of X, built on the first request."""
@@ -426,12 +420,11 @@ class _XStore:
     def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
         """(wY, wK, n_auto) of (q, X), built on the first request."""
         self._switch(X)
-        if q not in self.held:
-            if len(self.held) == self.KERNELS:
-                del self.held[next(iter(self.held))]
+        if q != self.q:
+            self.q = self.kern = None  # freed before the build
             self.kernel_builds += 1
-            self.held[q] = _build_kernels(q, X, lambda: self.grid(X))
-        return self.held[q]
+            self.kern, self.q = _build_kernels(q, X, lambda: self.grid(X)), q
+        return self.kern
 
 
 _STORE = _XStore()
@@ -474,9 +467,8 @@ def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
     """(main term, dual sum, truncation level); voronoi_lhs checked (a, q)."""
     X = h.X
     main = complex(_main_term(q, X))
-    with _KERNELS_LOCK:
-        wY, wK, n_auto = _STORE.kernels(q, X)
-    abar = pow(a, -1, q) if q > 1 else 0
+    wY, wK, n_auto = _STORE.kernels(q, X)
+    abar = pow(a, -1, q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     # e(abar n / q) has period q in n: gather one period, then tile it.
     # wY is real, so wY . conj(phases) is conj(wY . phases) bit for bit:

@@ -76,3 +76,22 @@ def test_no_module_imports_a_name_it_never_uses(module):
 def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports("import math\nimport os\nos.getcwd()\n") == ["math (line 1)"]
     assert _unused_imports("from a import b as c\n__all__ = ['c']\n") == []
+
+
+def _imported_modules(source: str) -> set[str]:
+    tree = ast.parse(source)
+    mods = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    return mods | {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module}
+
+
+def test_parallelism_is_processes_and_the_two_fft_pool_only():
+    # --jobs runs in forked processes, so no module needs threading or a
+    # lock; concurrent.futures serves families' process pool and the
+    # two-FFT thread pool of voronoi._build_grid
+    users = {}
+    for path in sorted(SRC.glob("*.py")):
+        mods = _imported_modules(path.read_text())
+        assert "threading" not in mods, path.name
+        if any(m.startswith("concurrent") for m in mods):
+            users[path.stem] = sorted(m for m in mods if m.startswith("concurrent"))
+    assert users == {"families": ["concurrent.futures"], "voronoi": ["concurrent.futures"]}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expsum import distribution, verify, voronoi
+from expsum import cli, distribution, verify, voronoi
 from expsum.cli import (
     CAPS,
     ParseError,
@@ -20,6 +21,7 @@ from expsum.cli import (
     main,
     parse_int_list,
 )
+from expsum.families import pmap, units
 
 _INTS = st.integers(-10**6, 10**6)
 # one list piece: a single integer, or a range lo..hi with lo <= hi
@@ -133,13 +135,14 @@ def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
         assert out.startswith("q,a,X,")
 
 
-@pytest.mark.parametrize("argv,need", [(["--q", "13", "--X", "2"], 2_366_000),
-                                       (["--q", "16", "--X", "4"], 1_792_000),
-                                       (["--X", "7"], 1_600_000)])
+@pytest.mark.parametrize("argv,need", [(["--q", "13", "--X", "2"], 2_718_365),
+                                       (["--q", "16", "--X", "4"], 2_211_869),
+                                       (["--X", "7"], 2_079_328),
+                                       (["--X", "10"], 1_500_400)])
 def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys):
-    # (13, 2) and (16, 4) would build kernels for 1.6-3.2 s and then fail
-    # with CutoffTooSmall; the bound 28,000 q^2/X is over the cap, so they
-    # are refused before any kernel is built; the default q range ends at 20
+    # (13, 2), (16, 4) and (20, 10) would build kernels for 1.6-18 s and
+    # then fail with CutoffTooSmall; the bound c(X) q^2/X is over the cap, so
+    # they are refused before any kernel is built; the default q range ends at 20
     voronoi._STORE.clear()
     assert main(["voronoi"] + argv) == 2
     out, err = capsys.readouterr()
@@ -268,9 +271,8 @@ def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "[time]" not in captured.out
     assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds\n", captured.err)
-    # at --jobs 1 each criterion line also gives process CPU; under threads
-    # that clock would count the other criteria, so it is left out; stdout
-    # is the same bytes either way
+    # each criterion line gives the CPU of its own check, which at --jobs 2
+    # ran alone in a worker process; stdout is the same bytes either way
     monkeypatch.setattr(verify, "ALL_CHECKS", [verify.criterion_df, verify.criterion_bilinear])
     runs = {}
     for jobs in ("1", "2"):
@@ -279,12 +281,62 @@ def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
     assert runs["1"].out == runs["2"].out
     assert runs["1"].out.startswith("check,passed,details\n")
     assert "[time]" not in runs["1"].out and "cpu" not in runs["1"].out
-    for jobs, cpu in (("1", r" cpu \d+\.\d\ds"), ("2", "")):
+    for jobs in ("1", "2"):
         lines = runs[jobs].err.splitlines()
         assert len(lines) == 3
         for line in lines[:2]:
-            assert re.fullmatch(r"\[time\] \w+: \d+\.\d\ds" + cpu, line)
+            assert re.fullmatch(r"\[time\] \w+: \d+\.\d\ds cpu \d+\.\d\ds", line)
         assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds", lines[2])
+
+
+# with one CPU pmap runs everything in the caller, where os._exit would end pytest
+_TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pmap needs 2 CPUs to fork")
+
+
+@_TWO_CPUS
+def test_pmap_runs_in_at_most_jobs_worker_processes():
+    items = list(range(8))
+    assert pmap(lambda i: (i * i, os.getpid()), items, 1) == [(i * i, os.getpid()) for i in items]
+    got = pmap(lambda i: (i * i, os.getpid()), items, 2)  # a closure: never pickled
+    assert [v for v, _ in got] == [i * i for i in items]
+    pids = {pid for _, pid in got}
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+
+
+def test_voronoi_maps_one_item_per_q_and_X(monkeypatch, capsys):
+    # a worker builds the kernels of every (q, X) it is handed; no other does
+    seen = []
+
+    def spy(fn, items, jobs):
+        seen.extend(items)
+        return [[] for _ in items]
+
+    monkeypatch.setattr(cli, "pmap", spy)
+    assert main(["voronoi", "--q", "1..4", "--X", "50,100", "--jobs", "2"]) == 0
+    capsys.readouterr()
+    assert seen == [[(q, a, x) for a in units(q)] for x in (50.0, 100.0) for q in range(1, 5)]
+
+
+def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):
+    def boom(q):
+        raise AssertionError(f"split mismatch at q={q}")
+
+    monkeypatch.setattr(cli, "split_vs_table", boom)
+    errs = {}
+    for jobs in ("1", "2"):
+        assert main(["kloosterman", "--q", "5,7", "--jobs", jobs]) == 1
+        out, errs[jobs] = capsys.readouterr()
+        assert out == ""
+    assert errs["1"] == errs["2"] == "check failed: AssertionError: split mismatch at q=5\n"
+
+
+@_TWO_CPUS
+def test_a_worker_that_dies_gives_exit_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "split_vs_table", lambda q: os._exit(3))
+    assert main(["kloosterman", "--q", "5,7", "--jobs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("worker failed: ")
 
 
 def test_module_invocation_runs():

@@ -1,8 +1,6 @@
 """Kloosterman and hyper-Kloosterman sums: oracles, identities, bounds."""
 
 import math
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -89,26 +87,6 @@ def test_split_builds_each_factor_table_once():
     assert kloosterman_table.cache_info().misses == len(factors)
 
 
-def test_factor_tables_built_once_under_threads():
-    # more workers than cores, all asking for the same factor tables at once
-    expsums._factor_tables.clear()
-    kloosterman_table.cache_clear()
-    qs = [q for q in range(4, 301) if not is_prime(q)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(lambda: [kloosterman_split_row(q) for q in qs])
-                       for _ in range(4)]
-            rows = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    want = [_packed(r) for r in rows[0]]
-    assert all([_packed(r) for r in worker] == want for worker in rows[1:])
-    factors = {p**e for q in qs for p, e in factorize(q).pairs}
-    assert kloosterman_table.cache_info().misses == len(factors)
-
-
 def _packed(z) -> bytes:
     """(re, im) doubles of a complex array, so the sign of a zero counts."""
     return np.asarray(z, dtype=complex).view(np.float64).tobytes()
@@ -149,6 +127,22 @@ def test_kloosterman_table_phases_at_units_only():
         want = (q * np.fft.ifft(np.where(mask, np.exp(2j * np.pi * inv / q), 0.0))).real
         assert kloosterman_table(q).tobytes() == want.tobytes(), q
         assert not kloosterman_table(q).flags.writeable, q
+
+
+@pytest.mark.parametrize("table,arg", [
+    (unit_mask, 1), (unit_mask, 12),
+    (unit_inverse_table, 1), (unit_inverse_table, 12),
+    (kloosterman_table, 1), (kloosterman_table, 12),
+    (hyper_kl3_table, 1), (hyper_kl3_table, 12),
+    # the explicit formula needs an odd prime power p^gamma with gamma >= 2
+    (kloosterman_explicit_pp_table, PrimePower(3, 2)),
+    (kloosterman_explicit_pp_table, PrimePower(5, 3)),
+])
+def test_cached_tables_are_read_only(table, arg):
+    # a cache hands one array to every caller, so none may write to it
+    with pytest.raises(ValueError, match="read-only"):
+        table(arg)[0] = 5
+    assert not table(arg).flags.writeable
 
 
 @pytest.mark.parametrize("pp", [PrimePower(3, 2), PrimePower(3, 3), PrimePower(5, 2),

@@ -4,9 +4,7 @@ import hashlib
 import math
 import subprocess
 import sys
-import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -159,23 +157,13 @@ def test_kernels_are_a_function_of_q_and_X():
 
 
 def test_gate_builds_one_kernel_per_q_and_X():
-    # the gate visits X outermost, then q, so a store of one grid and two
-    # kernels builds every (q, X) kernel and every X grid exactly once
+    # the gate visits X outermost, then q, so a store of one grid and one
+    # q's kernels builds every (q, X) kernel and every X grid exactly once
     store = voronoi._STORE
     store.clear()
     assert verify.criterion_voronoi(quick=True).passed
     assert (store.kernel_builds, store.grid_builds) == (6, 1)
-    assert store.X == 50.0 and list(store.held) == [5, 6]
-
-
-def test_kernels_built_once_per_key_under_two_jobs(capsys):
-    # two pool threads work on neighbouring cells, at most two keys at
-    # once; the two-kernel store builds each (q, X) once, as jobs=1 does
-    store = voronoi._STORE
-    store.clear()
-    assert main(["voronoi", "--q", "1..8", "--X", "50", "--jobs", "2"]) == 0
-    assert (store.kernel_builds, store.grid_builds) == (8, 1)
-    capsys.readouterr()
+    assert (store.X, store.q) == (50.0, 6)
 
 
 def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeypatch):
@@ -185,17 +173,17 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
     store.clear()
     voronoi_residual(1, 3, SmoothWeight(50.0))
     voronoi_residual(1, 4, SmoothWeight(50.0))
-    old = [weakref.ref(store.bk)] + [weakref.ref(w) for k in store.held.values() for w in k[:2]]
+    old = [weakref.ref(store.bk)] + [weakref.ref(w) for w in store.kern[:2]]
     seen = []
     build = voronoi._build_grid
 
     def spy(X):
-        seen.append((X, store.bk, dict(store.held), [r() is None for r in old]))
+        seen.append((X, store.bk, store.kern, [r() is None for r in old]))
         return build(X)
 
     monkeypatch.setattr(voronoi, "_build_grid", spy)
     voronoi_residual(1, 3, SmoothWeight(100.0))
-    assert seen == [(100.0, None, {}, [True] * 5)]
+    assert seen == [(100.0, None, None, [True] * 3)]
     assert (store.kernel_builds, store.grid_builds) == (3, 2)
 
 
@@ -397,6 +385,25 @@ def test_kernel_bytes_are_pinned(q, X):
     assert (n_auto, hashlib.sha256(real).hexdigest()) == _KERNEL_PINS[(q, X)]
 
 
+def test_a_new_q_drops_the_old_kernels_before_its_build(monkeypatch):
+    # one kernel slot: the old q's kernels are freed before the next build
+    store = voronoi._STORE
+    store.clear()
+    voronoi_residual(1, 1, SmoothWeight(50.0))
+    old = [weakref.ref(w) for w in store.kern[:2]]
+    seen = []
+    build = voronoi._build_kernels
+
+    def spy(q, X, grid):
+        seen.append((q, store.q, store.kern, [r() is None for r in old]))
+        return build(q, X, grid)
+
+    monkeypatch.setattr(voronoi, "_build_kernels", spy)
+    voronoi_residual(1, 2, SmoothWeight(50.0))
+    assert seen == [(2, None, None, [True, True])]
+    assert (store.q, store.kernel_builds, store.grid_builds) == (2, 2, 1)
+
+
 def test_quick_grid_cells_are_pinned():
     # every field of the 12 cells of criterion 9's quick grid, as float.hex,
     # recorded before the complex kernels and the one-vector dual sum
@@ -410,30 +417,6 @@ def test_quick_grid_cells_are_pinned():
     assert digest.hexdigest() == (
         "3e5a1456444250a1c9d812f29fcce352e74fff72778975c8b0d900db8f6f8983"
     )
-
-
-def test_kernels_built_once_under_threads():
-    # more workers than cores reach one new (q, X) together; the lock
-    # around the lookup leaves one build and the rest cache hits
-    h = SmoothWeight(50.0)
-    voronoi._STORE.clear()
-    voronoi._STORE.grid(50.0)
-    start = threading.Barrier(4)
-
-    def cell(a):
-        start.wait(timeout=60)
-        return voronoi_residual(a, 7, h)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(cell, a) for a in (1, 2, 3, 4)]
-            reports = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(old)
-    assert voronoi._STORE.kernel_builds == 1
-    assert all(r.relative_residual < 1e-6 for r in reports)
 
 
 def test_importing_the_package_does_not_load_scipy():
