@@ -112,7 +112,7 @@ def frakC_gamma_u(params: CharSumParams) -> complex:
     umq = unit_mask(q)
     units = np.nonzero(unit_mask(pu))[0].astype(np.int64)
     inv_pu = unit_inverse_table(pu)
-    lam2_inv = pow(params.lam2, -1, pu) if pu > 1 else 0
+    lam2_inv = pow(params.lam2, -1, pu)
 
     abar1 = inv_pu[units]
     abar2 = (lam2_inv * ((params.lam1 % pu) * abar1 - params.m)) % pu
@@ -336,8 +336,6 @@ def df_correlation(a: int, b: int, pp: PrimePower) -> BoundReport:
 
 def _calC_factor(n1: int, n2: int, mtil: int, b: int, qi: int, v: int) -> complex:
     """One CRT factor of calC at the prime-power modulus qi with twist v."""
-    if qi == 1:
-        return 1 + 0j
     table = kloosterman_table(qi)
     inv = unit_inverse_table(qi)
     um = unit_mask(qi)
@@ -368,7 +366,7 @@ def calC(n1: int, n2: int, mtil: int, b: int, q: int) -> BoundReport:
     crt = 1 + 0j
     for p, e in factorize(q).pairs:
         qi = p**e
-        v = pow(q // qi, -1, qi) if qi > 1 else 0
+        v = pow(q // qi, -1, qi)
         crt *= _calC_factor(n1, n2, mtil, b, qi, v)
     if abs(direct - crt) > 1e-6 * q * q:
         raise IdentityViolation(

@@ -6,7 +6,14 @@ given invocation is byte-reproducible (including across --jobs values;
 parallel results are merged back in canonical order).  Timing goes to
 stderr only.
 
-Exit codes: 0 success, 1 any check/invariant failure, 2 usage error.
+build_parser defines each option once: its flag, its converter and its
+default.  A --config JSON file stands for the flags it names, which are
+parsed ahead of the command line's own, so a flag overrides the file.
+EXPSUM_JOBS is the string default of --jobs and is converted as a flag's
+value is.  validate then refuses values beyond the caps.
+
+Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
+bad flag, config value or EXPSUM_JOBS, or a value beyond the caps).
 """
 
 from __future__ import annotations
@@ -15,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 from time import perf_counter, process_time
@@ -51,7 +57,10 @@ from .voronoi import (
     voronoi_residual,
 )
 
-__all__ = ["main", "load_config", "parse_int_list", "ParseError", "ValidationError"]
+__all__ = [
+    "main", "build_parser", "validate", "load_config", "parse_int_list",
+    "ParseError", "ValidationError",
+]
 
 SUBCOMMANDS = (
     "kloosterman",
@@ -91,13 +100,8 @@ VORONOI_QS = list(range(1, 21))
 # the correlation-sum parameters of the charsum-pp and charsum-prime rows
 _TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
 
-CONFIG_KEYS = {
-    "p", "gamma_max", "u_max", "q", "X", "M", "N",
-    "out", "format", "jobs", "tol", "quick",
-}
 
-
-class ParseError(ValueError):
+class ParseError(argparse.ArgumentTypeError):
     """Malformed config file or range expression."""
 
 
@@ -105,63 +109,45 @@ class ValidationError(ValueError):
     """Config contains unknown keys or out-of-cap values."""
 
 
-@dataclass
-class RunConfig:
-    """Validated parameters for one subcommand invocation."""
-
-    subcommand: str
-    p: list[int] = field(default_factory=list)
-    gamma_max: int = 3
-    u_max: int | None = None
-    q: list[int] = field(default_factory=list)
-    X: list[float] = field(default_factory=list)
-    M: list[int] = field(default_factory=list)
-    N: list[int] = field(default_factory=list)
-    out: str | None = None
-    format: str = "csv"
-    jobs: int = 1
-    tol: float | None = None
-    quick: bool = False
-    self_test: bool = False
-
-    def validate(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValidationError(f"format must be csv or json, got {self.format}")
-        if not 1 <= self.jobs <= CAPS["jobs"]:
-            raise ValidationError(f"jobs must be in [1, {CAPS['jobs']}]")
-        if self.tol is not None and self.tol < 1e-12:
-            raise ValidationError("tolerance override below machine default 1e-12")
-        if self.gamma_max > CAPS["gamma_max"]:
-            raise ValidationError(f"gamma_max {self.gamma_max} above cap {CAPS['gamma_max']}")
-        if self.u_max is not None and self.u_max > CAPS["u_max"]:
-            raise ValidationError(f"u_max {self.u_max} above cap {CAPS['u_max']}")
-        for key in ("q", "M", "N"):
-            for v in getattr(self, key):
-                if not 1 <= v <= CAPS[key]:
-                    raise ValidationError(f"{key} = {v} outside [1, {CAPS[key]}]")
-        for p in self.p:
-            if not 2 <= p <= CAPS["p"] or not is_prime(p):
-                raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
-        voronoi = self.subcommand == "voronoi"
-        cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
-        for x in self.X:
-            if not 0 < x <= cap_x:
-                raise ValidationError(f"X = {x} outside (0, {cap_x}]")
-            if not voronoi:
-                continue
-            mass = abs(voronoi_lhs(1, 1, SmoothWeight(x)))  # sum d(n) h(n)
-            if mass < VORONOI_MASS_FLOOR:
-                raise ValidationError(
-                    f"X = {x}: the support (X, 2X) holds no integer mass of at least "
-                    f"{VORONOI_MASS_FLOOR}: sum d(n) h(n) = {mass:.3e}"
-                )
-            q = max(self.q or VORONOI_QS)
-            need = predicted_terms(q, x)
-            if need > N_HARD_CAP:
-                raise ValidationError(
-                    f"q = {q}, X = {x}: the dual sum needs at least {need} terms, "
-                    f"above the cap {N_HARD_CAP}"
-                )
+def validate(cfg: argparse.Namespace) -> None:
+    """Refuse parsed options beyond the caps, and voronoi cells that cannot converge."""
+    if not 1 <= cfg.jobs <= CAPS["jobs"]:
+        raise ValidationError(f"jobs must be in [1, {CAPS['jobs']}]")
+    if cfg.tol is not None and cfg.tol < 1e-12:
+        raise ValidationError("tolerance override below machine default 1e-12")
+    if cfg.gamma_max > CAPS["gamma_max"]:
+        raise ValidationError(f"gamma_max {cfg.gamma_max} above cap {CAPS['gamma_max']}")
+    if cfg.u_max is not None and cfg.u_max > CAPS["u_max"]:
+        raise ValidationError(f"u_max {cfg.u_max} above cap {CAPS['u_max']}")
+    for key in ("q", "M", "N"):
+        for v in getattr(cfg, key):
+            if not 1 <= v <= CAPS[key]:
+                raise ValidationError(f"{key} = {v} outside [1, {CAPS[key]}]")
+    for p in cfg.p:
+        if not 2 <= p <= CAPS["p"] or not is_prime(p):
+            raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
+    voronoi = cfg.subcommand == "voronoi"
+    cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
+    for x in cfg.X:
+        if not 0 < x <= cap_x:
+            raise ValidationError(f"X = {x} outside (0, {cap_x}]")
+        if not voronoi:
+            if x != int(x):
+                raise ValidationError(f"X = {x} is not an integer")
+            continue
+        mass = abs(voronoi_lhs(1, 1, SmoothWeight(x)))  # sum d(n) h(n)
+        if mass < VORONOI_MASS_FLOOR:
+            raise ValidationError(
+                f"X = {x}: the support (X, 2X) holds no integer mass of at least "
+                f"{VORONOI_MASS_FLOOR}: sum d(n) h(n) = {mass:.3e}"
+            )
+        q = max(cfg.q or VORONOI_QS)
+        need = predicted_terms(q, x)
+        if need > N_HARD_CAP:
+            raise ValidationError(
+                f"q = {q}, X = {x}: the dual sum needs at least {need} terms, "
+                f"above the cap {N_HARD_CAP}"
+            )
 
 
 def parse_int_list(text: str) -> list[int]:
@@ -197,8 +183,13 @@ def parse_float_list(text: str) -> list[float]:
         raise ParseError(f"bad float list {text!r}") from exc
 
 
-def load_config(path: str) -> dict:
-    """JSON config; unknown keys rejected, range strings allowed."""
+def load_config(path: str, keys: set[str]) -> list[str]:
+    """The flags a JSON config object stands for; each key must be in keys.
+
+    A list is joined by commas, null counts as absent, and quick must be a
+    JSON boolean: true stands for --quick.  Every value is then converted
+    by the parser, as the same flag on the command line would be.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -207,13 +198,25 @@ def load_config(path: str) -> dict:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config {path} must be a JSON object")
-    unknown = set(raw) - CONFIG_KEYS
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    return raw
+    flags = []
+    for key, val in raw.items():
+        if key not in keys:
+            raise ValidationError(f"unknown config key {key!r}")
+        if val is None:
+            continue
+        if key == "quick":
+            if not isinstance(val, bool):
+                raise ParseError(f"config quick must be true or false, got {val!r}")
+            flags += ["--quick"] if val else []
+            continue
+        if isinstance(val, list):
+            val = ",".join(map(str, val))
+        # the --flag=value form, so that a value such as -3 is not read as a flag
+        flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-def _emit(rows: list[dict], header: list[str], cfg: RunConfig) -> None:
+def _emit(rows: list[dict], header: list[str], cfg: argparse.Namespace) -> None:
     """Write rows as CSV or JSON, to --out or stdout."""
     text = render(rows, header, cfg.format)
     if cfg.out:
@@ -222,7 +225,7 @@ def _emit(rows: list[dict], header: list[str], cfg: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _scan(one, items: list, header: list[str], cfg: RunConfig) -> list[dict]:
+def _scan(one, items: list, header: list[str], cfg: argparse.Namespace) -> list[dict]:
     """Emit the rows of one(item) for every item, in item order; return them."""
     rows = [r for rs in pmap(one, items, cfg.jobs) for r in rs]
     _emit(rows, header, cfg)
@@ -232,7 +235,7 @@ def _scan(one, items: list, header: list[str], cfg: RunConfig) -> list[dict]:
 # ---------------------------------------------------------------- runners
 
 
-def _run_kloosterman(cfg: RunConfig) -> int:
+def _run_kloosterman(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-9
 
     def one(q: int) -> list[dict]:
@@ -249,7 +252,7 @@ def _run_kloosterman(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_hyperkl3(cfg: RunConfig) -> int:
+def _run_hyperkl3(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
         tab = hyper_kl3_table(q)
         return [{"q": q, "m": m, "re": fmt(tab[m].real), "im": fmt(tab[m].imag),
@@ -259,7 +262,7 @@ def _run_hyperkl3(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_charsum_pp(cfg: RunConfig) -> int:
+def _run_charsum_pp(cfg: argparse.Namespace) -> int:
     def one(cell: tuple[int, int, int]) -> list[dict]:
         p, gamma, u = cell
         return [
@@ -286,7 +289,7 @@ def _run_charsum_pp(cfg: RunConfig) -> int:
     return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else 0
 
 
-def _run_charsum_prime(cfg: RunConfig) -> int:
+def _run_charsum_prime(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
     def one(p: int) -> list[dict]:
@@ -316,7 +319,7 @@ def _run_charsum_prime(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_df(cfg: RunConfig) -> int:
+def _run_df(cfg: argparse.Namespace) -> int:
     mods = [
         (p, gamma)
         for p in cfg.p or [3, 5, 7]
@@ -337,7 +340,7 @@ def _run_df(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_calc(cfg: RunConfig) -> int:
+def _run_calc(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
         return [
             {"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b,
@@ -356,7 +359,7 @@ def _run_calc(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_glue(cfg: RunConfig) -> int:
+def _run_glue(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
         return [
             {"d": d, "q": q,
@@ -377,7 +380,7 @@ def _run_glue(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_voronoi(cfg: RunConfig) -> int:
+def _run_voronoi(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
     def one(cell: tuple[int, int, float]) -> list[dict]:
@@ -395,11 +398,11 @@ def _run_voronoi(cfg: RunConfig) -> int:
             "_rel": rep.relative_residual,
         }]
 
-    # one item per (q, X), so that one worker builds each kernel
+    # one item per X, so that one worker builds each X's moment grid and kernels
     cells = voronoi_cells(cfg.q or VORONOI_QS, cfg.X or [50.0])
     rows = _scan(
         lambda group: [row for cell in group for row in one(cell)],
-        [list(g) for _, g in groupby(cells, key=lambda c: (c[0], c[2]))],
+        [list(g) for _, g in groupby(cells, key=lambda c: c[2])],
         ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
          "truncation", "residual", "relative"],
         cfg,
@@ -411,7 +414,7 @@ def _run_voronoi(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_bilinear(cfg: RunConfig) -> int:
+def _run_bilinear(cfg: argparse.Namespace) -> int:
     configs = [
         BilinearConfig(q=q, M=m, N=n, b=middle_unit(q))
         for q in cfg.q or [27, 49, 121]
@@ -423,8 +426,7 @@ def _run_bilinear(cfg: RunConfig) -> int:
     return 0 if all(r.within_trivial for r in reports) else 1
 
 
-def _run_distribution(cfg: RunConfig) -> int:
-    x = int(cfg.X[0]) if cfg.X else 10**4
+def _run_distribution(cfg: argparse.Namespace) -> int:
     tol = cfg.tol if cfg.tol is not None else 1e-6
     rows = [
         {
@@ -434,7 +436,8 @@ def _run_distribution(cfg: RunConfig) -> int:
             "max_abs_delta": fmt(r["max_abs_delta"]),
             "slope_fit": fmt(r["slope_fit"]),
         }
-        for r in discrepancy_scan(x, cfg.q or [3, 5, 7, 9], tol=tol)
+        for x in cfg.X or [10**4]
+        for r in discrepancy_scan(int(x), cfg.q or [3, 5, 7, 9], tol=tol)
     ]
     _emit(
         rows,
@@ -445,7 +448,7 @@ def _run_distribution(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_verify_all(cfg: RunConfig) -> int:
+def _run_verify_all(cfg: argparse.Namespace) -> int:
     results = run_checks(quick=cfg.quick, jobs=cfg.jobs)
     if cfg.self_test:
         results = results + [criterion_determinism()]
@@ -485,52 +488,30 @@ def build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--p", help="prime list, e.g. 3,5,7")
-        sp.add_argument("--gamma-max", type=int, dest="gamma_max")
-        sp.add_argument("--u-max", type=int, dest="u_max")
-        sp.add_argument("--q", help="modulus list/range, e.g. 1..20 or 9,27")
-        sp.add_argument("--X", help="scale list, e.g. 50,100")
-        sp.add_argument("--M", help="m-range sizes, e.g. 100,200")
-        sp.add_argument("--N", help="window sizes, e.g. 2,4")
+        sp.add_argument("--p", type=parse_int_list, default=[],
+                        help="prime list, e.g. 3,5,7")
+        sp.add_argument("--gamma-max", type=int, default=3)
+        sp.add_argument("--u-max", type=int)
+        sp.add_argument("--q", type=parse_int_list, default=[],
+                        help="modulus list/range, e.g. 1..20 or 9,27")
+        sp.add_argument("--X", type=parse_float_list, default=[],
+                        help="scale list, e.g. 50,100")
+        sp.add_argument("--M", type=parse_int_list, default=[],
+                        help="m-range sizes, e.g. 100,200")
+        sp.add_argument("--N", type=parse_int_list, default=[],
+                        help="window sizes, e.g. 2,4")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"))
-        sp.add_argument("--jobs", type=int, help="worker processes "
-                        "(default: EXPSUM_JOBS or 1)")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        # a string default is converted by type=int, as a flag's value is
+        sp.add_argument("--jobs", type=int, default=os.environ.get("EXPSUM_JOBS", "1"),
+                        help="worker processes (default: EXPSUM_JOBS or 1)")
         sp.add_argument("--tol", type=float, help="tolerance override")
         if name == "verify-all":
             sp.add_argument("--quick", action="store_true",
                             help="reduced ranges, sub-minute run")
-            sp.add_argument("--self-test", action="store_true", dest="self_test",
+            sp.add_argument("--self-test", action="store_true",
                             help="also run the CLI determinism check")
     return parser
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = load_config(args.config) if args.config else {}
-
-    def given(key: str):
-        """The flag's value, else the config file's, else None."""
-        val = getattr(args, key, None)
-        return base.get(key) if val is None else val
-
-    cfg = RunConfig(subcommand=args.subcommand)
-    for key in ("p", "q", "M", "N"):
-        val = given(key)
-        if val is not None:
-            setattr(cfg, key, [int(v) for v in val] if isinstance(val, list)
-                    else parse_int_list(val))
-    xval = given("X")
-    if xval is not None:
-        cfg.X = [float(v) for v in xval] if isinstance(xval, list) else parse_float_list(xval)
-    for key in ("gamma_max", "u_max", "out", "format", "tol"):
-        if given(key) is not None:
-            setattr(cfg, key, given(key))
-    jobs = given("jobs")
-    cfg.jobs = int(jobs if jobs is not None else os.environ.get("EXPSUM_JOBS", "1"))
-    cfg.quick = bool(getattr(args, "quick", False) or base.get("quick", False))
-    cfg.self_test = bool(getattr(args, "self_test", False))
-    cfg.validate()
-    return cfg
 
 
 def _cpu() -> float:
@@ -540,14 +521,18 @@ def _cpu() -> float:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+    argv = sys.argv[1:] if argv is None else argv
     t0, c0 = perf_counter(), _cpu()
     try:
-        cfg = _build_config(args)
+        parser = build_parser()
+        cfg = parser.parse_args(argv)
+        if cfg.config:  # its flags go ahead of argv's own, so a flag overrides the file
+            keys = set(vars(cfg)) - {"subcommand", "config"}
+            rest = argv[argv.index(cfg.subcommand) + 1:]
+            cfg = parser.parse_args([cfg.subcommand, *load_config(cfg.config, keys), *rest])
+        validate(cfg)
+    except SystemExit as exc:  # argparse refused an option, or printed --help
+        return int(exc.code) if exc.code else 0
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

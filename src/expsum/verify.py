@@ -15,6 +15,7 @@ minute; full mode enforces the stated desk-scale ranges.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import subprocess
@@ -90,17 +91,34 @@ class CheckResult:
     cpu: float  # CPU seconds of the process running the check, helper threads included
 
 
-def _result(name: str, passed: bool, details: str, t0: tuple[float, float]) -> CheckResult:
-    """The check's result, timed from t0 = (perf_counter(), process_time())."""
-    return CheckResult(name, passed, details, perf_counter() - t0[0], process_time() - t0[1])
+def _criterion(name: str):
+    """Make a check that returns (passed, details) return its timed CheckResult.
+
+    The result is named name whether the check passes, fails or raises; a
+    check that raises gives a failed result whose details name the exception.
+    """
+
+    def decorate(check: Callable[[bool], tuple[bool, str]]) -> Callable[[bool], CheckResult]:
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CheckResult:
+            t0, c0 = perf_counter(), process_time()
+            try:
+                passed, details = check(*args, **kwargs)
+            except Exception as exc:  # invariant violations become failed rows
+                passed, details = False, f"raised {type(exc).__name__}: {exc}"
+            return CheckResult(name, passed, details, perf_counter() - t0, process_time() - c0)
+
+        return run
+
+    return decorate
 
 
 # ------------------------------------------------------------------ 1
 
 
-def criterion_explicit_pp(quick: bool = False) -> CheckResult:
+@_criterion("explicit_pp_formula")
+def criterion_explicit_pp(quick: bool = False) -> tuple[bool, str]:
     """Explicit prime-power formula vs the FFT Kloosterman tables, scaled 1e-9."""
-    t0 = perf_counter(), process_time()
     cap = 10**4 if quick else 10**6
     worst = 0.0
     worst_zero = 0.0
@@ -128,22 +146,19 @@ def criterion_explicit_pp(quick: bool = False) -> CheckResult:
                 )
             count += int(unit.sum())
     passed = worst <= 1e-9 and worst_zero <= 1e-9
-    return _result(
-        "explicit_pp_formula",
-        passed,
+    return passed, (
         f"{count} coprime (beta,p,gamma) values to p^gamma<={cap}; "
         f"worst scaled error {fmt(worst)}; "
-        f"worst direct value at predicted zeros {fmt(worst_zero)}",
-        t0,
+        f"worst direct value at predicted zeros {fmt(worst_zero)}"
     )
 
 
 # ------------------------------------------------------------------ 2
 
 
-def criterion_sigma00(quick: bool = False) -> CheckResult:
+@_criterion("sigma00_identity")
+def criterion_sigma00(quick: bool = False) -> tuple[bool, str]:
     """Double-divisor route equals the Moebius route, exactly."""
-    t0 = perf_counter(), process_time()
     cap = 120 if quick else 500
     spots = {(1, 12): 18, (2, 4): 3, (6, 1): 1}
     bad = 0
@@ -151,21 +166,18 @@ def criterion_sigma00(quick: bool = False) -> CheckResult:
     for (k, l), expect in spots.items():
         if sigma00(k, l) != expect:
             bad += 1
-    return _result(
-        "sigma00_identity",
-        bad == 0,
+    return bad == 0, (
         f"all 1<=k,l<={cap} agree on both routes; "
-        f"{len(spots) - bad}/{len(spots)} spot values exact",
-        t0,
+        f"{len(spots) - bad}/{len(spots)} spot values exact"
     )
 
 
 # ------------------------------------------------------------------ 3
 
 
-def criterion_crt_split(quick: bool = False) -> CheckResult:
+@_criterion("crt_split_two_path")
+def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
     """CRT splitting and hyper-Kloosterman two-path agreement, 1e-9*q."""
-    t0 = perf_counter(), process_time()
     qcap = 120 if quick else 500
     comp_cap = 1000 if quick else 10**4
     deg_cap = 500 if quick else 2000
@@ -200,40 +212,34 @@ def criterion_crt_split(quick: bool = False) -> CheckResult:
             worst_split = max(worst_split, diff / q)
             n_comp += 1
     passed = worst_split <= 1e-9 and worst_hyper <= 1e-9
-    return _result(
-        "crt_split_two_path",
-        passed,
+    return passed, (
         f"q<={qcap} all m plus {n_comp} sampled composite pairs to q<={comp_cap}; "
         f"worst split error {fmt(worst_split)}*q, "
-        f"worst hyper two-path error {fmt(worst_hyper)}*q",
-        t0,
+        f"worst hyper two-path error {fmt(worst_hyper)}*q"
     )
 
 
 # ------------------------------------------------------------------ 4
 
 
-def criterion_weil_deligne(quick: bool = False) -> CheckResult:
+@_criterion("weil_deligne_audit")
+def criterion_weil_deligne(quick: bool = False) -> tuple[bool, str]:
     """|S(a,b;p)| <= 2 sqrt p and |Kl3~(m,p)| <= 3, exhaustively."""
-    t0 = perf_counter(), process_time()
     cap = 50 if quick else 200
     rep = weil_audit(cap)
-    return _result(
-        "weil_deligne_audit",
-        rep.ratio <= 1.0,
+    return rep.ratio <= 1.0, (
         f"primes p<={cap}; worst bound fraction {fmt(rep.ratio)} "
         f"(Weil at p={rep.aux['weil_argmax'][0]}, "
-        f"Deligne at p={rep.aux['deligne_argmax'][0]})",
-        t0,
+        f"Deligne at p={rep.aux['deligne_argmax'][0]})"
     )
 
 
 # ------------------------------------------------------------------ 5
 
 
-def criterion_charsum_pp(quick: bool = False) -> CheckResult:
+@_criterion("charsum_prime_power")
+def criterion_charsum_pp(quick: bool = False) -> tuple[bool, str]:
     """c_{gamma,u} scan: predicted vanishing is real; ratios <= 16."""
-    t0 = perf_counter(), process_time()
     gmax = 4 if quick else 6
     per_cell = 40 if quick else 200
     worst_ratio = 0.0
@@ -246,22 +252,19 @@ def criterion_charsum_pp(quick: bool = False) -> CheckResult:
             vanish_predicted += rep.vanishing_predicted
             vanish_violated += rep.vanishing_predicted and not rep.vanished
     passed = vanish_violated == 0 and worst_ratio <= RATIO_CAP
-    return _result(
-        "charsum_prime_power",
-        passed,
+    return passed, (
         f"{count} tuples over {len(cells)} cells (p in 3,5; gamma<={gmax}); "
         f"max ratio {fmt(worst_ratio)}; {vanish_predicted} predicted "
-        f"vanishings, {vanish_violated} violated",
-        t0,
+        f"vanishings, {vanish_violated} violated"
     )
 
 
 # ------------------------------------------------------------------ 6
 
 
-def criterion_charsum_prime(quick: bool = False) -> CheckResult:
+@_criterion("charsum_prime_moebius")
+def criterion_charsum_prime(quick: bool = False) -> tuple[bool, str]:
     """c_{1,1}: projective completion equals the Moebius route."""
-    t0 = perf_counter(), process_time()
     pcap = 13 if quick else 31
     per_p = 15 if quick else 50
     worst_diff = 0.0
@@ -275,21 +278,18 @@ def criterion_charsum_prime(quick: bool = False) -> CheckResult:
             worst_ratio = max(worst_ratio, rep.ratio)
             count += 1
     passed = worst_diff <= 1e-6 and worst_ratio <= RATIO_CAP
-    return _result(
-        "charsum_prime_moebius",
-        passed,
+    return passed, (
         f"{count} tuples over primes p<={pcap}; worst scaled route "
-        f"difference {fmt(worst_diff)}; max ratio {fmt(worst_ratio)}",
-        t0,
+        f"difference {fmt(worst_diff)}; max ratio {fmt(worst_ratio)}"
     )
 
 
 # ------------------------------------------------------------------ 7
 
 
-def criterion_df(quick: bool = False) -> CheckResult:
+@_criterion("df_second_moment")
+def criterion_df(quick: bool = False) -> tuple[bool, str]:
     """Second-moment correlation bound; |S(1,x;5)|^2 spot value 19."""
-    t0 = perf_counter(), process_time()
     caps = {3: 4, 5: 3, 7: 2} if quick else {3: 6, 5: 4, 7: 3}
     per_mod = 30 if quick else 100
     worst_ratio = 0.0
@@ -302,21 +302,18 @@ def criterion_df(quick: bool = False) -> CheckResult:
     spot = df_correlation(1, 0, PrimePower(5, 1)).sum_value
     spot_err = abs(spot - 19)
     passed = worst_ratio <= RATIO_CAP and spot_err <= 1e-6
-    return _result(
-        "df_second_moment",
-        passed,
+    return passed, (
         f"{count} pairs over {sum(caps.values())} moduli; max ratio "
-        f"{fmt(worst_ratio)}; spot sum|S(1,x;5)|^2 error {fmt(spot_err)}",
-        t0,
+        f"{fmt(worst_ratio)}; spot sum|S(1,x;5)|^2 error {fmt(spot_err)}"
     )
 
 
 # ------------------------------------------------------------------ 8
 
 
-def criterion_calc_glue(quick: bool = False) -> CheckResult:
+@_criterion("calc_glue_crt")
+def criterion_calc_glue(quick: bool = False) -> tuple[bool, str]:
     """calC and glue sums: CRT equals direct; ratios <= 16; deltas exact."""
-    t0 = perf_counter(), process_time()
     qcap = 60 if quick else 200
     worst_calc = 0.0
     worst_glue = 0.0
@@ -340,35 +337,29 @@ def criterion_calc_glue(quick: bool = False) -> CheckResult:
     passed = (
         worst_calc <= RATIO_CAP and worst_glue <= RATIO_CAP and predicates_ok
     )
-    return _result(
-        "calc_glue_crt",
-        passed,
+    return passed, (
         f"{n_calc} calC tuples and {n_glue} glue tuples (q<={qcap}, "
         f"{n_crt} with coprime-split cross-check); max calC ratio "
         f"{fmt(worst_calc)}; max glue ratio {fmt(worst_glue)}; "
-        f"congruence predicates exact: {predicates_ok}",
-        t0,
+        f"congruence predicates exact: {predicates_ok}"
     )
 
 
 # ------------------------------------------------------------------ 9
 
 
-def criterion_voronoi(quick: bool = False) -> CheckResult:
+@_criterion("voronoi_identity")
+def criterion_voronoi(quick: bool = False) -> tuple[bool, str]:
     """Voronoi identity residual <= 1e-6 relative across the grid."""
-    t0 = perf_counter(), process_time()
     qcap = 6 if quick else 20
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
     worst = 0.0
     cells = voronoi_cells(range(1, qcap + 1), xs)
     for q, a, x in cells:
         worst = max(worst, voronoi_residual(a, q, SmoothWeight(x)).relative_residual)
-    return _result(
-        "voronoi_identity",
-        worst <= 1e-6,
+    return worst <= 1e-6, (
         f"{len(cells)} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
-        f"worst relative residual {fmt(worst)}",
-        t0,
+        f"worst relative residual {fmt(worst)}"
     )
 
 
@@ -384,9 +375,9 @@ def _d3_triple_loop(X: int) -> np.ndarray:
     return out
 
 
-def criterion_distribution(quick: bool = False) -> CheckResult:
+@_criterion("d3_distribution")
+def criterion_distribution(quick: bool = False) -> tuple[bool, str]:
     """Zero-sum exactness, Ramanujan splitting, sieve vs triple loop."""
-    t0 = perf_counter(), process_time()
     big_x = 10**4 if quick else 10**6
     sf_cap = 30 if quick else 200
     powers = [9, 27] if quick else [9, 27, 81, 243]
@@ -412,13 +403,10 @@ def criterion_distribution(quick: bool = False) -> CheckResult:
         )
     passed = sieve_ok and worst_glue <= 1e-9
     n_pairs = sum(1 for r in rows if r["a"] != "*")
-    return _result(
-        "d3_distribution",
-        passed,
+    return passed, (
         f"zero-sum and Ramanujan splitting verified for {n_pairs} (q,a) "
         f"pairs at X={big_x}; sieve equals triple loop to X={loop_x}: "
-        f"{sieve_ok}; worst re-bracketing error {fmt(worst_glue)}",
-        t0,
+        f"{sieve_ok}; worst re-bracketing error {fmt(worst_glue)}"
     )
 
 
@@ -446,9 +434,9 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
     return configs[: 10 if quick else 50]
 
 
-def criterion_bilinear(quick: bool = False) -> CheckResult:
+@_criterion("bilinear_paths")
+def criterion_bilinear(quick: bool = False) -> tuple[bool, str]:
     """Path agreement, trivial bound, and the hypothesis-flag CSV."""
-    t0 = perf_counter(), process_time()
     configs = _bilinear_grid(quick)
     reports = cancellation_scan(configs)  # raises on split
     exceed = [r for r in reports if not r.within_trivial]
@@ -458,13 +446,10 @@ def criterion_bilinear(quick: bool = False) -> CheckResult:
         "exponent,hypothesis_ok"
     )
     passed = not exceed and header_ok
-    return _result(
-        "bilinear_paths",
-        passed,
+    return passed, (
         f"{len(reports)} configs (q up to {max(c.q for c in configs)}); "
         f"paths agree at 1e-9; {len(exceed)} trivial-bound violations; "
-        f"CSV rows {len(csv_text.splitlines()) - 1} with hypothesis flags",
-        t0,
+        f"CSV rows {len(csv_text.splitlines()) - 1} with hypothesis flags"
     )
 
 
@@ -476,9 +461,9 @@ def reports_csv(reports: list[CancellationReport]) -> str:
 # ------------------------------------------------------------------ 12
 
 
-def criterion_determinism(quick: bool = True) -> CheckResult:
+@_criterion("verify_all_determinism")
+def criterion_determinism(quick: bool = True) -> tuple[bool, str]:
     """verify-all twice: byte-identical output files, exit code 0."""
-    t0 = perf_counter(), process_time()
     src_root = str(Path(__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = src_root + (
@@ -500,12 +485,9 @@ def criterion_determinism(quick: bool = True) -> CheckResult:
             outs.append(out.read_bytes() if out.exists() else b"")
         identical = outs[0] == outs[1] and len(outs[0]) > 0
         passed = identical and codes == [0, 0]
-    return _result(
-        "verify_all_determinism",
-        passed,
+    return passed, (
         f"two quick runs: exit codes {codes[0]},{codes[1]}; outputs "
-        f"byte-identical: {identical} ({len(outs[0])} bytes)",
-        t0,
+        f"byte-identical: {identical} ({len(outs[0])} bytes)"
     )
 
 
@@ -524,19 +506,10 @@ ALL_CHECKS: list[Callable[[bool], CheckResult]] = [
 ]
 
 
-def _run_one(f: Callable[[bool], CheckResult], quick: bool) -> CheckResult:
-    t0 = perf_counter(), process_time()
-    try:
-        return f(quick)
-    except Exception as exc:  # invariant violations become failed rows
-        name = f.__name__.removeprefix("criterion_")
-        return _result(name, False, f"raised {type(exc).__name__}: {exc}", t0)
-
-
 def run_checks(quick: bool = False, jobs: int = 1) -> list[CheckResult]:
     """Run checks 1-11 and return results in canonical order.
 
     At jobs > 1 the checks run in worker processes (families.pmap), so the
     CPU time of each result counts its own check alone, as at jobs=1.
     """
-    return pmap(lambda f: _run_one(f, quick), ALL_CHECKS, jobs)
+    return pmap(lambda f: f(quick), ALL_CHECKS, jobs)

@@ -15,11 +15,12 @@ from expsum import cli, distribution, verify, voronoi
 from expsum.cli import (
     CAPS,
     ParseError,
-    RunConfig,
     ValidationError,
+    build_parser,
     load_config,
     main,
     parse_int_list,
+    validate,
 )
 from expsum.families import pmap, units
 
@@ -54,12 +55,14 @@ def test_validate_rejects_exactly_the_q_and_N_outside_the_caps(qs, ns):
     outside = any(not 1 <= q <= CAPS["q"] for q in qs) or any(
         not 1 <= n <= CAPS["N"] for n in ns
     )
-    cfg = RunConfig(subcommand="bilinear", q=qs, N=ns)
+    # the --flag=value form, so that a negative value is not read as a flag
+    argv = [f"--{k}={','.join(map(str, v))}" for k, v in (("q", qs), ("N", ns)) if v]
+    cfg = build_parser().parse_args(["bilinear", *argv])
     if outside:
         with pytest.raises(ValidationError):
-            cfg.validate()
+            validate(cfg)
     else:
-        cfg.validate()
+        validate(cfg)
 
 
 def test_parse_int_list_errors():
@@ -77,32 +80,112 @@ def test_parse_int_list_errors():
 
 
 def test_load_config_accepts_known_keys(tmp_path):
+    # a config stands for flags: lists joined by commas, null absent, quick a boolean
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"q": "3..5", "jobs": 2, "format": "csv"}))
-    cfg = load_config(str(path))
-    assert cfg["q"] == "3..5"
+    path.write_text(json.dumps({"q": "3..5", "X": [50, 100.5], "jobs": 2, "tol": None,
+                                "u_max": "2", "quick": True}))
+    keys = {"q", "X", "jobs", "tol", "u_max", "quick"}
+    assert load_config(str(path), keys) == [
+        "--q=3..5", "--X=50,100.5", "--jobs=2", "--u-max=2", "--quick"]
+    path.write_text(json.dumps({"q": [-3], "quick": False}))
+    assert load_config(str(path), keys) == ["--q=-3"]
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"qq": 3}))
-    with pytest.raises(ValidationError):
-        load_config(str(path))
+    with pytest.raises(ValidationError, match="'qq'"):
+        load_config(str(path), {"q"})
 
 
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("not json")
     with pytest.raises(ParseError):
-        load_config(str(path))
+        load_config(str(path), {"q"})
     with pytest.raises(ParseError):
-        load_config(str(tmp_path / "missing.json"))
+        load_config(str(tmp_path / "missing.json"), {"q"})
+    path.write_text(json.dumps([1, 2]))
+    with pytest.raises(ParseError):
+        load_config(str(path), {"q"})
+
+
+def _spy_run_checks(monkeypatch) -> list:
+    """Record (quick, jobs) of each verify-all run, which then runs no check."""
+    seen = []
+    monkeypatch.setattr(cli, "run_checks", lambda quick, jobs: seen.append((quick, jobs)) or [])
+    return seen
+
+
+@pytest.mark.parametrize("config,env,error", [
+    ({"jobs": "x"}, None, "argument --jobs: invalid int value: 'x'"),
+    ({"tol": "abc"}, None, "argument --tol: invalid float value: 'abc'"),
+    ({"q": [3, "a"]}, None, "argument --q: bad integer 'a'"),
+    ({"quick": "false"}, None, "config quick must be true or false"),
+    ({"jobs": 2.7}, None, "argument --jobs: invalid int value: '2.7'"),
+    ({"q": [1.5]}, None, "argument --q: bad integer '1.5'"),
+    (None, "x", "argument --jobs: invalid int value: 'x'"),
+], ids=["jobs-x", "tol-abc", "q-3-a", "quick-false", "jobs-2.7", "q-1.5", "EXPSUM_JOBS-x"])
+def test_bad_config_values_and_EXPSUM_JOBS_exit_2(config, env, error, tmp_path, monkeypatch,
+                                                   capsys):
+    # each value goes through the flag's converter, so a bad one is a usage error
+    seen = _spy_run_checks(monkeypatch)
+    argv = ["verify-all"]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    if env is None:
+        monkeypatch.delenv("EXPSUM_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("EXPSUM_JOBS", env)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and seen == []
+    assert error in err.splitlines()[-1]
+
+
+def test_config_quick_is_a_boolean_and_flags_override_the_file(tmp_path, monkeypatch, capsys):
+    seen = _spy_run_checks(monkeypatch)
+    monkeypatch.setenv("EXPSUM_JOBS", "2")
+    path = tmp_path / "cfg.json"
+    for config, argv in [({"quick": True}, []),
+                         ({"quick": False, "jobs": 1}, []),
+                         ({"jobs": 1}, ["--jobs", "2", "--quick"]),
+                         ({"jobs": None, "quick": None}, [])]:  # null counts as absent
+        path.write_text(json.dumps(config))
+        assert main(["verify-all", "--config", str(path), *argv]) == 0
+    assert seen == [(True, 2), (False, 1), (True, 2), (False, 2)]
+    capsys.readouterr()
+    # --quick is a verify-all flag; in any other subcommand's config it is unknown
+    path.write_text(json.dumps({"quick": True}))
+    assert main(["hyperkl3", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown config key 'quick'" in err
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"q": "3..5"}, ["hyperkl3", "--q", "3..5"]),
+    ({"q": [3], "X": [1000, 2000]}, ["distribution", "--q", "3", "--X", "1000,2000"]),
+    ({"p": 3, "u_max": "2", "gamma_max": 4}, ["charsum-pp", "--p", "3", "--u-max", "2",
+                                              "--gamma-max", "4"]),
+])
+def test_config_values_mean_what_the_flags_mean(config, argv, tmp_path, capsys):
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([argv[0], "--config", str(path)]) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"nope": 1}))
     assert main(["hyperkl3", "--config", str(bad)]) == 2
+    assert "unknown config key 'nope'" in capsys.readouterr().err
+    assert main(["hyperkl3", "--q", "5..3"]) == 2
+    assert "argument --q: reversed range '5..3'" in capsys.readouterr().err
     assert main(["charsum-pp", "--p", "3", "--gamma-max", "99"]) == 2
     assert main(["voronoi", "--q", "0"]) == 2
     assert main(["kloosterman", "--q", str(CAPS["q"] + 1)]) == 2
@@ -156,9 +239,10 @@ def test_voronoi_accepts_cells_that_converge(q, X):
     # measured n_auto: (13, 5) 1,294,336 terms, (5, 0.58) 1,277,952 (the
     # least n_auto X / q^2 measured), (6, 0.8) 1,425,408, (7, 1.1) 1,458,176
     assert voronoi.predicted_terms(q, X) <= voronoi.N_HARD_CAP
-    RunConfig(subcommand="voronoi", q=[q], X=[X]).validate()
-    for x in (50.0, 100.0, 200.0):  # the whole gate
-        RunConfig(subcommand="voronoi", q=list(range(1, 21)), X=[x]).validate()
+    parse = build_parser().parse_args
+    validate(parse(["voronoi", "--q", str(q), "--X", str(X)]))
+    for x in ("50", "100", "200"):  # the whole gate
+        validate(parse(["voronoi", "--q", "1..20", "--X", x]))
 
 
 def test_kloosterman_golden_first_rows(capsys):
@@ -236,6 +320,18 @@ def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_distribution_runs_every_X_in_order(capsys):
+    assert main(["distribution", "--q", "3,4", "--X", "1000"]) == 0
+    one = capsys.readouterr().out.splitlines()
+    assert main(["distribution", "--q", "3,4", "--X", "1000,2000"]) == 0
+    both = capsys.readouterr().out.splitlines()
+    assert both[: len(one)] == one
+    assert [line.split(",")[0] for line in both[len(one):]] == ["2000"] * (len(one) - 1)
+    assert main(["distribution", "--q", "3", "--X", "1000.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "X = 1000.5 is not an integer" in err
+
+
 def test_charsum_prime_runs(capsys):
     assert main(["charsum-prime", "--p", "5"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
@@ -303,8 +399,8 @@ def test_pmap_runs_in_at_most_jobs_worker_processes():
     assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
 
-def test_voronoi_maps_one_item_per_q_and_X(monkeypatch, capsys):
-    # a worker builds the kernels of every (q, X) it is handed; no other does
+def test_voronoi_maps_one_item_per_X(monkeypatch, capsys):
+    # a worker builds the moment grid and kernels of the X it is handed; no other does
     seen = []
 
     def spy(fn, items, jobs):
@@ -314,7 +410,22 @@ def test_voronoi_maps_one_item_per_q_and_X(monkeypatch, capsys):
     monkeypatch.setattr(cli, "pmap", spy)
     assert main(["voronoi", "--q", "1..4", "--X", "50,100", "--jobs", "2"]) == 0
     capsys.readouterr()
-    assert seen == [[(q, a, x) for a in units(q)] for x in (50.0, 100.0) for q in range(1, 5)]
+    assert seen == [[(q, a, x) for q in range(1, 5) for a in units(q)] for x in (50.0, 100.0)]
+
+
+def test_a_criterion_has_one_name_whether_it_passes_or_raises(monkeypatch):
+    passing = verify.criterion_df(True)
+    assert passing.passed and passing.name == "df_second_moment"
+
+    def boom(*args):
+        raise ArithmeticError("boom")
+
+    monkeypatch.setattr(verify, "df_pairs", boom)
+    monkeypatch.setattr(verify, "ALL_CHECKS", [verify.criterion_df])
+    (failed,) = verify.run_checks(quick=True)
+    assert (failed.name, failed.passed) == ("df_second_moment", False)
+    assert failed.details == "raised ArithmeticError: boom"
+    assert failed.elapsed >= 0 and failed.cpu >= 0
 
 
 def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):
