@@ -95,3 +95,17 @@ def test_parallelism_is_processes_and_the_two_fft_pool_only():
         if any(m.startswith("concurrent") for m in mods):
             users[path.stem] = sorted(m for m in mods if m.startswith("concurrent"))
     assert users == {"families": ["concurrent.futures"], "voronoi": ["concurrent.futures"]}
+
+
+def _lru_caches(source: str) -> int:
+    """Uses of lru_cache, as a decorator or a call, and of functools.cache."""
+    return sum((isinstance(n, ast.Name) and n.id == "lru_cache")
+               or (isinstance(n, ast.Attribute) and n.attr in ("lru_cache", "cache"))
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_lru_caches_do_not_grow():
+    # ROADMAP item 4 replaces these nine with one table store; none may be added
+    assert _lru_caches("@lru_cache(maxsize=2)\ndef f(): pass\n"
+                       "g = functools.cache(f)\nfrom functools import lru_cache\n") == 2
+    assert sum(_lru_caches(p.read_text()) for p in SRC.glob("*.py")) <= 9

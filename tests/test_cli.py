@@ -289,6 +289,10 @@ SCAN_GOLDENS = [
      "2ab7ade3d61100ef63b5d203693e50d2600189bfd3eca4595b5d60373ecf2a27"),
     (["distribution", "--q", "3,4", "--X", "1000"],
      "e78f050eb8dab39f3bd1e9fbddb00a557464343a4a43ebde327566e68b8e31f6"),
+    (["distribution", "--q", "3..30", "--X", "100000"],
+     "f85411a25cec5ee6ac27cbe5c8be0637ecd80c2811e9f617a5c10c690dc65671"),
+    (["distribution", "--q", "1000..1010", "--X", "1000000"],
+     "a3abd1f5acda41f882177aa3ceb34ffcf0bd0b7d5d950401f268451a8ad6ce62"),
 ]
 
 
@@ -316,7 +320,7 @@ def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
     monkeypatch.setattr(distribution, "ramanujan_decomposition", spy)
     argv = ["distribution", "--q", "3,4", "--X", "1000"]
     assert main(argv + ["--tol", "1e-3"]) == 0
-    assert len(calls) == 4  # one per coprime (q, a): a = 1, 2 mod 3 and 1, 3 mod 4
+    assert calls == [(1000, 3), (1000, 4)]  # one per modulus, every unit class at once
     capsys.readouterr()
 
 

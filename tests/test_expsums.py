@@ -75,6 +75,13 @@ def test_kloosterman_split_equals_direct(q, a, b):
     assert abs(kloosterman_split(a, b, q) - kloosterman_direct(a, b, q)) < 1e-9 * q
 
 
+@settings(max_examples=200)
+@given(st.integers(6, 10**4).filter(lambda q: len(factorize(q).pairs) >= 2),
+       st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_kloosterman_split_equals_direct_on_composite_moduli(q, a, b):
+    assert abs(kloosterman_split(a, b, q) - kloosterman_direct(a, b, q)) < 1e-9 * q
+
+
 def test_split_builds_each_factor_table_once():
     # 1058 builds when the factor tables came from the 16-entry LRU alone
     expsums._factor_tables.clear()
