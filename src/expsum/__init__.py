@@ -43,7 +43,6 @@ from .charsums import (
     ppower_bound,
 )
 from .distribution import (
-    ApDiscrepancy,
     RamanujanDecomposition,
     coprime_mean,
     d3_ap_sum,

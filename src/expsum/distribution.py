@@ -54,7 +54,6 @@ from .arith import divisor_table, divisors, factorize
 from .expsums import hyper_kl3_table
 
 __all__ = [
-    "ApDiscrepancy",
     "RamanujanDecomposition",
     "d3_ap_sum",
     "coprime_mean",
@@ -62,25 +61,6 @@ __all__ = [
     "discrepancy_scan",
     "d3_to_bilinear",
 ]
-
-
-@dataclass(frozen=True)
-class ApDiscrepancy:
-    """Exact progression sum against the exact coprime mean."""
-
-    X: int
-    q: int
-    a: int
-    ap_sum: int
-    coprime_mean: Fraction
-
-    @property
-    def delta_exact(self) -> Fraction:
-        return Fraction(self.ap_sum) - self.coprime_mean
-
-    @property
-    def delta(self) -> float:
-        return float(self.delta_exact)
 
 
 @dataclass(frozen=True)
@@ -224,12 +204,16 @@ def _row(X, q, a, ap_sum, mean, delta, max_abs=math.nan) -> dict:
 
 
 def _loglog_slope(family: list[tuple[int, float]]) -> float:
-    """Least-squares slope of log max|delta| against log q."""
-    pts = [(q, m) for q, m in family if q > 1 and m > 0]
+    """Least-squares slope of log max|delta| against log q, each q once.
+
+    A repeated modulus has the same max|delta|, so it adds no point; with
+    fewer than two distinct q > 1 there is no line, and the slope is nan.
+    """
+    pts = {q: m for q, m in family if q > 1 and m > 0}
     if len(pts) < 2:
         return math.nan
-    lq = np.log([q for q, _ in pts])
-    lm = np.log([m for _, m in pts])
+    lq = np.log(list(pts))
+    lm = np.log(list(pts.values()))
     return float(np.polyfit(lq, lm, 1)[0])
 
 

@@ -13,6 +13,14 @@ many moduli share it (at most 12.8 MB of float64, when all 711 are
 held).  The caches take no lock: --jobs runs in worker processes, and
 each worker fills its own copies.
 
+The exact layers under the CRT split are vectorised only where the
+bits allow.  unit_inverse_table exponentiates the units up to q/2 and
+fills the upper half from inv(q - x) = q - inv(x), in int32 products
+while (q - 1)^2 < 2^31.  kloosterman_direct takes every term's cosine
+and sine in one numpy pass, then runs its compensated sum as a plain
+float loop: the angles, the cos and sin bits and the additions, in
+order, are those of a term-by-term cmath.exp loop.
+
 Conventions used throughout:
   * e(x) = exp(2*pi*i*x), always evaluated on a reduced fraction
     (numerator mod q)/q so angles stay small.
@@ -24,7 +32,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -37,7 +44,6 @@ from .modarith import PrimePower, is_prime, legendre
 __all__ = [
     "BoundReport",
     "BadModulus",
-    "e_frac",
     "kloosterman_direct",
     "kloosterman_explicit_pp_table",
     "kloosterman_split",
@@ -98,47 +104,38 @@ def make_report(
     )
 
 
-def e_frac(num: int, den: int) -> complex:
-    """e(num/den) from the reduced fraction; keeps angles in [0, 2*pi)."""
-    return cmath.exp(2j * math.pi * (num % den) / den)
-
-
-class _Kahan:
-    """Compensated accumulation of complex terms."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self) -> None:
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex) -> None:
-        y = z.real - self.cre
-        t = self.re + y
-        self.cre = (t - self.re) - y
-        self.re = t
-        y = z.imag - self.cim
-        t = self.im + y
-        self.cim = (t - self.im) - y
-        self.im = t
-
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def kloosterman_direct(a: int, b: int, q: int) -> complex:
     """S(a, b; q) = sum over units x mod q of e((a*x + b*inv(x))/q).
 
-    Literal O(q) loop with compensated summation; defined for all a, b
-    including degenerate gcd cases (the sum stays over units).
+    Literal O(q) sum with compensated summation; defined for all a, b
+    including degenerate gcd cases (the sum stays over units).  Units
+    come from a gcd test and inverses from pow, not from the tables.
+    Term x is e(k/q) with k = (a*x + b*inv(x)) mod q and float64 angle
+    2*pi*k/q.  numpy's cos and sin of all angles at once give the bits
+    of cmath.exp(1j*angle), which is (cos, sin) from libm; the terms are
+    then Kahan-summed in increasing x, real and imaginary parts apart,
+    in a plain float loop.  Tests pin the result bit for bit against a
+    term-by-term cmath.exp loop.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    acc = _Kahan()
-    for x in range(1, q + 1):
-        if math.gcd(x, q) != 1:
-            continue
-        acc.add(e_frac(a * x + b * pow(x, -1, q), q))
-    return acc.value()
+    xs = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
+    x = np.array(xs, dtype=np.int64)
+    x_inv = np.array([pow(v, -1, q) for v in xs], dtype=np.int64)
+    # a and b reduced first: the int64 products stay below q^2
+    k = ((a % q) * x + (b % q) * x_inv) % q
+    theta = 2 * math.pi * k.astype(np.float64) / q
+    re = im = cre = cim = 0.0
+    for c, s in zip(np.cos(theta).tolist(), np.sin(theta).tolist()):
+        y = c - cre
+        t = re + y
+        cre = (t - re) - y
+        re = t
+        y = s - cim
+        t = im + y
+        cim = (t - im) - y
+        im = t
+    return complex(re, im)
 
 
 @lru_cache(maxsize=16)
@@ -159,10 +156,12 @@ def unit_mask(q: int) -> np.ndarray:
 def unit_inverse_table(q: int) -> np.ndarray:
     """inv(x) mod q for units x, 0 for non-units; vectorised modular power.
 
-    Raises the units alone to lambda(q) - 1, where lambda is the
+    Raises the units x <= q/2 alone to lambda(q) - 1, where lambda is the
     Carmichael function: the exponent of the unit group, so x^lambda(q)
-    == 1 and x^(lambda(q)-1) == inv(x) (mod q) for every unit x.
-    q <= 10^6 keeps the int64 products exact.
+    == 1 and x^(lambda(q)-1) == inv(x) (mod q) for every unit x.  The
+    upper half follows from inv(q - x) = q - inv(x).  Every residue is
+    below q, so the products fit int32 while (q - 1)^2 < 2^31 (q <= 46341)
+    and int64 up to the q <= 10^6 this accepts; the table is int64.
     """
     if q == 1:
         out = np.zeros(1, dtype=np.int64)
@@ -175,9 +174,10 @@ def unit_inverse_table(q: int) -> np.ndarray:
         # lambda(p^k) = phi(p^k), except lambda(2^k) = 2^(k-2) for k >= 3
         lam_pk = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
         lam = math.lcm(lam, lam_pk)
-    mask = unit_mask(q)
-    base = np.flatnonzero(mask)
-    acc = np.ones(len(base), dtype=np.int64)
+    dtype = np.int32 if (q - 1) ** 2 < 2**31 else np.int64
+    low = np.flatnonzero(unit_mask(q)[: q // 2 + 1])
+    base = low.astype(dtype)
+    acc = np.ones(len(low), dtype=dtype)
     e = lam - 1
     while e:
         if e & 1:
@@ -186,7 +186,8 @@ def unit_inverse_table(q: int) -> np.ndarray:
         if e:
             base = (base * base) % q
     out = np.zeros(q, dtype=np.int64)
-    out[mask] = acc
+    out[low] = acc
+    out[q - low] = q - acc
     out.setflags(write=False)
     return out
 

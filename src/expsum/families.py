@@ -140,9 +140,9 @@ def charsum_pp(
     q = pp.q
     out = []
     while len(out) < n:
-        s1, s2, lam1, lam2 = (int(v) for v in rng.integers(1, q, size=4))
-        t1, t2 = (int(v) for v in rng.integers(1, q, size=2))
-        if any(v % p == 0 for v in (s1, s2, lam1, lam2, t1, t2)):
+        # one draw of 6 is the PCG64 stream of a draw of 4 and then of 2
+        s1, s2, lam1, lam2, t1, t2 = rng.integers(1, q, size=6).tolist()
+        if s1 * s2 * lam1 * lam2 * t1 * t2 % p == 0:  # p is prime
             continue
         j = int(rng.integers(0, gamma + 1))  # spread the valuation of m
         m = p**j * int(rng.integers(1, max(2, q // p**j)))

@@ -1,5 +1,6 @@
 """Correlation sums: brute forces vs bounds, vanishing criteria, CRT routes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from expsum.charsums import (
     ppower_bound,
 )
 from expsum.expsums import kloosterman_direct
+from expsum.families import charsum_pp
 from expsum.modarith import PrimePower
 
 
@@ -118,6 +120,28 @@ def test_ppower_bound_holds_and_vanishing_is_sound(cell, data):
     assert rep.ratio <= RATIO_CAP
     if rep.vanishing_predicted:
         assert rep.vanished
+
+
+# The first five of 200 seeded charsum_pp tuples (s1, t1, s2, t2, lam1,
+# lam2, m) of two gate cells, and the sha256 of the repr of all 200, as
+# drawn by two calls rng.integers(1, q, size=4) and (1, q, size=2) per try.
+CHARSUM_PP_DRAWS = {
+    (3, 6, 4): ([(547, 115, 322, 263, 340, 521, 528), (644, 296, 281, 91, 290, 136, 462),
+                 (163, 538, 535, 115, 212, 415, 486), (163, 272, 505, 17, 659, 278, 486),
+                 (458, 7, 17, 496, 667, 130, 243)],
+                "c640370166e91931ef1307ee7c4cd42f973575a2a8f246128396389ffdc4cecf"),
+    (5, 2, 1): ([(7, 24, 7, 13, 21, 4, 15), (19, 6, 1, 6, 16, 9, 14), (24, 13, 2, 23, 16, 4, 11),
+                 (4, 14, 12, 17, 8, 3, 12), (18, 4, 12, 16, 7, 24, 20)],
+                "449da8d88713ef83888894657e31145170dc2ad92c33bed2f05d8d70260c35e3"),
+}
+
+
+@pytest.mark.parametrize("cell", sorted(CHARSUM_PP_DRAWS))
+def test_charsum_pp_draws_are_frozen(cell):
+    head, digest = CHARSUM_PP_DRAWS[cell]
+    tups = [(c.s1, c.t1, c.s2, c.t2, c.lam1, c.lam2, c.m) for c, _ in charsum_pp(*cell, 200)]
+    assert tups[:5] == head
+    assert hashlib.sha256(repr(tups).encode()).hexdigest() == digest
 
 
 def test_frakC_11_completed_equals_moebius_route():

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given
@@ -334,6 +335,22 @@ def test_distribution_runs_every_X_in_order(capsys):
     assert main(["distribution", "--q", "3", "--X", "1000.5"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "X = 1000.5 is not an integer" in err
+
+
+def test_distribution_slope_needs_two_distinct_moduli(capsys):
+    # a repeated modulus adds no point to the log-log fit
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["distribution", "--q", "5,5", "--X", "1000"]) == 0
+    out, err = capsys.readouterr()
+    assert caught == [] and "Warning" not in err
+    stars = [line.split(",") for line in out.splitlines() if line.split(",")[2] == "*"]
+    assert len(stars) == 2 and all(row[-1] == "nan" for row in stars)
+    assert main(["distribution", "--q", "5,5,7", "--X", "1000"]) == 0
+    repeated = capsys.readouterr().out.splitlines()
+    assert main(["distribution", "--q", "5,7", "--X", "1000"]) == 0
+    slope = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+    assert {line.split(",")[-1] for line in repeated if ",*," in line} == {slope}
 
 
 def test_charsum_prime_runs(capsys):

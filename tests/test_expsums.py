@@ -1,5 +1,6 @@
 """Kloosterman and hyper-Kloosterman sums: oracles, identities, bounds."""
 
+import cmath
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from expsum import expsums
 from expsum.arith import factorize
 from expsum.expsums import (
     BadModulus,
-    e_frac,
     hyper_kl3_table,
     hyper_kl3_table_direct,
     kloosterman_direct,
@@ -35,6 +35,64 @@ KLOOSTERMAN_MOD5 = {
     3: SQRT5 - 1.0,
     4: (3.0 + SQRT5) / 2.0,
 }
+
+
+def e_frac(num: int, den: int) -> complex:
+    """e(num/den) from the reduced fraction; keeps angles in [0, 2*pi)."""
+    return cmath.exp(2j * math.pi * (num % den) / den)
+
+
+class _Kahan:
+    """Compensated accumulation of complex terms."""
+
+    __slots__ = ("re", "im", "cre", "cim")
+
+    def __init__(self) -> None:
+        self.re = self.im = self.cre = self.cim = 0.0
+
+    def add(self, z: complex) -> None:
+        y = z.real - self.cre
+        t = self.re + y
+        self.cre = (t - self.re) - y
+        self.re = t
+        y = z.imag - self.cim
+        t = self.im + y
+        self.cim = (t - self.im) - y
+        self.im = t
+
+    def value(self) -> complex:
+        return complex(self.re, self.im)
+
+
+def _kloosterman_cmath_loop(a: int, b: int, q: int) -> complex:
+    """kloosterman_direct as one cmath.exp and one Kahan step per unit: the bit oracle."""
+    acc = _Kahan()
+    for x in range(1, q + 1):
+        if math.gcd(x, q) != 1:
+            continue
+        acc.add(e_frac(a * x + b * pow(x, -1, q), q))
+    return acc.value()
+
+
+def _same_bits(z: complex, w: complex) -> bool:
+    """z == w part by part, and the signs of zero parts agree too."""
+    return all(u == v and math.copysign(1.0, u) == math.copysign(1.0, v)
+               for u, v in ((z.real, w.real), (z.imag, w.imag)))
+
+
+def test_kloosterman_direct_equals_the_cmath_loop_bit_for_bit():
+    calls = [(a, b, q) for q in range(1, 41) for a in range(q) for b in range(q)]
+    # composite moduli up to 2000 with a degenerate first argument, and
+    # arguments far outside [0, q)
+    rng = np.random.default_rng(20261019)
+    composites = [q for q in range(4, 2001) if not is_prime(q)]
+    for q in rng.choice(composites, size=120, replace=False).tolist():
+        a = q - factorize(q).pairs[0][0]
+        calls.append((a, int(rng.integers(q)), q))
+        calls.append((int(rng.integers(-10**9, 10**9)), int(rng.integers(-10**9, 10**9)), q))
+    for a, b, q in calls:
+        assert _same_bits(kloosterman_direct(a, b, q), _kloosterman_cmath_loop(a, b, q)), (a, b, q)
+    assert _same_bits(kloosterman_direct(5, -3, 1), complex(1.0, 0.0))
 
 
 def test_e_frac_reduces_angle():
@@ -182,6 +240,27 @@ def test_unit_inverse_table_inverts():
         # x * inv(x) == 1 on units; inv(x) == 0, so the product is 0, elsewhere
         prod = (x * unit_inverse_table(q)) % q
         assert np.array_equal(prod, np.where(mask, 1 % q, 0)), q
+
+
+def _check_inverse_table(q, xs):
+    tab = unit_inverse_table(q)
+    assert tab.dtype == np.int64 and not tab.flags.writeable, q
+    assert tab.shape == (q,), q
+    xs = np.asarray(xs, dtype=np.int64)
+    units = np.gcd(xs, q) == 1
+    assert tab[xs[units]].tolist() == [pow(x, -1, q) for x in xs[units].tolist()], q
+    assert not tab[xs[~units]].any(), q
+
+
+def test_unit_inverse_table_equals_pow():
+    # 46341 is the last modulus on int32 products, 46342 the first on int64
+    for q in range(1, 2001):
+        _check_inverse_table(q, np.arange(q))
+    rng = np.random.default_rng(7)
+    for q in (46340, 46341, 46342, 2**19, 3**12, 720720, 999983, 10**6):
+        xs = np.concatenate([np.arange(1, 50), q - np.arange(1, 50),
+                             q // 2 + np.arange(-25, 25), rng.integers(0, q, 2000)])
+        _check_inverse_table(q, xs)
 
 
 @pytest.mark.parametrize("q", [1, 2, 7, 9, 12, 45])
