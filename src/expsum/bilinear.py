@@ -164,13 +164,16 @@ def _lambda_weights(cfg: BilinearConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def bilinear_sum(cfg: BilinearConfig) -> complex:
     """The literal double sum, kernel values fetched from the table."""
-    tab = hyper_kl3_table(cfg.q)
-    m, lamv = _lambda_weights(cfg)
+    return _literal(cfg, hyper_kl3_table(cfg.q), *_lambda_weights(cfg))
+
+
+def _literal(cfg: BilinearConfig, tab: np.ndarray, m: np.ndarray, lamv: np.ndarray) -> complex:
     total = 0j
+    alpha = cfg.alpha_vector
     mb = (m % cfg.q) * (cfg.b % cfg.q) % cfg.q
     for pos, n in enumerate(cfg.n_window):
         kern = tab[(mb * (n % cfg.q)) % cfg.q]
-        total += cfg.alpha_vector[pos] * complex(np.dot(lamv, kern))
+        total += alpha[pos] * complex(np.dot(lamv, kern))
     return total
 
 
@@ -181,13 +184,16 @@ def bilinear_grouped(cfg: BilinearConfig) -> complex:
     each residue class is accumulated with bincounts and contracted
     against the kernel table in a single pass.
     """
-    tab = hyper_kl3_table(cfg.q)
-    m, lamv = _lambda_weights(cfg)
+    return _grouped(cfg, hyper_kl3_table(cfg.q), *_lambda_weights(cfg))
+
+
+def _grouped(cfg: BilinearConfig, tab: np.ndarray, m: np.ndarray, lamv: np.ndarray) -> complex:
+    alpha = cfg.alpha_vector
     mb = (m % cfg.q) * (cfg.b % cfg.q) % cfg.q
     weight = np.zeros(cfg.q, dtype=complex)
     for pos, n in enumerate(cfg.n_window):
         r = (mb * (n % cfg.q)) % cfg.q
-        coeff = cfg.alpha_vector[pos] * lamv
+        coeff = alpha[pos] * lamv
         weight += np.bincount(r, weights=coeff.real, minlength=cfg.q)
         weight += 1j * np.bincount(r, weights=coeff.imag, minlength=cfg.q)
     return complex(np.dot(weight, tab))
@@ -195,8 +201,10 @@ def bilinear_grouped(cfg: BilinearConfig) -> complex:
 
 def trivial_bound(cfg: BilinearConfig) -> float:
     """(sum |alpha|) (sum |lam V|) sup |kernel): a true triangle bound."""
-    tab = hyper_kl3_table(cfg.q)
-    _, lamv = _lambda_weights(cfg)
+    return _trivial(cfg, hyper_kl3_table(cfg.q), _lambda_weights(cfg)[1])
+
+
+def _trivial(cfg: BilinearConfig, tab: np.ndarray, lamv: np.ndarray) -> float:
     return float(
         np.sum(np.abs(cfg.alpha_vector))
         * np.sum(np.abs(lamv))
@@ -251,8 +259,11 @@ def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]
     """
     out = []
     for cfg in configs:
-        s = bilinear_sum(cfg)
-        s2 = bilinear_grouped(cfg)
+        # one table and one set of weights serve both sums and the bound
+        tab = hyper_kl3_table(cfg.q)
+        m, lamv = _lambda_weights(cfg)
+        s = _literal(cfg, tab, m, lamv)
+        s2 = _grouped(cfg, tab, m, lamv)
         scale = max(abs(s), abs(s2), 1.0)
         if abs(s - s2) > 1e-9 * scale:
             raise AssertionError(f"evaluation paths disagree at {cfg}: {s} vs {s2}")
@@ -266,7 +277,7 @@ def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]
                 M=cfg.M,
                 N=cfg.N,
                 sum_value=s,
-                trivial_bound=trivial_bound(cfg),
+                trivial_bound=_trivial(cfg, tab, lamv),
                 thm_squarefree=thm_bound("squarefree", cfg.q, cfg.M, cfg.N),
                 thm_primepower=thm_bound(
                     "primepower", cfg.q, cfg.M, cfg.N, p=p_small

@@ -14,9 +14,11 @@ on each modulus q whole, and each quantity has its own route:
   d_3 table by n mod q (uint64, exact); d3_ap_sum, the slice
   n = a mod q, re-computes one class per modulus and must agree;
 - the coprime total comes from coprime_mean, the Moebius sum over
-  squarefree d | q of the multiples of d; the zero-sum identity is
-  sum_a T_q[a] = that total, compared as integers, and each delta is
-  one correctly rounded integer division;
+  squarefree d | q of the multiples of d; one scan sums each d's
+  multiples once, from the table and never from a fold, for every
+  modulus d divides; the zero-sum identity is sum_a T_q[a] = that
+  total, compared as integers, and each delta is one correctly rounded
+  integer division;
 - the Ramanujan splitting below reads each conductor's own fold T_d,
   taken from the table rather than from T_q.
 
@@ -94,6 +96,12 @@ def coprime_mean(X: int, q: int) -> Fraction:
     mu(d) times the sum of d_3 over the multiples of d, so it shares no
     slicing with the progression sums it is compared against.
     """
+    return _coprime_mean(X, q, {})
+
+
+def _coprime_mean(X: int, q: int, multiples: dict[int, int]) -> Fraction:
+    """coprime_mean(X, q), reading and filling multiples[d], the sum of d_3
+    over the multiples of d up to X, so that one scan sums each d once."""
     if q < 1:
         raise ValueError(f"need q >= 1, got q={q}")
     if X < 1:
@@ -103,7 +111,9 @@ def coprime_mean(X: int, q: int) -> Fraction:
     for d in divisors(q):
         mu = factorize(d).mobius()
         if mu:
-            total += mu * int(np.sum(vals[d::d], dtype=np.uint64))
+            if d not in multiples:
+                multiples[d] = int(np.sum(vals[d::d], dtype=np.uint64))
+            total += mu * multiples[d]
     return Fraction(total, factorize(q).phi())
 
 
@@ -166,8 +176,9 @@ def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]
     """
     rows: list[dict] = []
     family: list[tuple[int, float]] = []
+    multiples: dict[int, int] = {}  # d -> sum of d_3 over its multiples, this X
     for q in moduli:
-        mean = coprime_mean(X, q)
+        mean = _coprime_mean(X, q, multiples)
         units = _units(q)
         ap = _char_sums(X, q)[0][units % q]
         if int(ap[0]) != d3_ap_sum(X, q, 1):

@@ -52,13 +52,18 @@ then q, then a, so one store holds the moment grid of the current X and
 the kernels of the current q.  Under --jobs the CLI hands each worker
 process whole (q, X) groups in that order, so no kernel is built twice.
 A new X drops the old grid and kernels before its own grid is built, so
-they never share memory with the new grid's FFT pads.  The 13 moment FFTs
-of one X run two at a time on threads (pocketfft releases the GIL); each
-row is the same serial transform, so the bits do not depend on the
-pairing.  The Gauss-Legendre panels evaluate their integrand once on the
-whole node matrix (for K0, once for every kappa of a block) and reduce it
-panel by panel.  scipy.special is imported by the panel quadratures only,
-so importing this module does not load scipy.
+they never share memory with the new grid's FFT pads.  Every grid has the
+same shape, so the new grid is written into the old one's buffer unless a
+view of the old grid is still held: the grid's 32 MB are allocated once,
+not freed into the heap at every X.  The 13 moment FFTs of one X run in
+place as six (2, 2^21) batches on scipy.fft's two workers, then the last
+row alone.  scipy.fft caches one plan of that length and shares it between
+its workers, where np.fft rebuilds its plan on every call; both run
+pocketfft, and each row equals np.fft.ifft's serial transform bit for bit.
+The Gauss-Legendre panels evaluate their integrand once on the whole node
+matrix (for K0, once for every kappa of a block) and reduce it panel by
+panel.  scipy is imported by the panel quadratures and the grid build
+only, so importing this module does not load it.
 
 A dual sum needs at least c(X)*q^2/X terms, where c(X) grows from about
 27,600 at X = 1/2 to 51,800 at X = 400 (a lower envelope measured on an X
@@ -69,8 +74,8 @@ converge below N_HARD_CAP before any kernel is built.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -106,9 +111,6 @@ _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
 # converges below N_HARD_CAP and at the q before it
 _TERMS_X = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 _TERMS_C = (27_620, 30_150, 32_170, 35_330, 37_510, 39_140, 42_980, 46_430, 48_530, 51_790)
-# moment FFTs in flight at once; pocketfft releases the GIL, and each
-# transform holds about 64 MB (its complex pad and the library's scratch)
-_FFT_WORKERS = 2
 
 
 class NonCoprime(ValueError):
@@ -189,37 +191,44 @@ class _BkGrid:
     values: np.ndarray  # shape (_KTERMS, Mmax), S_k(kappa_m); B = du e^{i k u0} S
 
 
-def _build_grid(X: float) -> _BkGrid:
+def _build_grid(X: float, spare: np.ndarray | None = None) -> _BkGrid:
     """The moments of g up to kappa*u0 = 4608, checked to be negligible there.
 
     Past the grid edge _gy_hankel returns 0, so the moments in the last
     interpolation window must already be below TAIL_TOL; CutoffTooSmall
-    otherwise.  Worker w transforms rows w, w + _FFT_WORKERS, ... in
-    place in its own pad; each row is the serial transform of that pad.
+    otherwise.  The rows are transformed in place, two at a time as one
+    (2, _NFFT) batch on scipy.fft's two workers and the last one alone;
+    each row is the serial transform of its own pad row.  They are written
+    into spare if it has their shape, else into a new array, and the grid
+    holds a read-only view whose base is that array.
     """
+    from scipy import fft  # deferred, as scipy.special is
+
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / _NG
     u = u0 + np.arange(_NG) * du
     g = 2 * u * SmoothWeight(X)(u * u)
     dk = 2 * math.pi / (_NFFT * du)
     mmax = int(4608.0 / u0 / dk) + 16
-    vals = np.empty((_KTERMS, mmax), dtype=complex)
-
-    def rows(w: int) -> None:
-        pad = np.empty(_NFFT, dtype=complex)
-        for k in range(w, _KTERMS, _FFT_WORKERS):
-            pad[:] = 0.0
-            pad[:_NG] = g * u ** (-0.5 - k)
-            # scaled straight into the grid row, with no 2.5 MB temporary
-            np.multiply(np.fft.ifft(pad, out=pad)[:mmax], _NFFT, out=vals[k])
-
-    with ThreadPoolExecutor(_FFT_WORKERS) as pool:
-        list(pool.map(rows, range(_FFT_WORKERS)))
+    if spare is not None and spare.shape == (_KTERMS, mmax):
+        vals = spare
+    else:
+        vals = np.empty((_KTERMS, mmax), dtype=complex)
+    pad = np.empty((2, _NFFT), dtype=complex)
+    for k in range(0, _KTERMS, 2):
+        rows = pad[: min(2, _KTERMS - k)]
+        rows[:] = 0.0
+        for j, row in enumerate(rows):
+            row[:_NG] = g * u ** (-0.5 - (k + j))
+        fft.ifft(rows, axis=1, workers=len(rows), overwrite_x=True)
+        # scaled straight into the grid rows, with no temporary
+        np.multiply(rows[:, :mmax], _NFFT, out=vals[k : k + len(rows)])
     edge = du * float(np.max(np.abs(vals[:, -9:])))
     if not edge < TAIL_TOL:
         raise CutoffTooSmall(
             f"moments at the FFT grid edge are {edge:.3e} for X={X}, not below {TAIL_TOL}"
         )
+    vals = vals.view()
     vals.setflags(write=False)
     return _BkGrid(u0=u0, du=du, dk=dk, values=vals)
 
@@ -394,19 +403,22 @@ class _XStore:
     Callers visit every q of one X before the next X.  A request for a new
     X first drops the old grid and kernels, and a request for a new q drops
     the old kernels, before anything is built, so a build never holds what
-    it replaces.
+    it replaces.  The dropped grid's buffer is kept as spare, and the next
+    grid is written into it unless a view of the old grid is still held.
     """
 
     def __init__(self) -> None:
         self.clear()
 
     def clear(self) -> None:
-        """Drop the grid and the kernels, and zero the build counts."""
-        self.X = self.bk = self.q = self.kern = None
+        """Drop the grid, its buffer and the kernels, and zero the build counts."""
+        self.X = self.bk = self.q = self.kern = self.spare = None
         self.grid_builds = self.kernel_builds = 0
 
     def _switch(self, X: float) -> None:
         if X != self.X:
+            if self.bk is not None:  # the grid goes, its buffer stays for the next
+                self.spare = self.bk.values.base
             self.X, self.bk, self.q, self.kern = X, None, None, None
 
     def grid(self, X: float) -> _BkGrid:
@@ -414,7 +426,11 @@ class _XStore:
         self._switch(X)
         if self.bk is None:
             self.grid_builds += 1
-            self.bk = _build_grid(X)
+            # every view of the old grid holds its buffer; with none left,
+            # the store's reference and getrefcount's argument are the two
+            if self.spare is not None and sys.getrefcount(self.spare) > 2:
+                self.spare = None
+            self.bk, self.spare = _build_grid(X, self.spare), None
         return self.bk
 
     def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:

@@ -84,17 +84,17 @@ def _imported_modules(source: str) -> set[str]:
     return mods | {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module}
 
 
-def test_parallelism_is_processes_and_the_two_fft_pool_only():
+def test_parallelism_is_processes_only():
     # --jobs runs in forked processes, so no module needs threading or a
-    # lock; concurrent.futures serves families' process pool and the
-    # two-FFT thread pool of voronoi._build_grid
+    # lock; concurrent.futures serves families' process pool alone (the
+    # moment FFTs of voronoi._build_grid run on scipy.fft's own workers)
     users = {}
     for path in sorted(SRC.glob("*.py")):
         mods = _imported_modules(path.read_text())
         assert "threading" not in mods, path.name
         if any(m.startswith("concurrent") for m in mods):
             users[path.stem] = sorted(m for m in mods if m.startswith("concurrent"))
-    assert users == {"families": ["concurrent.futures"], "voronoi": ["concurrent.futures"]}
+    assert users == {"families": ["concurrent.futures"]}
 
 
 def _lru_caches(source: str) -> int:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expsum import bilinear
 from expsum.bilinear import (
     BilinearConfig,
     bilinear_grouped,
@@ -129,6 +130,35 @@ def test_cancellation_scan_and_csv():
     assert len(lines) == 4
     # prime-power moduli carry their prime in the p column
     assert lines[2].startswith("27,3,")
+
+
+def test_cancellation_scan_equals_the_public_functions(monkeypatch):
+    # the scan builds one table and one set of weights per config and
+    # hands them to both sums and the bound; each result must equal the
+    # public function's, which builds its own, bit for bit
+    configs = [
+        BilinearConfig(q=7, M=6, N=2),
+        BilinearConfig(q=27, M=40, N=3, b=2, s1=0.5, s2=-0.25j),
+        BilinearConfig(q=30, M=25, N=4, b=7, w=0.3, alpha=(1, -1j, 0.5, 0.25 + 0.5j)),
+        BilinearConfig(q=121, M=60, N=4, s1=1.0 + 0.5j),
+    ]
+    grouped = []
+    route = bilinear._grouped
+
+    def spy(*args):
+        grouped.append(route(*args))
+        return grouped[-1]
+
+    monkeypatch.setattr(bilinear, "_grouped", spy)
+    reports = cancellation_scan(configs)
+    monkeypatch.undo()
+
+    def bits(*xs):
+        return np.array(xs, dtype=complex).tobytes()
+
+    for cfg, rep, g in zip(configs, reports, grouped, strict=True):
+        assert bits(rep.sum_value, g, rep.trivial_bound) == bits(
+            bilinear_sum(cfg), bilinear_grouped(cfg), trivial_bound(cfg)), cfg
 
 
 def test_exponent_property():

@@ -174,17 +174,33 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
     voronoi_residual(1, 3, SmoothWeight(50.0))
     voronoi_residual(1, 4, SmoothWeight(50.0))
     old = [weakref.ref(store.bk)] + [weakref.ref(w) for w in store.kern[:2]]
+    buffer = weakref.ref(store.bk.values.base)
     seen = []
     build = voronoi._build_grid
 
-    def spy(X):
-        seen.append((X, store.bk, store.kern, [r() is None for r in old]))
-        return build(X)
+    def spy(X, spare):
+        seen.append((X, store.bk, store.kern, [r() is None for r in old],
+                     spare is buffer()))
+        return build(X, spare)
 
     monkeypatch.setattr(voronoi, "_build_grid", spy)
     voronoi_residual(1, 3, SmoothWeight(100.0))
-    assert seen == [(100.0, None, None, [True] * 3)]
+    # the old grid's buffer, and no new one, receives the new grid
+    assert seen == [(100.0, None, None, [True] * 3, True)]
+    assert store.bk.values.base is buffer()
     assert (store.kernel_builds, store.grid_builds) == (3, 2)
+
+
+def test_a_grid_still_viewed_keeps_its_buffer():
+    # a view of the old grid that outlives it holds its buffer, so the
+    # next grid goes to a new array and the view's values do not change
+    store = voronoi._STORE
+    store.clear()
+    held = store.grid(50.0).values[0]
+    before = held.tobytes()
+    new = store.grid(100.0).values
+    assert not np.shares_memory(new, held)
+    assert held.tobytes() == before
 
 
 @pytest.mark.parametrize("q", range(1, 21))
@@ -203,20 +219,29 @@ def test_root_table_phases_equal_the_exp_expression(q):
             assert _packed(got) == _packed(want)
 
 
-def test_paired_moment_ffts_equal_the_serial_transform():
-    # rows 0 and 12 come from different workers; a swapped row or a pad
-    # left uncleared between rows changes their bits
-    X = 50.0
-    values = voronoi._STORE.grid(X).values
+def _serial_rows(X: float, rows, width: int) -> list[bytes]:
+    """numpy's serial transform of each moment row's own zero-padded pad."""
     u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     du = (u1 - u0) / voronoi._NG
     u = u0 + np.arange(voronoi._NG) * du
     g = 2 * u * SmoothWeight(X)(u * u)
-    for k in (0, voronoi._KTERMS - 1):
+    out = []
+    for k in rows:
         pad = np.zeros(voronoi._NFFT)
         pad[: voronoi._NG] = g * u ** (-0.5 - k)
-        want = voronoi._NFFT * np.fft.ifft(pad)[: values.shape[1]]
-        assert values[k].tobytes() == want.tobytes()
+        out.append((voronoi._NFFT * np.fft.ifft(pad)[:width]).tobytes())
+    return out
+
+
+def test_paired_moment_ffts_equal_the_serial_transform():
+    # rows 0 and 11 (1 at X = 0.75) are the first and second of a two-row
+    # batch, and row 12 is the lone last one; a swapped row, a pad row
+    # left uncleared or a transform that differs from numpy's changes
+    # their bits
+    for X, rows in ((50.0, (0, 11, 12)), (0.75, (1,))):
+        values = voronoi._build_grid(X).values
+        got = [values[k].tobytes() for k in rows]
+        assert got == _serial_rows(X, rows, values.shape[1]), X
 
 
 def test_conjugate_symmetry():
@@ -419,9 +444,23 @@ def test_quick_grid_cells_are_pinned():
     )
 
 
+def test_forked_workers_after_a_grid_build_print_the_same_bytes(capsys):
+    # a grid build starts scipy.fft's worker threads in this process; the
+    # --jobs 2 workers are forked after that and build their own grids,
+    # and must print what --jobs 1 prints
+    voronoi._STORE.clear()
+    voronoi._build_grid(50.0)
+    argv = ["voronoi", "--q", "1..4", "--X", "50,100"]
+    outs = {}
+    for jobs in ("2", "1"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        outs[jobs] = capsys.readouterr().out
+    assert outs["2"] == outs["1"] != ""
+
+
 def test_importing_the_package_does_not_load_scipy():
-    # scipy.special is imported by the panel quadratures only, so the CLI
-    # and every scan that builds no Voronoi kernel skip its import
+    # scipy is imported by the panel quadratures and the grid build only,
+    # so the CLI and every scan that builds no Voronoi kernel skip its import
     code = "import sys, expsum, expsum.cli, expsum.verify; print('scipy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
