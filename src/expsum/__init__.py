@@ -13,7 +13,6 @@ from .arith import (
     Factorization,
     IdentityViolation,
     d3_exact,
-    d_exact,
     divisor_table,
     factorize,
     sigma00,

@@ -21,7 +21,6 @@ __all__ = [
     "divisors",
     "sigma00",
     "sigma00_grid",
-    "d_exact",
     "d3_exact",
 ]
 
@@ -86,14 +85,6 @@ def factorize(n: int) -> Factorization:
 
 def divisors(n: int) -> list[int]:
     return factorize(n).divisors()
-
-
-def d_exact(n: int) -> int:
-    """d(n) = prod (e_i + 1), exact from the factorization."""
-    out = 1
-    for _, e in factorize(n).pairs:
-        out *= e + 1
-    return out
 
 
 def d3_exact(n: int) -> int:

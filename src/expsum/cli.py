@@ -6,11 +6,16 @@ given invocation is byte-reproducible (including across --jobs values;
 parallel results are merged back in canonical order).  Timing goes to
 stderr only.
 
-build_parser defines each option once: its flag, its converter and its
-default.  A --config JSON file stands for the flags it names, which are
-parsed ahead of the command line's own, so a flag overrides the file.
-EXPSUM_JOBS is the string default of --jobs and is converted as a flag's
-value is.  validate then refuses values beyond the caps.
+COMMANDS gives each subcommand its runner and the options it reads,
+with their defaults; OPTIONS gives each option's converter and help.
+build_parser reads both, so a subcommand refuses a flag it does not read
+(exit 2) and --help shows its defaults.  Every subcommand also takes
+--config, --out, --format and --jobs (bilinear and distribution run in
+one process).  A --config JSON file stands for the flags it names, which
+are parsed ahead of the command line's own, so a flag overrides the file.
+A default, like EXPSUM_JOBS for --jobs, is a flag's text and is converted
+as a flag's value is.  validate then refuses values beyond the caps,
+defaults included.
 
 Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
 bad flag, config value or EXPSUM_JOBS, or a value beyond the caps).
@@ -62,20 +67,6 @@ __all__ = [
     "ParseError", "ValidationError",
 ]
 
-SUBCOMMANDS = (
-    "kloosterman",
-    "hyperkl3",
-    "charsum-pp",
-    "charsum-prime",
-    "df",
-    "calC",
-    "glue",
-    "voronoi",
-    "bilinear",
-    "distribution",
-    "verify-all",
-)
-
 # desk-scale caps; configs beyond these are rejected, not attempted
 CAPS = {
     "gamma_max": 8,
@@ -94,9 +85,6 @@ CAPS = {
 # a cell can meet the gate at all (its |lhs| is at most this mass)
 VORONOI_MASS_FLOOR = 1e-3
 
-# the moduli of `voronoi` when --q is not given
-VORONOI_QS = list(range(1, 21))
-
 # the correlation-sum parameters of the charsum-pp and charsum-prime rows
 _TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
 
@@ -110,25 +98,30 @@ class ValidationError(ValueError):
 
 
 def validate(cfg: argparse.Namespace) -> None:
-    """Refuse parsed options beyond the caps, and voronoi cells that cannot converge."""
+    """Refuse parsed options beyond the caps, and voronoi cells that cannot converge.
+
+    cfg holds only its subcommand's options, defaults included; an option
+    it lacks has nothing to check.
+    """
+    opt = vars(cfg)
     if not 1 <= cfg.jobs <= CAPS["jobs"]:
         raise ValidationError(f"jobs must be in [1, {CAPS['jobs']}]")
-    if cfg.tol is not None and cfg.tol < 1e-12:
+    if "tol" in opt and cfg.tol < 1e-12:
         raise ValidationError("tolerance override below machine default 1e-12")
-    if cfg.gamma_max > CAPS["gamma_max"]:
+    if "gamma_max" in opt and cfg.gamma_max > CAPS["gamma_max"]:
         raise ValidationError(f"gamma_max {cfg.gamma_max} above cap {CAPS['gamma_max']}")
-    if cfg.u_max is not None and cfg.u_max > CAPS["u_max"]:
+    if opt.get("u_max") is not None and cfg.u_max > CAPS["u_max"]:
         raise ValidationError(f"u_max {cfg.u_max} above cap {CAPS['u_max']}")
     for key in ("q", "M", "N"):
-        for v in getattr(cfg, key):
+        for v in opt.get(key) or []:  # bilinear's M defaults to None: per q
             if not 1 <= v <= CAPS[key]:
                 raise ValidationError(f"{key} = {v} outside [1, {CAPS[key]}]")
-    for p in cfg.p:
+    for p in opt.get("p", []):
         if not 2 <= p <= CAPS["p"] or not is_prime(p):
             raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
     voronoi = cfg.subcommand == "voronoi"
     cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
-    for x in cfg.X:
+    for x in opt.get("X", []):
         if not 0 < x <= cap_x:
             raise ValidationError(f"X = {x} outside (0, {cap_x}]")
         if not voronoi:
@@ -141,7 +134,7 @@ def validate(cfg: argparse.Namespace) -> None:
                 f"X = {x}: the support (X, 2X) holds no integer mass of at least "
                 f"{VORONOI_MASS_FLOOR}: sum d(n) h(n) = {mass:.3e}"
             )
-        q = max(cfg.q or VORONOI_QS)
+        q = max(cfg.q)
         need = predicted_terms(q, x)
         if need > N_HARD_CAP:
             raise ValidationError(
@@ -183,12 +176,13 @@ def parse_float_list(text: str) -> list[float]:
         raise ParseError(f"bad float list {text!r}") from exc
 
 
-def load_config(path: str, keys: set[str]) -> list[str]:
+def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> list[str]:
     """The flags a JSON config object stands for; each key must be in keys.
 
-    A list is joined by commas, null counts as absent, and quick must be a
-    JSON boolean: true stands for --quick.  Every value is then converted
-    by the parser, as the same flag on the command line would be.
+    A list is joined by commas, null counts as absent, and a key in
+    switches (a store_true flag such as quick) must be a JSON boolean:
+    true stands for its flag.  Every other value is then converted by the
+    parser, as the same flag on the command line would be.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -204,15 +198,16 @@ def load_config(path: str, keys: set[str]) -> list[str]:
             raise ValidationError(f"unknown config key {key!r}")
         if val is None:
             continue
-        if key == "quick":
+        flag = f"--{key.replace('_', '-')}"
+        if key in switches:
             if not isinstance(val, bool):
-                raise ParseError(f"config quick must be true or false, got {val!r}")
-            flags += ["--quick"] if val else []
+                raise ParseError(f"config {key} must be true or false, got {val!r}")
+            flags += [flag] if val else []
             continue
         if isinstance(val, list):
             val = ",".join(map(str, val))
         # the --flag=value form, so that a value such as -3 is not read as a flag
-        flags.append(f"--{key.replace('_', '-')}={val}")
+        flags.append(f"{flag}={val}")
     return flags
 
 
@@ -236,19 +231,17 @@ def _scan(one, items: list, header: list[str], cfg: argparse.Namespace) -> list[
 
 
 def _run_kloosterman(cfg: argparse.Namespace) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-
     def one(q: int) -> list[dict]:
         rows = []
         for m, value, split in split_vs_table(q):
             diff = abs(split - value)
             rows.append({"q": q, "m": m, "value": fmt(value),
                          "split_value": fmt(split.real), "abs_diff": fmt(diff)})
-            if diff > tol * q:
+            if diff > cfg.tol * q:
                 raise AssertionError(f"split mismatch at q={q}, m={m}: {diff}")
         return rows
 
-    _scan(one, cfg.q or [12], ["q", "m", "value", "split_value", "abs_diff"], cfg)
+    _scan(one, cfg.q, ["q", "m", "value", "split_value", "abs_diff"], cfg)
     return 0
 
 
@@ -258,7 +251,7 @@ def _run_hyperkl3(cfg: argparse.Namespace) -> int:
         return [{"q": q, "m": m, "re": fmt(tab[m].real), "im": fmt(tab[m].imag),
                  "abs": fmt(abs(tab[m]))} for m in range(q)]
 
-    _scan(one, cfg.q or [9], ["q", "m", "re", "im", "abs"], cfg)
+    _scan(one, cfg.q, ["q", "m", "re", "im", "abs"], cfg)
     return 0
 
 
@@ -281,7 +274,7 @@ def _run_charsum_pp(cfg: argparse.Namespace) -> int:
 
     rows = _scan(
         one,
-        charsum_pp_cells(cfg.p or [3, 5], cfg.gamma_max, cfg.u_max),
+        charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max),
         ["p", "gamma", "u", *_TUPLE_KEYS,
          "case", "value", "bound", "ratio", "predicted_vanishing", "vanished"],
         cfg,
@@ -290,13 +283,11 @@ def _run_charsum_pp(cfg: argparse.Namespace) -> int:
 
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-
     def one(p: int) -> list[dict]:
         rows = []
         for tup, rep, mo in charsum_prime(p, 25):
             diff = abs(rep.aux["completed"] - mo)
-            if diff > tol * p * p:
+            if diff > cfg.tol * p * p:
                 raise AssertionError(f"route mismatch at p={p}: {diff}")
             rows.append(
                 {
@@ -312,7 +303,7 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
 
     _scan(
         one,
-        cfg.p or [3, 5, 7, 11, 13],
+        cfg.p,
         ["p", *_TUPLE_KEYS, "value", "completed", "moebius", "route_diff", "ratio"],
         cfg,
     )
@@ -322,7 +313,7 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
 def _run_df(cfg: argparse.Namespace) -> int:
     mods = [
         (p, gamma)
-        for p in cfg.p or [3, 5, 7]
+        for p in cfg.p
         for gamma in range(1, cfg.gamma_max + 1)
         if p**gamma <= CAPS["q"]
     ]
@@ -352,7 +343,7 @@ def _run_calc(cfg: argparse.Namespace) -> int:
 
     _scan(
         one,
-        cfg.q or list(range(2, 61)),
+        cfg.q,
         ["q", "n1", "n2", "mtil", "b", "re", "im", "bound", "ratio", "crt_residual"],
         cfg,
     )
@@ -373,7 +364,7 @@ def _run_glue(cfg: argparse.Namespace) -> int:
 
     _scan(
         one,
-        cfg.q or list(range(2, 61)),
+        cfg.q,
         ["d", "q", "re", "im", "bound", "ratio", "crt_residual", "active_k"],
         cfg,
     )
@@ -381,8 +372,6 @@ def _run_glue(cfg: argparse.Namespace) -> int:
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-
     def one(cell: tuple[int, int, float]) -> list[dict]:
         q, a, x = cell
         rep = voronoi_residual(a, q, SmoothWeight(x))
@@ -399,7 +388,7 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
         }]
 
     # one item per X, so that one worker builds each X's moment grid and kernels
-    cells = voronoi_cells(cfg.q or VORONOI_QS, cfg.X or [50.0])
+    cells = voronoi_cells(cfg.q, cfg.X)
     rows = _scan(
         lambda group: [row for cell in group for row in one(cell)],
         [list(g) for _, g in groupby(cells, key=lambda c: c[2])],
@@ -407,9 +396,9 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
          "truncation", "residual", "relative"],
         cfg,
     )
-    bad = [r for r in rows if r["_rel"] > tol]
+    bad = [r for r in rows if r["_rel"] > cfg.tol]
     if bad:
-        print(f"{len(bad)} cells above tolerance {tol}", file=sys.stderr)
+        print(f"{len(bad)} cells above tolerance {cfg.tol}", file=sys.stderr)
         return 1
     return 0
 
@@ -417,9 +406,9 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
 def _run_bilinear(cfg: argparse.Namespace) -> int:
     configs = [
         BilinearConfig(q=q, M=m, N=n, b=middle_unit(q))
-        for q in cfg.q or [27, 49, 121]
+        for q in cfg.q
         for m in cfg.M or [max(4, q // 2)]
-        for n in cfg.N or [3]
+        for n in cfg.N
     ]
     reports = cancellation_scan(configs)
     _emit([bilinear_row(r) for r in reports], BILINEAR_HEADER, cfg)
@@ -427,7 +416,6 @@ def _run_bilinear(cfg: argparse.Namespace) -> int:
 
 
 def _run_distribution(cfg: argparse.Namespace) -> int:
-    tol = cfg.tol if cfg.tol is not None else 1e-6
     rows = [
         {
             "X": r["X"], "q": r["q"], "a": r["a"], "ap_sum": r["ap_sum"],
@@ -436,8 +424,8 @@ def _run_distribution(cfg: argparse.Namespace) -> int:
             "max_abs_delta": fmt(r["max_abs_delta"]),
             "slope_fit": fmt(r["slope_fit"]),
         }
-        for x in cfg.X or [10**4]
-        for r in discrepancy_scan(int(x), cfg.q or [3, 5, 7, 9], tol=tol)
+        for x in cfg.X
+        for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)
     ]
     _emit(
         rows,
@@ -462,18 +450,37 @@ def _run_verify_all(cfg: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-RUNNERS = {
-    "kloosterman": _run_kloosterman,
-    "hyperkl3": _run_hyperkl3,
-    "charsum-pp": _run_charsum_pp,
-    "charsum-prime": _run_charsum_prime,
-    "df": _run_df,
-    "calC": _run_calc,
-    "glue": _run_glue,
-    "voronoi": _run_voronoi,
-    "bilinear": _run_bilinear,
-    "distribution": _run_distribution,
-    "verify-all": _run_verify_all,
+# each option a subcommand may take: its converter, or its store_true
+# action, and its help
+OPTIONS = {
+    "p": {"type": parse_int_list, "help": "prime list, e.g. 3,5,7"},
+    "gamma_max": {"type": int, "help": "largest exponent gamma of p^gamma"},
+    "u_max": {"type": int, "help": "largest u (default: 4*gamma//5)"},
+    "q": {"type": parse_int_list, "help": "modulus list/range, e.g. 1..20 or 9,27"},
+    "X": {"type": parse_float_list, "help": "scale list, e.g. 50,100"},
+    "M": {"type": parse_int_list,
+          "help": "m-range sizes, e.g. 100,200 (default: max(4, q//2) for each q)"},
+    "N": {"type": parse_int_list, "help": "window sizes, e.g. 2,4"},
+    "tol": {"type": float, "help": "tolerance"},
+    "quick": {"action": "store_true", "help": "reduced ranges, sub-minute run"},
+    "self_test": {"action": "store_true", "help": "also run the CLI determinism check"},
+}
+
+# each subcommand's runner, and the options it reads with their defaults:
+# a flag's text, converted as a flag's value is; None where the runner has
+# its own (u_max: 4*gamma//5, M: per q)
+COMMANDS = {
+    "kloosterman": (_run_kloosterman, {"q": "12", "tol": "1e-9"}),
+    "hyperkl3": (_run_hyperkl3, {"q": "9"}),
+    "charsum-pp": (_run_charsum_pp, {"p": "3,5", "gamma_max": "3", "u_max": None}),
+    "charsum-prime": (_run_charsum_prime, {"p": "3,5,7,11,13", "tol": "1e-6"}),
+    "df": (_run_df, {"p": "3,5,7", "gamma_max": "3"}),
+    "calC": (_run_calc, {"q": "2..60"}),
+    "glue": (_run_glue, {"q": "2..60"}),
+    "voronoi": (_run_voronoi, {"q": "1..20", "X": "50", "tol": "1e-6"}),
+    "bilinear": (_run_bilinear, {"q": "27,49,121", "M": None, "N": "3"}),
+    "distribution": (_run_distribution, {"q": "3,5,7,9", "X": "10000", "tol": "1e-6"}),
+    "verify-all": (_run_verify_all, {"quick": False, "self_test": False}),
 }
 
 
@@ -485,32 +492,21 @@ def build_parser() -> argparse.ArgumentParser:
         "bilinear cancellation, divisor distribution).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, options) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file (flags override it)")
-        sp.add_argument("--p", type=parse_int_list, default=[],
-                        help="prime list, e.g. 3,5,7")
-        sp.add_argument("--gamma-max", type=int, default=3)
-        sp.add_argument("--u-max", type=int)
-        sp.add_argument("--q", type=parse_int_list, default=[],
-                        help="modulus list/range, e.g. 1..20 or 9,27")
-        sp.add_argument("--X", type=parse_float_list, default=[],
-                        help="scale list, e.g. 50,100")
-        sp.add_argument("--M", type=parse_int_list, default=[],
-                        help="m-range sizes, e.g. 100,200")
-        sp.add_argument("--N", type=parse_int_list, default=[],
-                        help="window sizes, e.g. 2,4")
+        for key, default in options.items():
+            spec = dict(OPTIONS[key])
+            if default:
+                spec["help"] += f" (default: {default})"
+            sp.add_argument(f"--{key.replace('_', '-')}", default=default, **spec)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        # a string default is converted by type=int, as a flag's value is
+        jobs = "worker processes (default: EXPSUM_JOBS or 1)"
+        if name in ("bilinear", "distribution"):
+            jobs += "; taken, as EXPSUM_JOBS is, but this subcommand runs in one process"
         sp.add_argument("--jobs", type=int, default=os.environ.get("EXPSUM_JOBS", "1"),
-                        help="worker processes (default: EXPSUM_JOBS or 1)")
-        sp.add_argument("--tol", type=float, help="tolerance override")
-        if name == "verify-all":
-            sp.add_argument("--quick", action="store_true",
-                            help="reduced ranges, sub-minute run")
-            sp.add_argument("--self-test", action="store_true",
-                            help="also run the CLI determinism check")
+                        help=jobs)
     return parser
 
 
@@ -528,8 +524,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = parser.parse_args(argv)
         if cfg.config:  # its flags go ahead of argv's own, so a flag overrides the file
             keys = set(vars(cfg)) - {"subcommand", "config"}
+            switches = {k for k in keys if OPTIONS.get(k, {}).get("action") == "store_true"}
+            flags = load_config(cfg.config, keys, switches)
             rest = argv[argv.index(cfg.subcommand) + 1:]
-            cfg = parser.parse_args([cfg.subcommand, *load_config(cfg.config, keys), *rest])
+            cfg = parser.parse_args([cfg.subcommand, *flags, *rest])
         validate(cfg)
     except SystemExit as exc:  # argparse refused an option, or printed --help
         return int(exc.code) if exc.code else 0
@@ -537,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code = RUNNERS[cfg.subcommand](cfg)
+        code = COMMANDS[cfg.subcommand][0](cfg)
     except (AssertionError, ValueError, ArithmeticError) as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

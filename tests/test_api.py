@@ -8,7 +8,13 @@ a traced benchmark run.
 import ast
 import importlib
 import importlib.util
+import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -109,3 +115,69 @@ def test_lru_caches_do_not_grow():
     assert _lru_caches("@lru_cache(maxsize=2)\ndef f(): pass\n"
                        "g = functools.cache(f)\nfrom functools import lru_cache\n") == 2
     assert sum(_lru_caches(p.read_text()) for p in SRC.glob("*.py")) <= 9
+
+
+
+def _named_functions(path: Path) -> dict[tuple[str, int], str]:
+    """(file, first line) -> module.qualname of every function defined in a module."""
+    out = {}
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        for const in todo.pop().co_consts:
+            if isinstance(const, types.CodeType):
+                todo.append(const)
+                # a class body is not a function, nor is a lambda or a comprehension
+                if const.co_flags & inspect.CO_OPTIMIZED and not const.co_name.startswith("<"):
+                    out[(str(path), const.co_firstlineno)] = f"{path.stem}.{const.co_qualname}"
+    return out
+
+
+# the CLI's paths, run in one fresh interpreter under a profile hook set
+# before expsum is imported: the quick gate with its self-test, one small
+# call of each subcommand, a --config run and a --jobs 2 run; it prints
+# (file, first line) of every code object called
+_REACH = """
+import json, sys
+calls = {}
+sys.setprofile(lambda frame, event, arg: event == "call"
+               and calls.setdefault(id(frame.f_code), frame.f_code))
+from expsum.cli import main
+runs = [
+    ["verify-all", "--quick", "--self-test"],
+    ["kloosterman", "--q", "6"], ["hyperkl3", "--q", "6"],
+    ["charsum-pp", "--p", "3", "--gamma-max", "2"], ["charsum-prime", "--p", "5"],
+    ["df", "--p", "3", "--gamma-max", "2"], ["calC", "--q", "2..12"],
+    ["glue", "--q", "30"], ["voronoi", "--q", "3", "--X", "50"],
+    ["bilinear", "--q", "27", "--N", "2"], ["distribution", "--q", "3,4", "--X", "1000"],
+    ["hyperkl3", "--config", sys.argv[1]], ["kloosterman", "--q", "5,7", "--jobs", "2"],
+]
+codes = [main(argv) for argv in runs]
+sys.setprofile(None)
+assert codes == [0] * len(runs), codes
+print(json.dumps([[c.co_filename, c.co_firstlineno] for c in calls.values()]))
+"""
+
+# a body that runs only in forked --jobs workers, whose profile records are
+# lost with the worker; and four public functions that perfbench traces by
+# name, which the scans bypass: they call the private halves, so that one
+# Kl3 table and one weight vector serve both sums and the bound, and one
+# dict of Moebius multiple-sums serves every modulus
+_UNREACHED = {"families._run_item", "bilinear.bilinear_sum", "bilinear.bilinear_grouped",
+              "bilinear.trivial_bound", "distribution.coprime_mean"}
+
+
+def test_every_function_is_reached_from_the_cli(tmp_path):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"q": [5, 7]}')
+    env = {k: v for k, v in os.environ.items() if k != "EXPSUM_JOBS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", _REACH, str(config)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    reached = {(str(Path(f).resolve()), line) for f, line in calls}
+    functions = {}
+    for path in sorted(SRC.glob("*.py")):
+        functions |= _named_functions(path.resolve())
+    unreached = {name for key, name in functions.items() if key not in reached}
+    assert unreached == _UNREACHED

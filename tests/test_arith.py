@@ -11,7 +11,6 @@ from expsum import arith
 from expsum.arith import (
     IdentityViolation,
     d3_exact,
-    d_exact,
     divisor_table,
     divisors,
     factorize,
@@ -61,6 +60,14 @@ def test_mobius_and_parts_spot_values():
 @given(st.integers(1, 2000))
 def test_divisors_by_trial_division(n):
     assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def d_exact(n: int) -> int:
+    """d(n) = prod (e_i + 1), exact from the factorization."""
+    out = 1
+    for _, e in factorize(n).pairs:
+        out *= e + 1
+    return out
 
 
 def test_divisor_table_matches_exact_formulas():

@@ -1,12 +1,15 @@
 """CLI: parsing, validation, output formats, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -84,12 +87,13 @@ def test_load_config_accepts_known_keys(tmp_path):
     # a config stands for flags: lists joined by commas, null absent, quick a boolean
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"q": "3..5", "X": [50, 100.5], "jobs": 2, "tol": None,
-                                "u_max": "2", "quick": True}))
-    keys = {"q", "X", "jobs", "tol", "u_max", "quick"}
-    assert load_config(str(path), keys) == [
-        "--q=3..5", "--X=50,100.5", "--jobs=2", "--u-max=2", "--quick"]
-    path.write_text(json.dumps({"q": [-3], "quick": False}))
-    assert load_config(str(path), keys) == ["--q=-3"]
+                                "u_max": "2", "quick": True, "self_test": True}))
+    keys = {"q", "X", "jobs", "tol", "u_max", "quick", "self_test"}
+    switches = {"quick", "self_test"}
+    assert load_config(str(path), keys, switches) == [
+        "--q=3..5", "--X=50,100.5", "--jobs=2", "--u-max=2", "--quick", "--self-test"]
+    path.write_text(json.dumps({"q": [-3], "quick": False, "self_test": False}))
+    assert load_config(str(path), keys, switches) == ["--q=-3"]
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
@@ -118,20 +122,21 @@ def _spy_run_checks(monkeypatch) -> list:
     return seen
 
 
-@pytest.mark.parametrize("config,env,error", [
-    ({"jobs": "x"}, None, "argument --jobs: invalid int value: 'x'"),
-    ({"tol": "abc"}, None, "argument --tol: invalid float value: 'abc'"),
-    ({"q": [3, "a"]}, None, "argument --q: bad integer 'a'"),
-    ({"quick": "false"}, None, "config quick must be true or false"),
-    ({"jobs": 2.7}, None, "argument --jobs: invalid int value: '2.7'"),
-    ({"q": [1.5]}, None, "argument --q: bad integer '1.5'"),
-    (None, "x", "argument --jobs: invalid int value: 'x'"),
+@pytest.mark.parametrize("sub,config,env,error", [
+    ("verify-all", {"jobs": "x"}, None, "argument --jobs: invalid int value: 'x'"),
+    ("distribution", {"tol": "abc"}, None, "argument --tol: invalid float value: 'abc'"),
+    ("hyperkl3", {"q": [3, "a"]}, None, "argument --q: bad integer 'a'"),
+    ("verify-all", {"quick": "false"}, None, "config quick must be true or false"),
+    ("verify-all", {"jobs": 2.7}, None, "argument --jobs: invalid int value: '2.7'"),
+    ("hyperkl3", {"q": [1.5]}, None, "argument --q: bad integer '1.5'"),
+    ("verify-all", None, "x", "argument --jobs: invalid int value: 'x'"),
 ], ids=["jobs-x", "tol-abc", "q-3-a", "quick-false", "jobs-2.7", "q-1.5", "EXPSUM_JOBS-x"])
-def test_bad_config_values_and_EXPSUM_JOBS_exit_2(config, env, error, tmp_path, monkeypatch,
-                                                   capsys):
-    # each value goes through the flag's converter, so a bad one is a usage error
+def test_bad_config_values_and_EXPSUM_JOBS_exit_2(sub, config, env, error, tmp_path,
+                                                   monkeypatch, capsys):
+    # each value goes through the flag's converter, so a bad one is a usage
+    # error; a key is given to a subcommand that reads its option
     seen = _spy_run_checks(monkeypatch)
-    argv = ["verify-all"]
+    argv = [sub]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -165,6 +170,26 @@ def test_config_quick_is_a_boolean_and_flags_override_the_file(tmp_path, monkeyp
     assert out == "" and "unknown config key 'quick'" in err
 
 
+@pytest.mark.parametrize("self_test", [True, False])
+def test_config_self_test_is_a_boolean(self_test, tmp_path, monkeypatch, capsys):
+    # self_test is a store_true flag, as quick is: true stands for --self-test
+    seen = _spy_run_checks(monkeypatch)
+    ran = []
+    monkeypatch.setattr(cli, "criterion_determinism", lambda: ran.append(1) or verify.CheckResult(
+        "verify_all_determinism", True, "stub", 0.0, 0.0))
+    monkeypatch.delenv("EXPSUM_JOBS", raising=False)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"self_test": self_test}))
+    assert main(["verify-all", "--config", str(path)]) == 0
+    assert seen == [(False, 1)] and len(ran) == self_test
+    out = capsys.readouterr().out
+    assert ("verify_all_determinism" in out) == self_test
+    path.write_text(json.dumps({"self_test": "true"}))
+    assert main(["verify-all", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "config self_test must be true or false" in err
+
+
 @pytest.mark.parametrize("config,argv", [
     ({"q": "3..5"}, ["hyperkl3", "--q", "3..5"]),
     ({"q": [3], "X": [1000, 2000]}, ["distribution", "--q", "3", "--X", "1000,2000"]),
@@ -192,6 +217,46 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     assert main(["kloosterman", "--q", str(CAPS["q"] + 1)]) == 2
     assert main(["df", "--p", "4"]) == 2  # not a prime
     capsys.readouterr()
+
+
+_UNDECLARED = [(name, key) for name, (_, options) in cli.COMMANDS.items()
+               for key in cli.OPTIONS if key not in options]
+
+
+@pytest.mark.parametrize("name,key", _UNDECLARED, ids=[f"{n}-{k}" for n, k in _UNDECLARED])
+def test_a_subcommand_refuses_the_flags_it_does_not_read(name, key, capsys):
+    flag = f"--{key.replace('_', '-')}"
+    switch = cli.OPTIONS[key].get("action") == "store_true"
+    assert main([name, flag] if switch else [name, flag, "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments" in err
+
+
+def test_the_parser_takes_only_each_subcommands_own_options():
+    # 4 shared options (--config, --out, --format, --jobs) on each of 11
+    # subcommands, and 23 of their own
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    values = {name: [a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+              for name, sp in sub.choices.items()}
+    assert sum(map(len, values.values())) == 67
+    for name, (_, options) in cli.COMMANDS.items():
+        assert sorted(values[name]) == sorted(["config", "out", "format", "jobs", *options])
+
+
+def _readme_examples() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("expsum ")]
+
+
+def test_readme_examples_parse_and_validate():
+    # each example of README's CLI block is parsed and validated, not run, so
+    # a flag its subcommand does not take fails here
+    examples = _readme_examples()
+    assert len(examples) >= 11 and {a[0] for a in examples} == set(cli.COMMANDS)
+    for argv in examples:
+        validate(build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("x", ["0.5", "0.3"])
@@ -222,11 +287,13 @@ def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
 @pytest.mark.parametrize("argv,need", [(["--q", "13", "--X", "2"], 2_718_365),
                                        (["--q", "16", "--X", "4"], 2_211_869),
                                        (["--X", "7"], 2_079_328),
-                                       (["--X", "10"], 1_500_400)])
+                                       (["--X", "10"], 1_500_400),
+                                       (["--q", "42"], 1_516_335)])
 def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys):
-    # (13, 2), (16, 4) and (20, 10) would build kernels for 1.6-18 s and
-    # then fail with CutoffTooSmall; the bound c(X) q^2/X is over the cap, so
-    # they are refused before any kernel is built; the default q range ends at 20
+    # (13, 2), (16, 4), (20, 10) and (42, 50) would build kernels for 1.6-18 s
+    # and then fail with CutoffTooSmall; the bound c(X) q^2/X is over the cap,
+    # so they are refused before any kernel is built; the default q range ends
+    # at 20 and the default X is 50, both checked as given ones are
     voronoi._STORE.clear()
     assert main(["voronoi"] + argv) == 2
     out, err = capsys.readouterr()
