@@ -3,8 +3,8 @@
 Every subcommand walks its parameter family in a fixed order, formats
 floats as %.12e, and draws any random tuples from fixed seeds, so a
 given invocation is byte-reproducible (including across --jobs values;
-parallel results are merged back in canonical order).  Timing goes to
-stderr only.
+parallel results are merged back in canonical order).  Timing and this
+process's table builds and hits go to stderr only.
 
 COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
@@ -33,7 +33,7 @@ from time import perf_counter, process_time
 
 from .bilinear import BilinearConfig, cancellation_scan
 from .distribution import discrepancy_scan
-from .expsums import hyper_kl3_table
+from .expsums import TABLE_COUNTS, hyper_kl3_table
 from .families import (
     BILINEAR_HEADER,
     BrokenExecutor,
@@ -171,9 +171,12 @@ def parse_int_list(text: str) -> list[int]:
 
 def parse_float_list(text: str) -> list[float]:
     try:
-        return [float(piece) for piece in str(text).split(",") if piece.strip()]
+        out = [float(piece) for piece in str(text).split(",") if piece.strip()]
     except ValueError as exc:
         raise ParseError(f"bad float list {text!r}") from exc
+    if not out:
+        raise ParseError(f"empty list expression {text!r}")
+    return out
 
 
 def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> list[str]:
@@ -486,14 +489,14 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="expsum",
+        prog="expsum", allow_abbrev=False,
         description="Desk-scale verification of exponential-sum identities "
         "and bounds (Kloosterman sums, correlation sums, Voronoi summation, "
         "bilinear cancellation, divisor distribution).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, options) in COMMANDS.items():
-        sp = sub.add_parser(name)
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in options.items():
             spec = dict(OPTIONS[key])
@@ -542,8 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenExecutor as exc:  # a --jobs worker died
         print(f"worker failed: {exc}", file=sys.stderr)
         return 1
-    print(f"[time] total: {perf_counter() - t0:.2f}s cpu {_cpu() - c0:.2f}s",
-          file=sys.stderr)
+    tables = ", ".join(f"{kind} {misses}/{hits}" for kind, (hits, misses) in TABLE_COUNTS.items())
+    print(f"[time] total: {perf_counter() - t0:.2f}s cpu {_cpu() - c0:.2f}s\n"
+          f"[tables] builds/hits in this process, not --jobs workers: {tables}", file=sys.stderr)
     return code
 
 

@@ -219,6 +219,30 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["voronoi", "--q", "1", "--X", ","],
+                                  ["distribution", "--q", "3", "--X", " , "]])
+def test_an_empty_X_list_exits_2(argv, tmp_path, capsys):
+    # as an empty q list does; it used to print the CSV header alone and exit 0
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --X: empty list expression" in err
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"X": []}))
+    assert main([argv[0], "--config", str(path)]) == 2
+    assert "argument --X: empty list expression ''" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    (["voronoi", "--q", "3", "--X", "50", "--t", "1e-3"], "--t 1e-3"),  # not --tol
+    (["verify-all", "--quick", "--q", "3"], "--q 3"),  # not --quick
+    (["kloosterman", "--q", "5", "--to", "1e-3"], "--to 1e-3"),
+])
+def test_a_prefix_of_a_flag_is_not_that_flag(argv, unknown, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {unknown}\n" in err
+
+
 _UNDECLARED = [(name, key) for name, (_, options) in cli.COMMANDS.items()
                for key in cli.OPTIONS if key not in options]
 
@@ -454,7 +478,7 @@ def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
     assert main(["hyperkl3", "--q", "5"]) == 0
     captured = capsys.readouterr()
     assert "[time]" not in captured.out
-    assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds\n", captured.err)
+    assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds\n\[tables\] .*\n", captured.err)
     # each criterion line gives the CPU of its own check, which at --jobs 2
     # ran alone in a worker process; stdout is the same bytes either way
     monkeypatch.setattr(verify, "ALL_CHECKS", [verify.criterion_df, verify.criterion_bilinear])
@@ -467,14 +491,52 @@ def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
     assert "[time]" not in runs["1"].out and "cpu" not in runs["1"].out
     for jobs in ("1", "2"):
         lines = runs[jobs].err.splitlines()
-        assert len(lines) == 3
+        assert len(lines) == 4
         for line in lines[:2]:
             assert re.fullmatch(r"\[time\] \w+: \d+\.\d\ds cpu \d+\.\d\ds", line)
         assert re.fullmatch(r"\[time\] total: \d+\.\d\ds cpu \d+\.\d\ds", lines[2])
+        assert lines[3].startswith("[tables] ")
+
+
+_KINDS = ["unit_mask", "unit_inverse_table", "kloosterman_table",
+          "kloosterman_explicit_pp_table", "hyper_kl3_table"]
+
+
+def _table_counts(err: str) -> dict[str, tuple[int, int]]:
+    """Each kind's (builds, hits) from the stderr line after [time] total."""
+    lines = err.splitlines()
+    assert lines[-2].startswith("[time] total: ")
+    head, _, body = lines[-1].partition(": ")
+    assert head == "[tables] builds/hits in this process, not --jobs workers"
+    counts = {}
+    for item in body.split(", "):
+        kind, _, pair = item.partition(" ")
+        builds, hits = pair.split("/")
+        counts[kind] = (int(builds), int(hits))
+    assert list(counts) == _KINDS
+    return counts
 
 
 # with one CPU pmap runs everything in the caller, where os._exit would end pytest
 _TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pmap needs 2 CPUs to fork")
+
+
+@_TWO_CPUS
+def test_table_counts_go_to_stderr_and_count_this_process_only(tmp_path, capsys):
+    assert main(["hyperkl3", "--q", "4999"]) == 0
+    first = capsys.readouterr()
+    assert "[tables]" not in first.out
+    before = _table_counts(first.err)
+    assert main(["hyperkl3", "--q", "4999"]) == 0
+    again = capsys.readouterr()
+    assert again.out == first.out
+    after = _table_counts(again.err)
+    assert after["hyper_kl3_table"] == (before["hyper_kl3_table"][0],
+                                        before["hyper_kl3_table"][1] + 1)
+    # at --jobs 2 each modulus is built in a forked worker, whose counts
+    # this process does not see
+    assert main(["hyperkl3", "--q", "4993,4987", "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+    assert _table_counts(capsys.readouterr().err) == after
 
 
 @_TWO_CPUS

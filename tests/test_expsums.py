@@ -1,14 +1,21 @@
 """Kloosterman and hyper-Kloosterman sums: oracles, identities, bounds."""
 
 import cmath
+import contextlib
+import functools
+import hashlib
+import importlib.util
+import io
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsum import expsums
+from expsum import cli, expsums, verify
 from expsum.arith import factorize
 from expsum.expsums import (
     BadModulus,
@@ -284,3 +291,132 @@ def test_weil_audit_small():
     assert rep.aux["max_deligne_ratio"] <= 1.0
     p, m = rep.aux["weil_argmax"]
     assert 2 <= p <= 50 and 1 <= m < p
+
+
+# ------------------------------------------------------------- table store
+
+_KINDS = [unit_mask, unit_inverse_table, kloosterman_table, kloosterman_explicit_pp_table,
+          hyper_kl3_table]
+_SMALL_Q = expsums._SMALL_Q  # 2^17: above it a table is held for one modulus at a time
+
+
+def _empty_store():
+    """Every table dropped and every count zero, as in a fresh process."""
+    for held in expsums._TABLES.values():
+        held.clear()
+    for counts in expsums.TABLE_COUNTS.values():
+        counts[:] = [0, 0]
+    expsums._factor_tables.clear()
+
+
+def _large_tables() -> list:
+    """The held tables of a modulus above 2^17; a table's size is its modulus."""
+    return [t for held in expsums._TABLES.values() for t in held.values() if t.size > _SMALL_Q]
+
+
+def _counts() -> dict:
+    return {f.__name__: (f.cache_info().misses, f.cache_info().hits) for f in _KINDS}
+
+
+def test_the_store_speaks_lru_caches_interface():
+    _empty_store()
+    for f in _KINDS:
+        assert f.cache_parameters() == {"maxsize": 16, "typed": False}
+        assert f.__wrapped__.__name__ == f.__name__
+    kloosterman_table(12)
+    kloosterman_table(12)
+    info = kloosterman_table.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 1, 16, 1)
+    kloosterman_table.cache_clear()
+    assert tuple(kloosterman_table.cache_info()) == (0, 0, 16, 0)
+
+
+def test_explicit_pp_leaves_large_tables_of_at_most_one_modulus():
+    _empty_store()
+    assert verify.criterion_explicit_pp(False).passed
+    large = _large_tables()
+    assert len({t.size for t in large}) <= 1
+    # one modulus q <= 10^6: its unit mask (1 byte a residue), inverse,
+    # Kloosterman and explicit tables (8 bytes each), 25 MB at most
+    assert sum(t.nbytes for t in large) <= 25 * 10**6
+
+
+def test_a_large_table_of_another_modulus_drops_the_held_ones_before_its_build(monkeypatch):
+    _empty_store()
+    q1, q2 = _SMALL_Q + 1, _SMALL_Q + 3
+    kloosterman_table(q1)
+    small = kloosterman_table(12)
+    assert {t.size for t in _large_tables()} == {q1}
+    held_at_build = []
+    factor = expsums.factorize
+    monkeypatch.setattr(expsums, "factorize",
+                        lambda n: held_at_build.append(len(_large_tables())) or factor(n))
+    unit_mask(q2)
+    assert held_at_build == [0]
+    assert {t.size for t in _large_tables()} == {q2}
+    assert kloosterman_table(12) is small  # small tables stay
+    hits, misses = unit_mask.cache_info()[:2]
+    unit_mask(q2)  # a reused large modulus builds once
+    assert unit_mask.cache_info()[:2] == (hits + 1, misses)
+
+
+def _operations(workload: str) -> list:
+    """A perfbench workload's operations, the scans in-process without --jobs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    ops = workloads.operations(workload, 1)
+    return [(kind, arg[:arg.index("--jobs")] if kind == "scan" else arg) for kind, arg in ops]
+
+
+def _run(ops) -> dict:
+    """Run ops from an empty store; the builds and hits of each kind."""
+    _empty_store()
+    for kind, arg in ops:
+        if kind == "criterion":
+            assert getattr(verify, f"criterion_{arg}")(False).passed, arg
+        else:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                assert cli.main(arg) == 0, arg
+    return _counts()
+
+
+@pytest.mark.parametrize("workload", ["kl-tables", "divisor-sums", "correlations"])
+def test_the_store_builds_and_hits_as_lru_cache_16_does(workload, monkeypatch):
+    monkeypatch.delenv("EXPSUM_JOBS", raising=False)
+    ops = _operations(workload)
+    got = _run(ops)
+    assert got["kloosterman_table"][0] > 0
+    # the reference: an lru_cache(16) around each body, bound wherever the
+    # package bound the stored function, as perfbench's tracer binds it
+    refs = {f: functools.lru_cache(16)(f.__wrapped__) for f in _KINDS}
+    for mod in [m for n, m in sys.modules.items() if n.startswith("expsum.")]:
+        for attr, val in list(vars(mod).items()):
+            for f, ref in refs.items():
+                if val is f:
+                    monkeypatch.setattr(mod, attr, ref)
+    _run(ops)
+    want = {f.__name__: (ref.cache_info().misses, ref.cache_info().hits)
+            for f, ref in refs.items()}
+    assert got == want
+    _empty_store()
+
+
+@pytest.mark.parametrize("argv,digest,builds", [
+    (["charsum-pp", "--p", "5,7", "--gamma-max", "7"],
+     "a1b99719b4d64a8167c4389bbeb944aa99d53b38bcfc23372f2d6d069bf64972",
+     {"unit_inverse_table": (14, 3798), "unit_mask": (14, 5712),
+      "kloosterman_table": (12, 1888)}),
+    # q = 31^4 = 923521, the largest modulus the CLI reaches
+    (["charsum-pp", "--p", "31", "--gamma-max", "4"],
+     "35885a8598c554bf9821d415c7891cda408da2988ad9ab4dd366692319f03a2c",
+     {"unit_inverse_table": (4, 599), "unit_mask": (4, 903), "kloosterman_table": (3, 297)}),
+], ids=["p5,7-gamma7", "p31-gamma4"])
+def test_a_reused_large_modulus_builds_once(argv, digest, builds, capsys):
+    _empty_store()
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert {k: v for k, v in _counts().items() if k in builds} == builds
+    _empty_store()
