@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
+
+from .memo import stored
 
 __all__ = [
     "Factorization",
@@ -62,7 +63,7 @@ class Factorization:
         return sorted(out)
 
 
-@lru_cache(maxsize=100_000)
+@stored(100_000)
 def factorize(n: int) -> Factorization:
     """Exact factorization by trial division; 1 <= n <= 10^12."""
     if not 1 <= n <= _FACTOR_CAP:
@@ -95,7 +96,7 @@ def d3_exact(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=8)
+@stored(8)
 def divisor_table(k: int, X: int) -> np.ndarray:
     """values[n] = d_k(n) for 1 <= n <= X (values[0] = 0), read-only uint32.
 

@@ -39,6 +39,7 @@ import numpy as np
 
 from .arith import divisor_table, factorize
 from .expsums import hyper_kl3_table
+from .memo import stored
 from .voronoi import SmoothWeight
 
 __all__ = [
@@ -153,21 +154,24 @@ def _sigma_power_window(m: np.ndarray, s: complex) -> np.ndarray:
     return out
 
 
+@stored(1)
 def _lambda_weights(cfg: BilinearConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(m values, lam(m) * V(m/M)) over the support of V."""
+    """(m values, lam(m) * V(m/M)) over the support of V, read-only; a scan
+    asks for one config's weights three times in a row, so one is kept."""
     m = _m_support(cfg)
     lam = _sigma_power_window(m, cfg.shift)
     if cfg.s2 != 0:
         lam = lam * np.exp(cfg.s2 * np.log(m.astype(float)))
-    return m, lam * V(m.astype(float) / cfg.M)
+    lamv = lam * V(m.astype(float) / cfg.M)
+    m.setflags(write=False)
+    lamv.setflags(write=False)
+    return m, lamv
 
 
 def bilinear_sum(cfg: BilinearConfig) -> complex:
     """The literal double sum, kernel values fetched from the table."""
-    return _literal(cfg, hyper_kl3_table(cfg.q), *_lambda_weights(cfg))
-
-
-def _literal(cfg: BilinearConfig, tab: np.ndarray, m: np.ndarray, lamv: np.ndarray) -> complex:
+    tab = hyper_kl3_table(cfg.q)
+    m, lamv = _lambda_weights(cfg)
     total = 0j
     alpha = cfg.alpha_vector
     mb = (m % cfg.q) * (cfg.b % cfg.q) % cfg.q
@@ -184,10 +188,8 @@ def bilinear_grouped(cfg: BilinearConfig) -> complex:
     each residue class is accumulated with bincounts and contracted
     against the kernel table in a single pass.
     """
-    return _grouped(cfg, hyper_kl3_table(cfg.q), *_lambda_weights(cfg))
-
-
-def _grouped(cfg: BilinearConfig, tab: np.ndarray, m: np.ndarray, lamv: np.ndarray) -> complex:
+    tab = hyper_kl3_table(cfg.q)
+    m, lamv = _lambda_weights(cfg)
     alpha = cfg.alpha_vector
     mb = (m % cfg.q) * (cfg.b % cfg.q) % cfg.q
     weight = np.zeros(cfg.q, dtype=complex)
@@ -201,15 +203,9 @@ def _grouped(cfg: BilinearConfig, tab: np.ndarray, m: np.ndarray, lamv: np.ndarr
 
 def trivial_bound(cfg: BilinearConfig) -> float:
     """(sum |alpha|) (sum |lam V|) sup |kernel): a true triangle bound."""
-    return _trivial(cfg, hyper_kl3_table(cfg.q), _lambda_weights(cfg)[1])
-
-
-def _trivial(cfg: BilinearConfig, tab: np.ndarray, lamv: np.ndarray) -> float:
-    return float(
-        np.sum(np.abs(cfg.alpha_vector))
-        * np.sum(np.abs(lamv))
-        * np.max(np.abs(tab))
-    )
+    tab = hyper_kl3_table(cfg.q)
+    lamv = _lambda_weights(cfg)[1]
+    return float(np.sum(np.abs(cfg.alpha_vector)) * np.sum(np.abs(lamv)) * np.max(np.abs(tab)))
 
 
 def thm_bound(
@@ -253,17 +249,16 @@ def hypothesis_flags(q: int, M: int, N: int) -> tuple[bool, bool]:
 def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]:
     """Evaluate |S| against trivial and theorem bounds for each config.
 
-    Every sum is evaluated both ways, literal and grouped, and the two
-    must agree to 1e-9 relative; theorem bounds are recorded but never
-    asserted (their constants are unspecified).
+    Every sum is evaluated both ways, bilinear_sum and bilinear_grouped,
+    and the two must agree to 1e-9 relative; trivial_bound gives the
+    bound.  The memo store hands all three one Kl3 table and one weight
+    vector per config.  Theorem bounds are recorded but never asserted
+    (their constants are unspecified).
     """
     out = []
     for cfg in configs:
-        # one table and one set of weights serve both sums and the bound
-        tab = hyper_kl3_table(cfg.q)
-        m, lamv = _lambda_weights(cfg)
-        s = _literal(cfg, tab, m, lamv)
-        s2 = _grouped(cfg, tab, m, lamv)
+        s = bilinear_sum(cfg)
+        s2 = bilinear_grouped(cfg)
         scale = max(abs(s), abs(s2), 1.0)
         if abs(s - s2) > 1e-9 * scale:
             raise AssertionError(f"evaluation paths disagree at {cfg}: {s} vs {s2}")
@@ -277,7 +272,7 @@ def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]
                 M=cfg.M,
                 N=cfg.N,
                 sum_value=s,
-                trivial_bound=_trivial(cfg, tab, lamv),
+                trivial_bound=trivial_bound(cfg),
                 thm_squarefree=thm_bound("squarefree", cfg.q, cfg.M, cfg.N),
                 thm_primepower=thm_bound(
                     "primepower", cfg.q, cfg.M, cfg.N, p=p_small

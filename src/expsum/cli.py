@@ -3,8 +3,8 @@
 Every subcommand walks its parameter family in a fixed order, formats
 floats as %.12e, and draws any random tuples from fixed seeds, so a
 given invocation is byte-reproducible (including across --jobs values;
-parallel results are merged back in canonical order).  Timing and this
-process's table builds and hits go to stderr only.
+parallel results are merged back in canonical order).  Timing and the
+memo store's builds and hits, --jobs workers included, go to stderr only.
 
 COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
@@ -33,7 +33,7 @@ from time import perf_counter, process_time
 
 from .bilinear import BilinearConfig, cancellation_scan
 from .distribution import discrepancy_scan
-from .expsums import TABLE_COUNTS, hyper_kl3_table
+from .expsums import hyper_kl3_table
 from .families import (
     BILINEAR_HEADER,
     BrokenExecutor,
@@ -52,6 +52,7 @@ from .families import (
     split_vs_table,
     voronoi_cells,
 )
+from .memo import COUNTS
 from .modarith import is_prime
 from .verify import criterion_determinism, run_checks
 from .voronoi import (
@@ -119,6 +120,8 @@ def validate(cfg: argparse.Namespace) -> None:
     for p in opt.get("p", []):
         if not 2 <= p <= CAPS["p"] or not is_prime(p):
             raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
+        if p == 2 and cfg.subcommand in ("charsum-pp", "charsum-prime"):
+            raise ValidationError("p = 2: the correlation sums need an odd prime")
     voronoi = cfg.subcommand == "voronoi"
     cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
     for x in opt.get("X", []):
@@ -545,9 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenExecutor as exc:  # a --jobs worker died
         print(f"worker failed: {exc}", file=sys.stderr)
         return 1
-    tables = ", ".join(f"{kind} {misses}/{hits}" for kind, (hits, misses) in TABLE_COUNTS.items())
+    tables = ", ".join(f"{kind} {misses}/{hits}" for kind, (hits, misses) in COUNTS.items())
     print(f"[time] total: {perf_counter() - t0:.2f}s cpu {_cpu() - c0:.2f}s\n"
-          f"[tables] builds/hits in this process, not --jobs workers: {tables}", file=sys.stderr)
+          f"[tables] builds/hits, --jobs workers included: {tables}", file=sys.stderr)
     return code
 
 

@@ -14,11 +14,11 @@ on each modulus q whole, and each quantity has its own route:
   d_3 table by n mod q (uint64, exact); d3_ap_sum, the slice
   n = a mod q, re-computes one class per modulus and must agree;
 - the coprime total comes from coprime_mean, the Moebius sum over
-  squarefree d | q of the multiples of d; one scan sums each d's
-  multiples once, from the table and never from a fold, for every
-  modulus d divides; the zero-sum identity is sum_a T_q[a] = that
-  total, compared as integers, and each delta is one correctly rounded
-  integer division;
+  squarefree d | q of the multiples of d; the process sums each d's
+  multiples once per X, from the table and never from a fold, for every
+  modulus d divides and every scan; the zero-sum identity is
+  sum_a T_q[a] = that total, compared as integers, and each delta is
+  one correctly rounded integer division;
 - the Ramanujan splitting below reads each conductor's own fold T_d,
   taken from the table rather than from T_q.
 
@@ -48,12 +48,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .arith import divisor_table, divisors, factorize
 from .expsums import hyper_kl3_table
+from .memo import stored
 
 __all__ = [
     "RamanujanDecomposition",
@@ -96,25 +96,18 @@ def coprime_mean(X: int, q: int) -> Fraction:
     mu(d) times the sum of d_3 over the multiples of d, so it shares no
     slicing with the progression sums it is compared against.
     """
-    return _coprime_mean(X, q, {})
-
-
-def _coprime_mean(X: int, q: int, multiples: dict[int, int]) -> Fraction:
-    """coprime_mean(X, q), reading and filling multiples[d], the sum of d_3
-    over the multiples of d up to X, so that one scan sums each d once."""
     if q < 1:
         raise ValueError(f"need q >= 1, got q={q}")
     if X < 1:
         return Fraction(0)
-    vals = divisor_table(3, X)
-    total = 0
-    for d in divisors(q):
-        mu = factorize(d).mobius()
-        if mu:
-            if d not in multiples:
-                multiples[d] = int(np.sum(vals[d::d], dtype=np.uint64))
-            total += mu * multiples[d]
+    total = sum(mu * _multiples(X, d) for d in divisors(q) if (mu := factorize(d).mobius()))
     return Fraction(total, factorize(q).phi())
+
+
+@stored(None)
+def _multiples(X: int, d: int) -> int:
+    """The sum of d_3(n) over the multiples n of d up to X, summed once per (X, d)."""
+    return int(np.sum(divisor_table(3, X)[d::d], dtype=np.uint64))
 
 
 def _residue_totals(X: int, d: int) -> np.ndarray:
@@ -132,7 +125,7 @@ def _residue_totals(X: int, d: int) -> np.ndarray:
     return t.reshape(-1, d).sum(axis=0)
 
 
-@lru_cache(maxsize=2048)
+@stored(2048)
 def _char_sums(X: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """(T_d, R_d) with R_d[r] = sum*_{alpha mod d} W(alpha) e(-alpha r/d).
 
@@ -176,9 +169,8 @@ def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]
     """
     rows: list[dict] = []
     family: list[tuple[int, float]] = []
-    multiples: dict[int, int] = {}  # d -> sum of d_3 over its multiples, this X
     for q in moduli:
-        mean = _coprime_mean(X, q, multiples)
+        mean = coprime_mean(X, q)
         units = _units(q)
         ap = _char_sums(X, q)[0][units % q]
         if int(ap[0]) != d3_ap_sum(X, q, 1):

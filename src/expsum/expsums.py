@@ -5,13 +5,9 @@ modulo odd prime powers, twisted multiplicativity (CRT splitting), the
 normalised hyper-Kloosterman sum Kl3 with two independent evaluation
 paths, and Weil/Deligne bound audits.
 
-Tables are read-only numpy arrays indexed by residue, held per modulus
-in one store (_stored), except the prime-power factor tables of the CRT
-split: every prime power up to _FACTOR_KEEP = 5000 keeps its table
-S(1, .; p^e) for the life of the process, so each is built once however
-many moduli share it (at most 12.8 MB of float64, when all 711 are
-held).  Nothing takes a lock: --jobs runs in worker processes, and each
-worker fills its own copies.
+Tables are read-only numpy arrays indexed by residue, held in the memo
+store, 16 per kind; the CRT split's factor tables S(1, .; p^e) of p^e <=
+_FACTOR_KEEP = 5000 are kept for good, 12.8 MB of float64 for all 711.
 
 The exact layers under the CRT split are vectorised only where the
 bits allow.  unit_inverse_table exponentiates the units up to q/2 and
@@ -33,13 +29,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
 from dataclasses import dataclass, field
-from functools import wraps
 
 import numpy as np
 
 from .arith import factorize
+from .memo import stored
 from .modarith import PrimePower, is_prime, legendre
 
 __all__ = [
@@ -139,42 +134,7 @@ def kloosterman_direct(a: int, b: int, q: int) -> complex:
     return complex(re, im)
 
 
-# The store: kind -> {key: table}, least recent first.  A kind keeps its 16 most
-# recent tables, as lru_cache(16) did; tables of a modulus above _SMALL_Q (1 MiB
-# of float64) are held for one modulus at a time, and dropped before another's build.
-_KEEP, _SMALL_Q = 16, 2**17
-_TABLES: dict[str, OrderedDict] = {}
-TABLE_COUNTS: dict[str, list[int]] = {}  # kind -> [hits, misses]; a miss is a build
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-def _stored(build):
-    """build(key)'s tables, held in the store behind lru_cache's interface."""
-    held = _TABLES[build.__name__] = OrderedDict()
-    counts = TABLE_COUNTS[build.__name__] = [0, 0]
-
-    @wraps(build)
-    def table(key):
-        if key in held:  # a hit: a large modulus here is the one held, so none is dropped
-            held.move_to_end(key)
-            counts[0] += 1
-            return held[key]
-        counts[1] += 1
-        if (q := getattr(key, "q", key)) > _SMALL_Q:  # a PrimePower's modulus, or key
-            for tables in _TABLES.values():  # a table's size is its modulus
-                for old in [k for k, t in tables.items() if _SMALL_Q < t.size != q]:
-                    del tables[old]
-        value = held[key] = build(key)
-        if len(held) > _KEEP:
-            held.popitem(last=False)
-        return value
-    table.cache_info = lambda: _CacheInfo(*counts, _KEEP, len(held))
-    table.cache_parameters = lambda: {"maxsize": _KEEP, "typed": False}
-    table.cache_clear = lambda: (held.clear(), counts.clear(), counts.extend((0, 0)))
-    return table
-
-
-@_stored
+@stored(16, modulus=int)
 def unit_mask(q: int) -> np.ndarray:
     """Boolean array over [0, q): which residues are units.
 
@@ -188,7 +148,7 @@ def unit_mask(q: int) -> np.ndarray:
     return m
 
 
-@_stored
+@stored(16, modulus=int)
 def unit_inverse_table(q: int) -> np.ndarray:
     """inv(x) mod q for units x, 0 for non-units; vectorised modular power.
 
@@ -228,7 +188,7 @@ def unit_inverse_table(q: int) -> np.ndarray:
     return out
 
 
-@_stored
+@stored(16, modulus=int)
 def kloosterman_table(q: int) -> np.ndarray:
     """values[c] = S(1, c; q) for c in [0, q), all at once via one inverse FFT.
 
@@ -249,7 +209,7 @@ def kloosterman_table(q: int) -> np.ndarray:
     return out
 
 
-@_stored
+@stored(16, modulus=lambda pp: pp.q)
 def kloosterman_explicit_pp_table(pp: PrimePower) -> np.ndarray:
     """values[beta] = closed-form S(1, beta; p^gamma) for units beta, 0 otherwise.
 
@@ -275,22 +235,20 @@ def kloosterman_explicit_pp_table(pp: PrimePower) -> np.ndarray:
     return vals
 
 
-# Prime powers up to this size keep their factor table for the life of
-# the process.  Every prime-power factor of a composite modulus up to the
-# CLI cap 10^4 is at most 5000; holding all 711 prime powers <= 5000 at
-# once takes 12.8 MB of float64.  Larger ones (explicit_pp builds up to
-# 10^6) go through kloosterman_table's store.
+# every prime-power factor of a modulus up to the CLI cap 10^4 is at most
+# 5000; larger ones (explicit_pp's, up to 10^6) keep kloosterman_table's 16
 _FACTOR_KEEP = 5000
-_factor_tables: dict[int, np.ndarray] = {}
+
+
+@stored(None)
+def _factor_table(qi: int) -> np.ndarray:
+    """kloosterman_table(qi), kept for the life of the process."""
+    return kloosterman_table(qi)
 
 
 def _factor_values(qi: int) -> np.ndarray:
     """kloosterman_table(qi), kept when qi <= _FACTOR_KEEP."""
-    if qi > _FACTOR_KEEP:
-        return kloosterman_table(qi)
-    if qi not in _factor_tables:
-        _factor_tables[qi] = kloosterman_table(qi)
-    return _factor_tables[qi]
+    return _factor_table(qi) if qi <= _FACTOR_KEEP else kloosterman_table(qi)
 
 
 def _kloosterman_factor(a: int, b: int, q: int) -> complex:
@@ -312,9 +270,7 @@ def kloosterman_split(a: int, b: int, q: int) -> complex:
     valid for all a, b including degenerate gcd cases.  Specialised to
     a = 1 and a squarefree modulus this reproduces
     S(1, x-bar; q) = prod_i S(1, inv(q/q_i)^2 * x-bar; q_i).
-    The factor tables S(1, .; q_i) of prime powers q_i <= _FACTOR_KEEP
-    (5000) are built once and kept, 12.8 MB at most; larger ones come
-    from kloosterman_table's store.
+    The factor tables S(1, .; q_i) of q_i <= _FACTOR_KEEP are built once.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
@@ -343,7 +299,7 @@ def kloosterman_split_row(q: int) -> np.ndarray:
     return out
 
 
-@_stored
+@stored(16, modulus=int)
 def hyper_kl3_table(q: int) -> np.ndarray:
     """values[r] = Kl3(r, q) for all r mod q, via the Kloosterman-table path.
 

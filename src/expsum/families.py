@@ -30,6 +30,7 @@ from .charsums import (
     ppower_bound,
 )
 from .expsums import BoundReport, kloosterman_split_row, kloosterman_table
+from .memo import COUNTS
 from .modarith import PrimePower
 
 __all__ = [
@@ -61,8 +62,11 @@ _TASK: tuple = ()  # (fn, items) of the running pmap, inherited by its forked wo
 
 
 def _run_item(i: int):
+    """fn(items[i]) in a worker, and the memo counts it added: {kind: [hits, misses]}."""
     fn, items = _TASK
-    return fn(items[i])
+    for counts in COUNTS.values():  # the worker's totals are not read: count from 0
+        counts[:] = [0, 0]
+    return fn(items[i]), {kind: list(counts) for kind, counts in COUNTS.items()}
 
 
 def pmap(fn, items, jobs: int) -> list:
@@ -71,7 +75,8 @@ def pmap(fn, items, jobs: int) -> list:
     With one worker the items run in the caller.  A worker takes the next
     item when it is free, so it sees its items in list order; results come
     back in list order.  fn is inherited, never pickled; its results and
-    exceptions are.  A worker that dies raises BrokenExecutor.
+    exceptions are, with each item's memo counts, which are added to this
+    process's.  A worker that dies raises BrokenExecutor.
     """
     global _TASK
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -85,9 +90,13 @@ def pmap(fn, items, jobs: int) -> list:
     try:
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            return list(pool.map(_run_item, range(len(items))))
+            done = list(pool.map(_run_item, range(len(items))))
     finally:
         _TASK = ()
+    for _, added in done:
+        for kind, (hits, misses) in added.items():
+            COUNTS[kind][:] = COUNTS[kind][0] + hits, COUNTS[kind][1] + misses
+    return [out for out, _ in done]
 
 
 def render(rows: list[dict], header: list[str], kind: str = "csv") -> str:

@@ -77,12 +77,12 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from .arith import divisor_table
+from .memo import stored
 
 __all__ = [
     "EULER_GAMMA",
@@ -446,7 +446,7 @@ class _XStore:
 _STORE = _XStore()
 
 
-@lru_cache(maxsize=64)
+@stored(64)
 def _main_term(q: int, X: float) -> float:
     """(2/q) integral (log(sqrt(x)/q) + gamma) h(x) dx, composite GL64.
 

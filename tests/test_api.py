@@ -111,11 +111,11 @@ def _lru_caches(source: str) -> int:
 
 
 def test_lru_caches_do_not_grow():
-    # the five expsums tables moved to its table store; ROADMAP item 4 moves
-    # these four too (arith's two, distribution's and voronoi's), and none may be added
+    # every memo of the package is in the memo store (memo.stored), and none
+    # may be added beside it
     assert _lru_caches("@lru_cache(maxsize=2)\ndef f(): pass\n"
                        "g = functools.cache(f)\nfrom functools import lru_cache\n") == 2
-    assert sum(_lru_caches(p.read_text()) for p in SRC.glob("*.py")) <= 4
+    assert sum(_lru_caches(p.read_text()) for p in SRC.glob("*.py")) == 0
 
 
 
@@ -159,12 +159,8 @@ print(json.dumps([[c.co_filename, c.co_firstlineno] for c in calls.values()]))
 """
 
 # a body that runs only in forked --jobs workers, whose profile records are
-# lost with the worker; and four public functions that perfbench traces by
-# name, which the scans bypass: they call the private halves, so that one
-# Kl3 table and one weight vector serve both sums and the bound, and one
-# dict of Moebius multiple-sums serves every modulus
-_UNREACHED = {"families._run_item", "bilinear.bilinear_sum", "bilinear.bilinear_grouped",
-              "bilinear.trivial_bound", "distribution.coprime_mean"}
+# lost with the worker
+_UNREACHED = {"families._run_item"}
 
 
 def test_every_function_is_reached_from_the_cli(tmp_path):

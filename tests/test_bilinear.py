@@ -132,33 +132,30 @@ def test_cancellation_scan_and_csv():
     assert lines[2].startswith("27,3,")
 
 
-def test_cancellation_scan_equals_the_public_functions(monkeypatch):
-    # the scan builds one table and one set of weights per config and
-    # hands them to both sums and the bound; each result must equal the
-    # public function's, which builds its own, bit for bit
+def test_cancellation_scan_equals_the_public_functions():
+    # the scan calls bilinear_sum, bilinear_grouped and trivial_bound, which
+    # share one set of weights per config through the store: each result must
+    # equal the public function's with the weights built afresh, bit for bit
     configs = [
         BilinearConfig(q=7, M=6, N=2),
         BilinearConfig(q=27, M=40, N=3, b=2, s1=0.5, s2=-0.25j),
         BilinearConfig(q=30, M=25, N=4, b=7, w=0.3, alpha=(1, -1j, 0.5, 0.25 + 0.5j)),
         BilinearConfig(q=121, M=60, N=4, s1=1.0 + 0.5j),
     ]
-    grouped = []
-    route = bilinear._grouped
-
-    def spy(*args):
-        grouped.append(route(*args))
-        return grouped[-1]
-
-    monkeypatch.setattr(bilinear, "_grouped", spy)
+    weights = bilinear._lambda_weights
+    weights.cache_clear()
     reports = cancellation_scan(configs)
-    monkeypatch.undo()
+    # built once per config, then read by the other sum and the bound
+    assert weights.cache_info()[:2] == (2 * len(configs), len(configs))  # (hits, misses)
 
     def bits(*xs):
         return np.array(xs, dtype=complex).tobytes()
 
-    for cfg, rep, g in zip(configs, reports, grouped, strict=True):
-        assert bits(rep.sum_value, g, rep.trivial_bound) == bits(
-            bilinear_sum(cfg), bilinear_grouped(cfg), trivial_bound(cfg)), cfg
+    for cfg, rep in zip(configs, reports, strict=True):
+        weights.cache_clear()
+        s, trivial = bilinear_sum(cfg), trivial_bound(cfg)
+        weights.cache_clear()
+        assert bits(rep.sum_value, rep.trivial_bound) == bits(s, trivial), cfg
 
 
 def test_exponent_property():

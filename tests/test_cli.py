@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expsum import cli, distribution, verify, voronoi
+from expsum import cli, distribution, memo, verify, voronoi
 from expsum.cli import (
     CAPS,
     ParseError,
@@ -26,6 +26,7 @@ from expsum.cli import (
     parse_int_list,
     validate,
 )
+from expsum.expsums import hyper_kl3_table
 from expsum.families import pmap, units
 
 _INTS = st.integers(-10**6, 10**6)
@@ -216,7 +217,14 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     assert main(["voronoi", "--q", "0"]) == 2
     assert main(["kloosterman", "--q", str(CAPS["q"] + 1)]) == 2
     assert main(["df", "--p", "4"]) == 2  # not a prime
+    # the correlation sums need an odd prime: refused before any work,
+    # with nothing on stdout (df takes p = 2)
     capsys.readouterr()
+    assert main(["charsum-pp", "--p", "2", "--gamma-max", "2"]) == 2
+    assert main(["charsum-prime", "--p", "2"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.count("p = 2: the correlation sums need an odd prime") == 2
 
 
 @pytest.mark.parametrize("argv", [["voronoi", "--q", "1", "--X", ","],
@@ -498,22 +506,18 @@ def test_timings_go_to_stderr_not_stdout(monkeypatch, capsys):
         assert lines[3].startswith("[tables] ")
 
 
-_KINDS = ["unit_mask", "unit_inverse_table", "kloosterman_table",
-          "kloosterman_explicit_pp_table", "hyper_kl3_table"]
-
-
 def _table_counts(err: str) -> dict[str, tuple[int, int]]:
     """Each kind's (builds, hits) from the stderr line after [time] total."""
     lines = err.splitlines()
     assert lines[-2].startswith("[time] total: ")
     head, _, body = lines[-1].partition(": ")
-    assert head == "[tables] builds/hits in this process, not --jobs workers"
+    assert head == "[tables] builds/hits, --jobs workers included"
     counts = {}
     for item in body.split(", "):
         kind, _, pair = item.partition(" ")
         builds, hits = pair.split("/")
         counts[kind] = (int(builds), int(hits))
-    assert list(counts) == _KINDS
+    assert list(counts) == list(memo.COUNTS)
     return counts
 
 
@@ -522,7 +526,7 @@ _TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pmap needs 2 C
 
 
 @_TWO_CPUS
-def test_table_counts_go_to_stderr_and_count_this_process_only(tmp_path, capsys):
+def test_table_counts_go_to_stderr_and_include_the_workers(tmp_path, capsys):
     assert main(["hyperkl3", "--q", "4999"]) == 0
     first = capsys.readouterr()
     assert "[tables]" not in first.out
@@ -531,12 +535,15 @@ def test_table_counts_go_to_stderr_and_count_this_process_only(tmp_path, capsys)
     again = capsys.readouterr()
     assert again.out == first.out
     after = _table_counts(again.err)
-    assert after["hyper_kl3_table"] == (before["hyper_kl3_table"][0],
-                                        before["hyper_kl3_table"][1] + 1)
-    # at --jobs 2 each modulus is built in a forked worker, whose counts
-    # this process does not see
-    assert main(["hyperkl3", "--q", "4993,4987", "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
-    assert _table_counts(capsys.readouterr().err) == after
+    kl3 = "expsums.hyper_kl3_table"
+    assert after[kl3] == (before[kl3][0], before[kl3][1] + 1)
+    # at --jobs 2 each modulus is built in a forked worker, which hands its
+    # counts back with its rows
+    hyper_kl3_table.cache_clear()
+    assert main(["hyperkl3", "--q", "5,7", "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+    workers = _table_counts(capsys.readouterr().err)
+    assert workers[kl3] == (2, 0)
+    assert hyper_kl3_table.cache_info()[:2] == (0, 2)  # (hits, misses)
 
 
 @_TWO_CPUS

@@ -178,6 +178,16 @@ def test_scan_memory_is_linear_in_the_modulus():
     assert peak < 8 * 10**6, peak
 
 
+def test_a_second_scan_at_the_same_X_sums_no_multiples():
+    multiples = distribution._multiples
+    multiples.cache_clear()
+    first = discrepancy_scan(3000, [6, 10, 15])
+    # the squarefree divisors 1, 2, 3, 5, 6, 10, 15, each summed once
+    assert multiples.cache_info()[:2] == (5, 7)  # (hits, misses)
+    assert discrepancy_scan(3000, [6, 10, 15]) == first
+    assert multiples.cache_info()[:2] == (17, 7)
+
+
 def test_d3_to_bilinear_rebracketing_is_exact():
     for y, q, b in ((10, 7, 1), (50, 12, 5), (200, 9, 2), (37, 30, 7)):
         direct, glued = d3_to_bilinear(y, q, b)

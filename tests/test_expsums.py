@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsum import cli, expsums, verify
+from expsum import cli, expsums, memo, verify
 from expsum.arith import factorize
 from expsum.expsums import (
     BadModulus,
@@ -149,7 +149,7 @@ def test_kloosterman_split_equals_direct_on_composite_moduli(q, a, b):
 
 def test_split_builds_each_factor_table_once():
     # 1058 builds when the factor tables came from the 16-entry LRU alone
-    expsums._factor_tables.clear()
+    expsums._factor_table.cache_clear()
     kloosterman_table.cache_clear()
     composites = [q for q in range(4, 1001) if not is_prime(q)]
     for q in composites:
@@ -277,6 +277,12 @@ def test_hyper_kl3_two_paths_agree(q):
     assert np.max(np.abs(fast - slow)) < 1e-9 * q
 
 
+@settings(deadline=None)
+@given(st.integers(1, 600))
+def test_hyper_kl3_two_paths_agree_on_any_q_up_to_600(q):
+    test_hyper_kl3_two_paths_agree(q)
+
+
 def test_hyper_kl3_deligne_bound_small_primes():
     for p in (3, 5, 7, 11, 13):
         tab = hyper_kl3_table(p)
@@ -293,36 +299,43 @@ def test_weil_audit_small():
     assert 2 <= p <= 50 and 1 <= m < p
 
 
-# ------------------------------------------------------------- table store
+# ------------------------------------------------------------- memo store
 
-_KINDS = [unit_mask, unit_inverse_table, kloosterman_table, kloosterman_explicit_pp_table,
-          hyper_kl3_table]
-_SMALL_Q = expsums._SMALL_Q  # 2^17: above it a table is held for one modulus at a time
+# every stored kind of the package, each with today's keep (None: all)
+_KEEP = {
+    "arith.factorize": 100_000, "arith.divisor_table": 8,
+    "expsums.unit_mask": 16, "expsums.unit_inverse_table": 16, "expsums.kloosterman_table": 16,
+    "expsums.kloosterman_explicit_pp_table": 16, "expsums._factor_table": None,
+    "expsums.hyper_kl3_table": 16, "voronoi._main_term": 64, "bilinear._lambda_weights": 1,
+    "distribution._multiples": None, "distribution._char_sums": 2048,
+}
+_KINDS = {kind: getattr(sys.modules[f"expsum.{module}"], name)
+          for kind in memo.COUNTS for module, _, name in [kind.partition(".")]}
+_SMALL_Q = memo.SMALL_Q  # 2^17: above it a table is held for one modulus at a time
 
 
 def _empty_store():
-    """Every table dropped and every count zero, as in a fresh process."""
-    for held in expsums._TABLES.values():
-        held.clear()
-    for counts in expsums.TABLE_COUNTS.values():
-        counts[:] = [0, 0]
-    expsums._factor_tables.clear()
+    """Every value dropped and every count zero, as in a fresh process."""
+    for f in _KINDS.values():
+        f.cache_clear()
 
 
 def _large_tables() -> list:
-    """The held tables of a modulus above 2^17; a table's size is its modulus."""
-    return [t for held in expsums._TABLES.values() for t in held.values() if t.size > _SMALL_Q]
+    """The held expsums tables of a modulus above 2^17; a table's size is its modulus."""
+    return [t for held in memo._LARGE for t in held.values() if t.size > _SMALL_Q]
 
 
 def _counts() -> dict:
-    return {f.__name__: (f.cache_info().misses, f.cache_info().hits) for f in _KINDS}
+    return {kind: (f.cache_info().misses, f.cache_info().hits) for kind, f in _KINDS.items()}
 
 
 def test_the_store_speaks_lru_caches_interface():
+    assert {kind: f.cache_parameters()["maxsize"] for kind, f in _KINDS.items()} == _KEEP
     _empty_store()
-    for f in _KINDS:
-        assert f.cache_parameters() == {"maxsize": 16, "typed": False}
-        assert f.__wrapped__.__name__ == f.__name__
+    for kind, f in _KINDS.items():
+        assert f.cache_parameters()["typed"] is False
+        assert f.__module__ == f"expsum.{kind.partition('.')[0]}"
+        assert f.__wrapped__.__name__ == kind.partition(".")[2]
     kloosterman_table(12)
     kloosterman_table(12)
     info = kloosterman_table.cache_info()
@@ -384,22 +397,23 @@ def _run(ops) -> dict:
 
 
 @pytest.mark.parametrize("workload", ["kl-tables", "divisor-sums", "correlations"])
-def test_the_store_builds_and_hits_as_lru_cache_16_does(workload, monkeypatch):
+def test_every_stored_kind_builds_and_hits_as_its_lru_cache_does(workload, monkeypatch):
     monkeypatch.delenv("EXPSUM_JOBS", raising=False)
     ops = _operations(workload)
     got = _run(ops)
-    assert got["kloosterman_table"][0] > 0
-    # the reference: an lru_cache(16) around each body, bound wherever the
-    # package bound the stored function, as perfbench's tracer binds it
-    refs = {f: functools.lru_cache(16)(f.__wrapped__) for f in _KINDS}
+    assert got["expsums.kloosterman_table"][0] > 0
+    # the reference: an lru_cache of the kind's keep around each body, bound
+    # wherever the package bound the stored function, as perfbench's tracer binds it
+    refs = {f: functools.lru_cache(f.cache_parameters()["maxsize"])(f.__wrapped__)
+            for f in _KINDS.values()}
     for mod in [m for n, m in sys.modules.items() if n.startswith("expsum.")]:
         for attr, val in list(vars(mod).items()):
             for f, ref in refs.items():
                 if val is f:
                     monkeypatch.setattr(mod, attr, ref)
     _run(ops)
-    want = {f.__name__: (ref.cache_info().misses, ref.cache_info().hits)
-            for f, ref in refs.items()}
+    want = {kind: (refs[f].cache_info().misses, refs[f].cache_info().hits)
+            for kind, f in _KINDS.items()}
     assert got == want
     _empty_store()
 
@@ -407,12 +421,13 @@ def test_the_store_builds_and_hits_as_lru_cache_16_does(workload, monkeypatch):
 @pytest.mark.parametrize("argv,digest,builds", [
     (["charsum-pp", "--p", "5,7", "--gamma-max", "7"],
      "a1b99719b4d64a8167c4389bbeb944aa99d53b38bcfc23372f2d6d069bf64972",
-     {"unit_inverse_table": (14, 3798), "unit_mask": (14, 5712),
-      "kloosterman_table": (12, 1888)}),
+     {"expsums.unit_inverse_table": (14, 3798), "expsums.unit_mask": (14, 5712),
+      "expsums.kloosterman_table": (12, 1888)}),
     # q = 31^4 = 923521, the largest modulus the CLI reaches
     (["charsum-pp", "--p", "31", "--gamma-max", "4"],
      "35885a8598c554bf9821d415c7891cda408da2988ad9ab4dd366692319f03a2c",
-     {"unit_inverse_table": (4, 599), "unit_mask": (4, 903), "kloosterman_table": (3, 297)}),
+     {"expsums.unit_inverse_table": (4, 599), "expsums.unit_mask": (4, 903),
+      "expsums.kloosterman_table": (3, 297)}),
 ], ids=["p5,7-gamma7", "p31-gamma4"])
 def test_a_reused_large_modulus_builds_once(argv, digest, builds, capsys):
     _empty_store()
