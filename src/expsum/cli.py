@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import groupby
 from pathlib import Path
 from time import perf_counter, process_time
 
@@ -50,7 +49,6 @@ from .families import (
     pmap,
     render,
     split_vs_table,
-    voronoi_cells,
 )
 from .memo import COUNTS
 from .modarith import is_prime
@@ -59,8 +57,8 @@ from .voronoi import (
     N_HARD_CAP,
     SmoothWeight,
     predicted_terms,
+    scale_residuals,
     voronoi_lhs,
-    voronoi_residual,
 )
 
 __all__ = [
@@ -378,9 +376,8 @@ def _run_glue(cfg: argparse.Namespace) -> int:
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:
-    def one(cell: tuple[int, int, float]) -> list[dict]:
-        q, a, x = cell
-        rep = voronoi_residual(a, q, SmoothWeight(x))
+    # one item per X, so that one worker builds each X's moment grid and kernels
+    def one(x: float) -> list[dict]:
         return [{
             "q": q, "a": a, "X": fmt(x),
             "lhs_re": fmt(rep.lhs.real), "lhs_im": fmt(rep.lhs.imag),
@@ -391,13 +388,11 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
             "residual": fmt(rep.residual),
             "relative": fmt(rep.relative_residual),
             "_rel": rep.relative_residual,
-        }]
+        } for q, a, rep in scale_residuals(cfg.q, x)]
 
-    # one item per X, so that one worker builds each X's moment grid and kernels
-    cells = voronoi_cells(cfg.q, cfg.X)
     rows = _scan(
-        lambda group: [row for cell in group for row in one(cell)],
-        [list(g) for _, g in groupby(cells, key=lambda c: c[2])],
+        one,
+        cfg.X,
         ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
          "truncation", "residual", "relative"],
         cfg,

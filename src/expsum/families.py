@@ -49,7 +49,6 @@ __all__ = [
     "modulus_rng",
     "calc_tuples",
     "glue_tuples",
-    "voronoi_cells",
     "bilinear_row",
 ]
 
@@ -218,11 +217,6 @@ def glue_tuples(q: int, rng: np.random.Generator) -> list[tuple[int, BoundReport
         )
         out.append((d, rep))
     return out
-
-
-def voronoi_cells(qs, xs) -> list[tuple[int, int, float]]:
-    """Every (q, a, X) with gcd(a, q) = 1, X outermost."""
-    return [(q, a, x) for x in xs for q in qs for a in units(q)]
 
 
 BILINEAR_HEADER = [

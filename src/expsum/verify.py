@@ -57,10 +57,9 @@ from .families import (
     pmap,
     render,
     split_vs_table,
-    voronoi_cells,
 )
 from .modarith import PrimePower, is_prime, legendre
-from .voronoi import SmoothWeight, voronoi_residual
+from .voronoi import scale_residuals
 
 __all__ = [
     "CheckResult",
@@ -354,9 +353,9 @@ def criterion_voronoi(quick: bool = False) -> tuple[bool, str]:
     qcap = 6 if quick else 20
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
     worst = 0.0
-    cells = voronoi_cells(range(1, qcap + 1), xs)
-    for q, a, x in cells:
-        worst = max(worst, voronoi_residual(a, q, SmoothWeight(x)).relative_residual)
+    cells = [cell for x in xs for cell in scale_residuals(range(1, qcap + 1), x)]
+    for _, _, rep in cells:
+        worst = max(worst, rep.relative_residual)
     return worst <= 1e-6, (
         f"{len(cells)} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
         f"worst relative residual {fmt(worst)}"

@@ -47,17 +47,27 @@ dot products against one vector of phases e(abar*n/q), which have period
 q in n: one period is read from a q-point table of roots of unity and
 tiled.  Since wY is real, its dot product with the conjugate phases is the
 conjugate of its dot product with the phases, bit for bit, so one phase
-vector serves both.  The gate and the CLI visit cells with X outermost,
-then q, then a, so one store holds the moment grid of the current X and
-the kernels of the current q.  Under --jobs the CLI hands each worker
-process whole (q, X) groups in that order, so no kernel is built twice.
-A new X drops the old grid and kernels before its own grid is built, so
-they never share memory with the new grid's FFT pads.  Every grid has the
-same shape, so the new grid is written into the old one's buffer unless a
-view of the old grid is still held: the grid's 32 MB are allocated once,
-not freed into the heap at every X.  The 13 moment FFTs of one X run in
-place as six (2, 2^21) batches on scipy.fft's two workers, then the last
-row alone.  scipy.fft caches one plan of that length and shares it between
+vector serves both.
+
+The gate and the CLI run one X at a time through scale_residuals, which
+visits q in order and runs the kernels in bursts: it builds the kernels of
+consecutive q until they hold one moment grid's bytes, then runs every
+cell of those q, a in order, then drops them.  OpenBLAS splits each long
+dot product over two threads, and its helper thread busy-waits for about
+0.1 s after the last one; with the dot products of a burst after all of
+its builds, that spin comes once per burst (7 times over the gate), not
+during every kernel build (60 times).  Each dot keeps its operands,
+length and order, so every bit is the same.  One store holds the moment
+grid of the current X and the kernels of the current burst; a lone
+voronoi_residual of a q the store does not hold drops them and builds that
+q's kernels alone.  Under --jobs the CLI hands each worker process one X,
+so no kernel is built twice.  A new X drops the old grid and kernels
+before its own grid is built, so they never share memory with the new
+grid's FFT pads.  Every grid has the same shape, so the new grid is
+written into the old one's buffer unless a view of the old grid is still
+held: the grid's 32 MB are allocated once, not freed into the heap at
+every X.  The 13 moment FFTs of one X run in place as six (2, 2^21)
+batches on scipy.fft's two workers, then the last row alone.  scipy.fft caches one plan of that length and shares it between
 its workers, where np.fft rebuilds its plan on every call; both run
 pocketfft, and each row equals np.fft.ifft's serial transform bit for bit.
 The Gauss-Legendre panels evaluate their integrand once on the whole node
@@ -91,6 +101,7 @@ __all__ = [
     "SmoothWeight",
     "VoronoiReport",
     "predicted_terms",
+    "scale_residuals",
     "voronoi_lhs",
     "voronoi_residual",
 ]
@@ -111,6 +122,11 @@ _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
 # converges below N_HARD_CAP and at the q before it
 _TERMS_X = (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 _TERMS_C = (27_620, 30_150, 32_170, 35_330, 37_510, 39_140, 42_980, 46_430, 48_530, 51_790)
+# the kernel bytes a burst gathers before its cells run: one moment grid's,
+# 13 rows of 4608/(u0*dk) + 16 complex values, a width that X cancels from
+_BURST_BYTES = 16 * _KTERMS * (
+    int(4608.0 * _NFFT * (math.sqrt(2) - 1) / (2 * math.pi * _NG)) + 16
+)
 
 
 class NonCoprime(ValueError):
@@ -398,13 +414,15 @@ def _build_kernels(
 
 
 class _XStore:
-    """The moment grid of one X and the kernels of one (q, X), with build counts.
+    """The moment grid of one X and the kernels of one burst of its q, with build counts.
 
     Callers visit every q of one X before the next X.  A request for a new
-    X first drops the old grid and kernels, and a request for a new q drops
-    the old kernels, before anything is built, so a build never holds what
-    it replaces.  The dropped grid's buffer is kept as spare, and the next
-    grid is written into it unless a view of the old grid is still held.
+    X first drops the old grid and kernels, a new burst drops the last
+    burst's kernels, and a lone request for a q the store does not hold
+    drops the held kernels, each before anything is built, so a build never
+    holds what it replaces.  The dropped grid's buffer is kept as spare,
+    and the next grid is written into it unless a view of the old grid is
+    still held.
     """
 
     def __init__(self) -> None:
@@ -412,14 +430,15 @@ class _XStore:
 
     def clear(self) -> None:
         """Drop the grid, its buffer and the kernels, and zero the build counts."""
-        self.X = self.bk = self.q = self.kern = self.spare = None
+        self.X = self.bk = self.spare = None
+        self.kern: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         self.grid_builds = self.kernel_builds = 0
 
     def _switch(self, X: float) -> None:
         if X != self.X:
             if self.bk is not None:  # the grid goes, its buffer stays for the next
                 self.spare = self.bk.values.base
-            self.X, self.bk, self.q, self.kern = X, None, None, None
+            self.X, self.bk, self.kern = X, None, {}
 
     def grid(self, X: float) -> _BkGrid:
         """The moment grid of X, built on the first request."""
@@ -433,14 +452,39 @@ class _XStore:
             self.bk, self.spare = _build_grid(X, self.spare), None
         return self.bk
 
-    def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """(wY, wK, n_auto) of (q, X), built on the first request."""
+    def kernel_bytes(self) -> int:
+        """The bytes of the held kernels."""
+        return sum(wY.nbytes + wK.nbytes for wY, wK, _ in self.kern.values())
+
+    def _build(self, q: int, X: float) -> None:
+        self.kernel_builds += 1
+        self.kern[q] = _build_kernels(q, X, lambda: self.grid(X))
+
+    def burst(self, qs: list[int], X: float) -> list[int]:
+        """Build the kernels of the leading q of qs, and return those q.
+
+        The last burst's kernels are dropped first.  q are taken in order
+        until the held kernels reach _BURST_BYTES, so the store holds less
+        than that plus one q's kernels; a burst takes at least one q.
+        """
         self._switch(X)
-        if q != self.q:
-            self.q = self.kern = None  # freed before the build
-            self.kernel_builds += 1
-            self.kern, self.q = _build_kernels(q, X, lambda: self.grid(X)), q
-        return self.kern
+        self.kern = {}  # freed before the first build
+        taken = []
+        for q in qs:
+            taken.append(q)
+            if q not in self.kern:
+                self._build(q, X)
+            if self.kernel_bytes() >= _BURST_BYTES:
+                break
+        return taken
+
+    def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """(wY, wK, n_auto) of (q, X): the held ones, else built alone."""
+        self._switch(X)
+        if q not in self.kern:
+            self.kern = {}  # freed before the build
+            self._build(q, X)
+        return self.kern[q]
 
 
 _STORE = _XStore()
@@ -507,3 +551,23 @@ def voronoi_residual(a: int, q: int, h: SmoothWeight) -> VoronoiReport:
         truncation_level=level,
         residual=abs(lhs - main - dual),
     )
+
+
+def scale_residuals(qs, X: float) -> list[tuple[int, int, VoronoiReport]]:
+    """(q, a, report) of every cell at scale X: q as qs lists them, then a unit a.
+
+    The report is voronoi_residual(a, q, SmoothWeight(X)), and the units
+    1 <= a <= q run in increasing order.  The kernels are built in bursts
+    (_XStore.burst), and a burst's cells run after its last build.
+    """
+    qs = list(qs)
+    if qs and min(qs) < 1:
+        raise ValueError(f"q must be >= 1, got {min(qs)}")
+    h = SmoothWeight(X)
+    out = []
+    while qs:
+        burst = _STORE.burst(qs, X)
+        qs = qs[len(burst):]
+        out += [(q, a, voronoi_residual(a, q, h))
+                for q in burst for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    return out

@@ -5,14 +5,17 @@ import math
 import subprocess
 import sys
 import weakref
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from expsum import verify, voronoi
-from expsum.cli import main
-from expsum.families import voronoi_cells
+from expsum.cli import ValidationError, build_parser, main, validate
+from expsum.families import units
 from expsum.voronoi import (
     CutoffTooSmall,
     NonCoprime,
@@ -120,6 +123,8 @@ def test_voronoi_rejects_bad_arguments():
         voronoi_residual(2, 4, h)
     with pytest.raises(ValueError):
         voronoi_residual(1, 0, h)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        voronoi.scale_residuals([3, 0], 50.0)  # before any kernel is built
 
 
 def test_unconverged_dual_sum_raises(monkeypatch, capsys):
@@ -156,14 +161,102 @@ def test_kernels_are_a_function_of_q_and_X():
     assert voronoi_residual(2, 5, h) == cold
 
 
-def test_gate_builds_one_kernel_per_q_and_X():
-    # the gate visits X outermost, then q, so a store of one grid and one
-    # q's kernels builds every (q, X) kernel and every X grid exactly once
+@pytest.fixture(scope="module")
+def gate_log():
+    """The full criterion 9, run once with its grid builds, kernel builds
+    and dual sums logged in order.
+
+    A build logs ("build", q, X, the store's kernel bytes as it starts,
+    which earlier kernels are alive then, its own kernel bytes); a cell's
+    dual sum logs ("dot", q, X); a grid build logs ("grid", X, nbytes).
+    """
+    store = voronoi._STORE
+    store.clear()
+    events, refs = [], []
+    build_kernels, rhs, build_grid = voronoi._build_kernels, voronoi._rhs, voronoi._build_grid
+
+    def kernels_spy(q, X, grid):
+        event = ["build", q, X, store.kernel_bytes(), [r() is not None for r in refs]]
+        events.append(event)
+        kern = build_kernels(q, X, grid)
+        refs.extend(weakref.ref(w) for w in kern[:2])
+        event.append(kern[0].nbytes + kern[1].nbytes)
+        return kern
+
+    def rhs_spy(a, q, h):
+        events.append(("dot", q, h.X))
+        return rhs(a, q, h)
+
+    def grid_spy(X, spare):
+        bk = build_grid(X, spare)
+        events.append(("grid", X, bk.values.nbytes))
+        return bk
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_build_kernels", kernels_spy)
+        mp.setattr(voronoi, "_rhs", rhs_spy)
+        mp.setattr(voronoi, "_build_grid", grid_spy)
+        result = verify.criterion_voronoi(quick=False)
+    assert result.passed
+    return SimpleNamespace(
+        events=events,
+        builds=[e for e in events if e[0] == "build"],
+        counts=(store.kernel_builds, store.grid_builds),
+    )
+
+
+def test_gate_builds_one_kernel_per_q_and_X(gate_log):
+    # the gate visits X outermost, then q, and a burst keeps every kernel
+    # it builds until its cells have run, so every (q, X) kernel and every
+    # X grid is built exactly once
     store = voronoi._STORE
     store.clear()
     assert verify.criterion_voronoi(quick=True).passed
     assert (store.kernel_builds, store.grid_builds) == (6, 1)
-    assert (store.X, store.q) == (50.0, 6)
+    assert store.X == 50.0 and 6 in store.kern
+    keys = [(q, X) for _, q, X, *_ in gate_log.builds]
+    assert keys == [(q, X) for X in (50.0, 100.0, 200.0) for q in range(1, 21)]
+    assert gate_log.counts == (60, 3)
+    assert [e[1] for e in gate_log.events if e[0] == "grid"] == [50.0, 100.0, 200.0]
+
+
+def test_a_burst_builds_all_its_kernels_before_its_first_dual_sum(gate_log):
+    # a burst takes q in order at one X until its kernels reach one grid's
+    # bytes, builds them all, then runs each of their cells: the log is
+    # that sequence, burst after burst, and the first dual sum of a burst
+    # comes after its last build
+    size = {(e[1], e[2]): e[5] for e in gate_log.builds}
+    bursts = []
+    for X in (50.0, 100.0, 200.0):
+        held = math.inf  # a new X starts a burst
+        for q in range(1, 21):
+            if held >= voronoi._BURST_BYTES:
+                bursts.append((X, []))
+                held = 0
+            bursts[-1][1].append(q)
+            held += size[q, X]
+    want = []
+    for X, qs in bursts:
+        want += [("build", q, X) for q in qs]
+        want += [("dot", q, X) for q in qs for _ in units(q)]
+    assert [tuple(e[:3]) for e in gate_log.events if e[0] != "grid"] == want
+    assert len(bursts) == 7
+
+
+def test_the_store_holds_at_most_one_grid_of_kernels_plus_one_q(gate_log):
+    # _BURST_BYTES is one moment grid's bytes, at every X
+    assert {e[2] for e in gate_log.events if e[0] == "grid"} == {voronoi._BURST_BYTES}
+    reached = False
+    for i, (_, q, X, held, alive, nbytes) in enumerate(gate_log.builds):
+        # the store's count is what is alive: of the kernels built before,
+        # the live ones sum to it
+        before = [b[5] for b, live in zip(gate_log.builds[:i], alive[::2]) if live]
+        assert alive[::2] == alive[1::2] and sum(before) == held
+        # a build starts below one grid's bytes, so after it the store
+        # holds less than that plus this q's kernels
+        assert held < voronoi._BURST_BYTES, (q, X)
+        reached |= held + nbytes >= voronoi._BURST_BYTES
+    assert reached  # the bound is met, not just never approached
 
 
 def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeypatch):
@@ -173,20 +266,20 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
     store.clear()
     voronoi_residual(1, 3, SmoothWeight(50.0))
     voronoi_residual(1, 4, SmoothWeight(50.0))
-    old = [weakref.ref(store.bk)] + [weakref.ref(w) for w in store.kern[:2]]
+    old = [weakref.ref(store.bk)] + [weakref.ref(w) for w in store.kern[4][:2]]
     buffer = weakref.ref(store.bk.values.base)
     seen = []
     build = voronoi._build_grid
 
     def spy(X, spare):
-        seen.append((X, store.bk, store.kern, [r() is None for r in old],
+        seen.append((X, store.bk, dict(store.kern), [r() is None for r in old],
                      spare is buffer()))
         return build(X, spare)
 
     monkeypatch.setattr(voronoi, "_build_grid", spy)
     voronoi_residual(1, 3, SmoothWeight(100.0))
     # the old grid's buffer, and no new one, receives the new grid
-    assert seen == [(100.0, None, None, [True] * 3, True)]
+    assert seen == [(100.0, None, {}, [True] * 3, True)]
     assert store.bk.values.base is buffer()
     assert (store.kernel_builds, store.grid_builds) == (3, 2)
 
@@ -410,38 +503,105 @@ def test_kernel_bytes_are_pinned(q, X):
     assert (n_auto, hashlib.sha256(real).hexdigest()) == _KERNEL_PINS[(q, X)]
 
 
-def test_a_new_q_drops_the_old_kernels_before_its_build(monkeypatch):
-    # one kernel slot: the old q's kernels are freed before the next build
+def test_a_new_q_drops_the_old_kernels_before_its_build(gate_log, monkeypatch):
+    # in the gate, a finished burst's kernels are freed before the next
+    # burst's first build, and the current burst's stay alive
+    i = first = 0  # builds so far, and where the current burst's began
+    last = None
+    for event in gate_log.events:
+        if event[0] == "build":
+            if last == "dot":
+                first = i
+            alive = event[4]
+            assert alive == [False] * (2 * first) + [True] * (2 * (i - first)), event[1:3]
+            i += 1
+        if event[0] != "grid":  # a grid is built inside a kernel build
+            last = event[0]
+    assert first > 0
+    # a lone cell of a q the store does not hold drops the held burst
+    # before its build; a q it holds builds nothing
     store = voronoi._STORE
     store.clear()
-    voronoi_residual(1, 1, SmoothWeight(50.0))
-    old = [weakref.ref(w) for w in store.kern[:2]]
+    voronoi.scale_residuals([1, 2], 50.0)
+    assert list(store.kern) == [1, 2]
+    voronoi_residual(1, 2, SmoothWeight(50.0))
+    assert store.kernel_builds == 2
+    old = [weakref.ref(w) for q in (1, 2) for w in store.kern[q][:2]]
     seen = []
     build = voronoi._build_kernels
 
     def spy(q, X, grid):
-        seen.append((q, store.q, store.kern, [r() is None for r in old]))
+        seen.append((q, dict(store.kern), [r() is None for r in old]))
         return build(q, X, grid)
 
     monkeypatch.setattr(voronoi, "_build_kernels", spy)
-    voronoi_residual(1, 2, SmoothWeight(50.0))
-    assert seen == [(2, None, None, [True, True])]
-    assert (store.q, store.kernel_builds, store.grid_builds) == (2, 2, 1)
+    voronoi_residual(1, 3, SmoothWeight(50.0))
+    assert seen == [(3, {}, [True] * 4)]
+    assert (list(store.kern), store.kernel_builds, store.grid_builds) == ([3], 3, 1)
+
+
+def _cell_line(r) -> str:
+    """Every field of a report, floats as float.hex."""
+    parts = (r.lhs.real, r.lhs.imag, r.rhs_main.real, r.rhs_main.imag,
+             r.rhs_dual.real, r.rhs_dual.imag, r.residual)
+    return ",".join(float.hex(v) for v in parts) + f",{r.truncation_level}\n"
+
+
+def _quick_grid_digest() -> str:
+    """sha256 of the lines of the 12 cells of criterion 9's quick grid."""
+    voronoi._STORE.clear()
+    digest = hashlib.sha256()
+    for _, _, r in voronoi.scale_residuals(range(1, 7), 50.0):
+        digest.update(_cell_line(r).encode())
+    return digest.hexdigest()
+
+
+_QUICK_GRID_PIN = "3e5a1456444250a1c9d812f29fcce352e74fff72778975c8b0d900db8f6f8983"
 
 
 def test_quick_grid_cells_are_pinned():
-    # every field of the 12 cells of criterion 9's quick grid, as float.hex,
     # recorded before the complex kernels and the one-vector dual sum
-    digest = hashlib.sha256()
-    for q, a, x in voronoi_cells(range(1, 7), (50.0,)):
-        r = voronoi_residual(a, q, SmoothWeight(x))
-        parts = (r.lhs.real, r.lhs.imag, r.rhs_main.real, r.rhs_main.imag,
-                 r.rhs_dual.real, r.rhs_dual.imag, r.residual)
-        line = ",".join(float.hex(v) for v in parts) + f",{r.truncation_level}\n"
-        digest.update(line.encode())
-    assert digest.hexdigest() == (
-        "3e5a1456444250a1c9d812f29fcce352e74fff72778975c8b0d900db8f6f8983"
-    )
+    assert _quick_grid_digest() == _QUICK_GRID_PIN
+
+
+@pytest.mark.parametrize("limit,held", [(0, [6]), (math.inf, [1, 2, 3, 4, 5, 6])])
+def test_burst_size_changes_no_bit(monkeypatch, limit, held):
+    # a limit of 0 builds each q just before its cells, as one kernel slot
+    # did; no limit builds every q of X first: the cells are the same
+    monkeypatch.setattr(voronoi, "_BURST_BYTES", limit)
+    assert _quick_grid_digest() == _QUICK_GRID_PIN
+    assert list(voronoi._STORE.kern) == held
+
+
+def _accepted(qs, X) -> bool:
+    """Whether the CLI runs these cells: X holds enough mass and every sum can converge."""
+    argv = ["voronoi", "--q", ",".join(map(str, qs)), "--X", repr(X)]
+    try:
+        validate(build_parser().parse_args(argv))
+    except ValidationError:
+        return False
+    return True
+
+
+@settings(max_examples=5)
+@given(st.floats(0.51, 400.0), st.lists(st.integers(1, 20), min_size=1, max_size=3,
+                                       unique=True).map(sorted))
+def test_accepted_cells_close_and_a_burst_changes_no_bit(X, qs):
+    # cells inside the CLI's refusal envelope close to the gate's 1e-6;
+    # sums above 300,000 predicted terms are left out to bound the time
+    assume(_accepted(qs, X))
+    assume(max(voronoi.predicted_terms(q, X) for q in qs) <= 300_000)
+    h = SmoothWeight(X)
+    voronoi._STORE.clear()
+    # one q's kernels at a time, each built just before its cells ...
+    alone = [(q, a, voronoi_residual(a, q, h)) for q in qs for a in units(q)]
+    # ... and every q's built before the first cell
+    burst = voronoi.scale_residuals(qs, X)
+    assert len(voronoi._STORE.kern) == len(qs)
+    assert [(q, a) for q, a, _ in burst] == [(q, a) for q, a, _ in alone]
+    for (q, a, got), (_, _, want) in zip(burst, alone):
+        assert want.relative_residual <= 1e-6, (q, a, X)
+        assert _cell_line(got) == _cell_line(want), (q, a, X)
 
 
 def test_forked_workers_after_a_grid_build_print_the_same_bytes(capsys):
