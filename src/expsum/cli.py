@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -105,8 +106,9 @@ def validate(cfg: argparse.Namespace) -> None:
     opt = vars(cfg)
     if not 1 <= cfg.jobs <= CAPS["jobs"]:
         raise ValidationError(f"jobs must be in [1, {CAPS['jobs']}]")
-    if "tol" in opt and cfg.tol < 1e-12:
-        raise ValidationError("tolerance override below machine default 1e-12")
+    if "tol" in opt and not (math.isfinite(cfg.tol) and cfg.tol >= 1e-12):
+        # a nan or inf tolerance would pass every residual
+        raise ValidationError(f"tolerance {cfg.tol} is not a finite number >= 1e-12")
     if "gamma_max" in opt and cfg.gamma_max > CAPS["gamma_max"]:
         raise ValidationError(f"gamma_max {cfg.gamma_max} above cap {CAPS['gamma_max']}")
     if opt.get("u_max") is not None and cfg.u_max > CAPS["u_max"]:

@@ -54,6 +54,7 @@ import numpy as np
 from .arith import divisor_table, divisors, factorize
 from .expsums import hyper_kl3_table
 from .memo import stored
+from .modarith import units
 
 __all__ = [
     "RamanujanDecomposition",
@@ -143,8 +144,7 @@ def _char_sums(X: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _units(q: int) -> np.ndarray:
-    a = np.arange(1, q + 1)
-    return a[np.gcd(a, q) == 1]
+    return np.array(units(q))
 
 
 def ramanujan_decomposition(X: int, q: int) -> RamanujanDecomposition:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .arith import factorize
 from .memo import stored
-from .modarith import PrimePower, is_prime, legendre
+from .modarith import PrimePower, is_prime, legendre, units
 
 __all__ = [
     "BoundReport",
@@ -115,7 +115,7 @@ def kloosterman_direct(a: int, b: int, q: int) -> complex:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    xs = [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
+    xs = units(q)
     x = np.array(xs, dtype=np.int64)
     x_inv = np.array([pow(v, -1, q) for v in xs], dtype=np.int64)
     # a and b reduced first: the int64 products stay below q^2

@@ -11,7 +11,6 @@ map, so output bytes do not depend on --jobs.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import BrokenExecutor
 
@@ -31,7 +30,7 @@ from .charsums import (
 )
 from .expsums import BoundReport, kloosterman_split_row, kloosterman_table
 from .memo import COUNTS
-from .modarith import PrimePower
+from .modarith import PrimePower, units
 
 __all__ = [
     "BILINEAR_HEADER",
@@ -39,7 +38,6 @@ __all__ = [
     "fmt",
     "pmap",
     "render",
-    "units",
     "middle_unit",
     "split_vs_table",
     "charsum_pp_cells",
@@ -105,11 +103,6 @@ def render(rows: list[dict], header: list[str], kind: str = "csv") -> str:
         lines += [",".join(str(row[h]) for h in header) for row in rows]
         return "\n".join(lines) + "\n"
     return json.dumps([{h: row[h] for h in header} for row in rows], indent=0) + "\n"
-
-
-def units(q: int) -> list[int]:
-    """The units 1 <= x <= q mod q, increasing."""
-    return [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
 
 
 def middle_unit(q: int) -> int:

@@ -4,8 +4,11 @@ stored(keep) memoises a function as one kind, named module.function: its
 keep most recent values (None: all) by argument tuple, behind
 lru_cache's cache_info(), cache_parameters(), cache_clear() and
 __wrapped__.  Kinds that pass modulus (the expsums tables) hold values
-of a modulus above SMALL_Q = 2^17 for one modulus at a time.  COUNTS
-includes the --jobs workers' counts, which families.pmap adds.
+of a modulus above SMALL_Q = 2^17 for one modulus at a time.  Every drop
+comes before the build that causes it: a full kind drops its least
+recent value, and a large modulus the other moduli's large values, so a
+build never shares memory with what it replaces.  COUNTS includes the
+--jobs workers' counts, which families.pmap adds.
 """
 
 from __future__ import annotations
@@ -46,9 +49,9 @@ def stored(keep: int | None, modulus=None):
                 for values in _LARGE:
                     for old in [k for k, v in values.items() if SMALL_Q < v.size != q]:
                         del values[old]
-            value = held[args] = build(*args)
-            if keep is not None and len(held) > keep:
+            if keep is not None and len(held) >= keep:
                 held.popitem(last=False)
+            value = held[args] = build(*args)
             return value
         memo.cache_info = lambda: _CacheInfo(*counts, keep, len(held))
         memo.cache_parameters = lambda: {"maxsize": keep, "typed": False}

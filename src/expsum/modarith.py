@@ -1,13 +1,14 @@
 """Exact modular and p-adic arithmetic primitives.
 
-Everything here is integer-exact and pure: primality, prime powers,
-Legendre symbols, capped p-adic valuations, square roots modulo odd
-prime powers (Tonelli-Shanks lifted by Hensel).  Modular inverses are
-Python's pow(x, -1, q).  No floating point enters this module.
+Everything here is integer-exact and pure: primality, prime powers, the
+units mod q, Legendre symbols, capped p-adic valuations, square roots
+modulo odd prime powers (Tonelli-Shanks lifted by Hensel).  Modular
+inverses are Python's pow(x, -1, q).  No floating point enters this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -15,6 +16,7 @@ __all__ = [
     "EvenPrime",
     "is_prime",
     "legendre",
+    "units",
     "valuation_capped",
     "sqrt_mod_pp",
 ]
@@ -56,6 +58,11 @@ class PrimePower:
     @property
     def q(self) -> int:
         return self.p**self.gamma
+
+
+def units(q: int) -> list[int]:
+    """The units 1 <= x <= q mod q, increasing, by a gcd test."""
+    return [x for x in range(1, q + 1) if math.gcd(x, q) == 1]
 
 
 def legendre(a: int, p: int) -> int:

@@ -57,19 +57,17 @@ dot product over two threads, and its helper thread busy-waits for about
 0.1 s after the last one; with the dot products of a burst after all of
 its builds, that spin comes once per burst (7 times over the gate), not
 during every kernel build (60 times).  Each dot keeps its operands,
-length and order, so every bit is the same.  One store holds the moment
-grid of the current X and the kernels of the current burst; a lone
-voronoi_residual of a q the store does not hold drops them and builds that
-q's kernels alone.  Under --jobs the CLI hands each worker process one X,
-so no kernel is built twice.  A new X drops the old grid and kernels
-before its own grid is built, so they never share memory with the new
-grid's FFT pads.  Every grid has the same shape, so the new grid is
-written into the old one's buffer unless a view of the old grid is still
-held: the grid's 32 MB are allocated once, not freed into the heap at
-every X.  The 13 moment FFTs of one X run in place as six (2, 2^21)
-batches on scipy.fft's two workers, then the last row alone.  scipy.fft caches one plan of that length and shares it between
-its workers, where np.fft rebuilds its plan on every call; both run
-pocketfft, and each row equals np.fft.ifft's serial transform bit for bit.
+length and order, so every bit is the same.  The kernels of a burst are
+held by scale_residuals alone and freed before the next burst's first
+build; a lone voronoi_residual builds its own and holds none afterwards.
+Under --jobs the CLI hands each worker process one X, so no kernel is
+built twice.  The moment grid is the memo kind voronoi._grid, which keeps
+the grid of one X and drops it before the next X's grid is built, so the
+two never share memory.  The 13 moment FFTs of one X run in place as six
+(2, 2^21) batches on scipy.fft's two workers, then the last row alone.
+scipy.fft caches one plan of that length and shares it between its
+workers, where np.fft rebuilds its plan on every call; both run pocketfft,
+and each row equals np.fft.ifft's serial transform bit for bit.
 The Gauss-Legendre panels evaluate their integrand once on the whole node
 matrix (for K0, once for every kappa of a block) and reduce it panel by
 panel.  scipy is imported by the panel quadratures and the grid build
@@ -84,8 +82,6 @@ converge below N_HARD_CAP before any kernel is built.
 from __future__ import annotations
 
 import math
-import sys
-from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -93,6 +89,7 @@ import numpy as np
 
 from .arith import divisor_table
 from .memo import stored
+from .modarith import units
 
 __all__ = [
     "EULER_GAMMA",
@@ -207,16 +204,16 @@ class _BkGrid:
     values: np.ndarray  # shape (_KTERMS, Mmax), S_k(kappa_m); B = du e^{i k u0} S
 
 
-def _build_grid(X: float, spare: np.ndarray | None = None) -> _BkGrid:
+@stored(1)
+def _grid(X: float) -> _BkGrid:
     """The moments of g up to kappa*u0 = 4608, checked to be negligible there.
 
     Past the grid edge _gy_hankel returns 0, so the moments in the last
     interpolation window must already be below TAIL_TOL; CutoffTooSmall
     otherwise.  The rows are transformed in place, two at a time as one
     (2, _NFFT) batch on scipy.fft's two workers and the last one alone;
-    each row is the serial transform of its own pad row.  They are written
-    into spare if it has their shape, else into a new array, and the grid
-    holds a read-only view whose base is that array.
+    each row is the serial transform of its own pad row, scaled straight
+    into the read-only grid.
     """
     from scipy import fft  # deferred, as scipy.special is
 
@@ -226,10 +223,7 @@ def _build_grid(X: float, spare: np.ndarray | None = None) -> _BkGrid:
     g = 2 * u * SmoothWeight(X)(u * u)
     dk = 2 * math.pi / (_NFFT * du)
     mmax = int(4608.0 / u0 / dk) + 16
-    if spare is not None and spare.shape == (_KTERMS, mmax):
-        vals = spare
-    else:
-        vals = np.empty((_KTERMS, mmax), dtype=complex)
+    vals = np.empty((_KTERMS, mmax), dtype=complex)
     pad = np.empty((2, _NFFT), dtype=complex)
     for k in range(0, _KTERMS, 2):
         rows = pad[: min(2, _KTERMS - k)]
@@ -244,7 +238,6 @@ def _build_grid(X: float, spare: np.ndarray | None = None) -> _BkGrid:
         raise CutoffTooSmall(
             f"moments at the FFT grid edge are {edge:.3e} for X={X}, not below {TAIL_TOL}"
         )
-    vals = vals.view()
     vals.setflags(write=False)
     return _BkGrid(u0=u0, du=du, dk=dk, values=vals)
 
@@ -253,7 +246,7 @@ def _gy_hankel(kappas: np.ndarray, bk: _BkGrid) -> np.ndarray:
     """integral g(u) Y0(kappa u) du via the Hankel moment expansion.
 
     Beyond the stored grid the kernel is returned as 0, never
-    extrapolated; _build_grid has checked that the moments are below
+    extrapolated; _grid has checked that the moments are below
     TAIL_TOL at the grid edge.
     """
     edge = bk.dk * (bk.values.shape[1] - 9)
@@ -364,20 +357,16 @@ def _divisors(n: int) -> np.ndarray:
     return divisor_table(2, size)
 
 
-def _build_kernels(
-    q: int, X: float, grid: Callable[[], _BkGrid]
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _build_kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
     """(wY, wK, n_auto): the d(n)-weighted dual-sum kernels of one (q, X).
 
     wY[i] = d(i+1)*Hminus((i+1)/q^2) and wK[i] = d(i+1)*Hplus((i+1)/q^2)
     for i < n_auto, where n_auto ends the second consecutive block whose
     weighted terms all stay below TAIL_TOL.  Both are complex with zero
     imaginary parts, so the dot products of every cell take them as they
-    are.  grid() gives the moment grid of X; it is called once, at the
-    first block with a Hankel-regime kappa.
+    are.  Hankel-regime kappas read the moment grid of X.
     """
     u0 = math.sqrt(X)
-    bk = None
     pieces_y, pieces_k = [], []
     quiet_blocks = 0
     n = 0
@@ -395,9 +384,7 @@ def _build_kernels(
             y[i] = _gy_panels(float(kappas[i]), X)
         big = ~small
         if big.any():
-            if bk is None:
-                bk = grid()
-            y[big] = _gy_hankel(kappas[big], bk)
+            y[big] = _gy_hankel(kappas[big], _grid(X))
         hminus = -2 * math.pi * y
         hplus = 4 * _gk_panels(kappas, X)
         d = _divisors(hi)[n + 1 : hi + 1]
@@ -411,83 +398,6 @@ def _build_kernels(
     wY.setflags(write=False)
     wK.setflags(write=False)
     return wY, wK, n
-
-
-class _XStore:
-    """The moment grid of one X and the kernels of one burst of its q, with build counts.
-
-    Callers visit every q of one X before the next X.  A request for a new
-    X first drops the old grid and kernels, a new burst drops the last
-    burst's kernels, and a lone request for a q the store does not hold
-    drops the held kernels, each before anything is built, so a build never
-    holds what it replaces.  The dropped grid's buffer is kept as spare,
-    and the next grid is written into it unless a view of the old grid is
-    still held.
-    """
-
-    def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
-        """Drop the grid, its buffer and the kernels, and zero the build counts."""
-        self.X = self.bk = self.spare = None
-        self.kern: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
-        self.grid_builds = self.kernel_builds = 0
-
-    def _switch(self, X: float) -> None:
-        if X != self.X:
-            if self.bk is not None:  # the grid goes, its buffer stays for the next
-                self.spare = self.bk.values.base
-            self.X, self.bk, self.kern = X, None, {}
-
-    def grid(self, X: float) -> _BkGrid:
-        """The moment grid of X, built on the first request."""
-        self._switch(X)
-        if self.bk is None:
-            self.grid_builds += 1
-            # every view of the old grid holds its buffer; with none left,
-            # the store's reference and getrefcount's argument are the two
-            if self.spare is not None and sys.getrefcount(self.spare) > 2:
-                self.spare = None
-            self.bk, self.spare = _build_grid(X, self.spare), None
-        return self.bk
-
-    def kernel_bytes(self) -> int:
-        """The bytes of the held kernels."""
-        return sum(wY.nbytes + wK.nbytes for wY, wK, _ in self.kern.values())
-
-    def _build(self, q: int, X: float) -> None:
-        self.kernel_builds += 1
-        self.kern[q] = _build_kernels(q, X, lambda: self.grid(X))
-
-    def burst(self, qs: list[int], X: float) -> list[int]:
-        """Build the kernels of the leading q of qs, and return those q.
-
-        The last burst's kernels are dropped first.  q are taken in order
-        until the held kernels reach _BURST_BYTES, so the store holds less
-        than that plus one q's kernels; a burst takes at least one q.
-        """
-        self._switch(X)
-        self.kern = {}  # freed before the first build
-        taken = []
-        for q in qs:
-            taken.append(q)
-            if q not in self.kern:
-                self._build(q, X)
-            if self.kernel_bytes() >= _BURST_BYTES:
-                break
-        return taken
-
-    def kernels(self, q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """(wY, wK, n_auto) of (q, X): the held ones, else built alone."""
-        self._switch(X)
-        if q not in self.kern:
-            self.kern = {}  # freed before the build
-            self._build(q, X)
-        return self.kern[q]
-
-
-_STORE = _XStore()
 
 
 @stored(64)
@@ -523,11 +433,13 @@ def voronoi_lhs(a: int, q: int, h: SmoothWeight) -> complex:
     return complex(np.dot(d * h(n.astype(float)), phases))
 
 
-def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
-    """(main term, dual sum, truncation level); voronoi_lhs checked (a, q)."""
-    X = h.X
-    main = complex(_main_term(q, X))
-    wY, wK, n_auto = _STORE.kernels(q, X)
+def _rhs(
+    a: int, q: int, h: SmoothWeight, kernels: tuple[np.ndarray, np.ndarray, int]
+) -> tuple[complex, complex, int]:
+    """(main term, dual sum, truncation level) from the kernels of (q, h.X);
+    voronoi_lhs checked (a, q)."""
+    main = complex(_main_term(q, h.X))
+    wY, wK, n_auto = kernels
     abar = pow(a, -1, q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     # e(abar n / q) has period q in n: gather one period, then tile it.
@@ -540,10 +452,18 @@ def _rhs(a: int, q: int, h: SmoothWeight) -> tuple[complex, complex, int]:
     return main, dual, n_auto
 
 
-def voronoi_residual(a: int, q: int, h: SmoothWeight) -> VoronoiReport:
-    """Both sides of the identity and their difference at one cell."""
+def voronoi_residual(
+    a: int, q: int, h: SmoothWeight, kernels: tuple[np.ndarray, np.ndarray, int] | None = None
+) -> VoronoiReport:
+    """Both sides of the identity and their difference at one cell.
+
+    kernels is (wY, wK, n_auto) of (q, h.X), as scale_residuals passes
+    them; without it the call builds its own and holds none afterwards.
+    """
     lhs = voronoi_lhs(a, q, h)
-    main, dual, level = _rhs(a, q, h)
+    if kernels is None:
+        kernels = _build_kernels(q, h.X)
+    main, dual, level = _rhs(a, q, h, kernels)
     return VoronoiReport(
         lhs=lhs,
         rhs_main=main,
@@ -557,8 +477,10 @@ def scale_residuals(qs, X: float) -> list[tuple[int, int, VoronoiReport]]:
     """(q, a, report) of every cell at scale X: q as qs lists them, then a unit a.
 
     The report is voronoi_residual(a, q, SmoothWeight(X)), and the units
-    1 <= a <= q run in increasing order.  The kernels are built in bursts
-    (_XStore.burst), and a burst's cells run after its last build.
+    1 <= a <= q run in increasing order.  A burst takes q in order, each
+    built once, until its kernels hold _BURST_BYTES, so it holds less than
+    that plus one q's kernels (and at least one q); its cells run after its
+    last build.
     """
     qs = list(qs)
     if qs and min(qs) < 1:
@@ -566,8 +488,14 @@ def scale_residuals(qs, X: float) -> list[tuple[int, int, VoronoiReport]]:
     h = SmoothWeight(X)
     out = []
     while qs:
-        burst = _STORE.burst(qs, X)
+        kernels, held, burst = {}, 0, []  # the last burst's are freed before this one's builds
+        for q in qs:
+            burst.append(q)
+            if q not in kernels:
+                kernels[q] = _build_kernels(q, X)
+                held += kernels[q][0].nbytes + kernels[q][1].nbytes
+            if held >= _BURST_BYTES:
+                break
         qs = qs[len(burst):]
-        out += [(q, a, voronoi_residual(a, q, h))
-                for q in burst for a in range(1, q + 1) if math.gcd(a, q) == 1]
+        out += [(q, a, voronoi_residual(a, q, h, kernels[q])) for q in burst for a in units(q)]
     return out

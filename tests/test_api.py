@@ -93,7 +93,7 @@ def _imported_modules(source: str) -> set[str]:
 def test_parallelism_is_processes_only():
     # --jobs runs in forked processes, so no module needs threading or a
     # lock; concurrent.futures serves families' process pool alone (the
-    # moment FFTs of voronoi._build_grid run on scipy.fft's own workers)
+    # moment FFTs of voronoi._grid run on scipy.fft's own workers)
     users = {}
     for path in sorted(SRC.glob("*.py")):
         mods = _imported_modules(path.read_text())

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -27,7 +28,8 @@ from expsum.cli import (
     validate,
 )
 from expsum.expsums import hyper_kl3_table
-from expsum.families import pmap, units
+from expsum.families import pmap
+from expsum.modarith import units
 
 _INTS = st.integers(-10**6, 10**6)
 # one list piece: a single integer, or a range lo..hi with lo <= hi
@@ -131,7 +133,10 @@ def _spy_run_checks(monkeypatch) -> list:
     ("verify-all", {"jobs": 2.7}, None, "argument --jobs: invalid int value: '2.7'"),
     ("hyperkl3", {"q": [1.5]}, None, "argument --q: bad integer '1.5'"),
     ("verify-all", None, "x", "argument --jobs: invalid int value: 'x'"),
-], ids=["jobs-x", "tol-abc", "q-3-a", "quick-false", "jobs-2.7", "q-1.5", "EXPSUM_JOBS-x"])
+    ("distribution", {"tol": math.nan}, None, "tolerance nan is not a finite number >= 1e-12"),
+    ("distribution", {"tol": math.inf}, None, "tolerance inf is not a finite number >= 1e-12"),
+], ids=["jobs-x", "tol-abc", "q-3-a", "quick-false", "jobs-2.7", "q-1.5", "EXPSUM_JOBS-x",
+        "tol-nan", "tol-inf"])
 def test_bad_config_values_and_EXPSUM_JOBS_exit_2(sub, config, env, error, tmp_path,
                                                    monkeypatch, capsys):
     # each value goes through the flag's converter, so a bad one is a usage
@@ -225,6 +230,19 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     refused = capsys.readouterr()
     assert refused.out == ""
     assert refused.err.count("p = 2: the correlation sums need an odd prime") == 2
+
+
+@pytest.mark.parametrize("argv", [["kloosterman", "--q", "6", "--tol", "nan"],
+                                  ["voronoi", "--q", "3", "--X", "50", "--tol", "nan"],
+                                  ["charsum-prime", "--p", "5", "--tol", "inf"],
+                                  ["distribution", "--q", "3", "--tol", "1e-13"]])
+def test_a_tolerance_that_is_not_a_finite_number_from_1e_12_exits_2(argv, capsys):
+    # no residual is above a nan or inf tolerance, so either would turn the
+    # check off; both are refused before any work, as a tiny one is
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: tolerance {float(argv[-1])} is not a finite number >= 1e-12" in err
 
 
 @pytest.mark.parametrize("argv", [["voronoi", "--q", "1", "--X", ","],
@@ -321,17 +339,18 @@ def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
                                        (["--X", "7"], 2_079_328),
                                        (["--X", "10"], 1_500_400),
                                        (["--q", "42"], 1_516_335)])
-def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys):
+def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys, monkeypatch):
     # (13, 2), (16, 4), (20, 10) and (42, 50) would build kernels for 1.6-18 s
     # and then fail with CutoffTooSmall; the bound c(X) q^2/X is over the cap,
     # so they are refused before any kernel is built; the default q range ends
     # at 20 and the default X is 50, both checked as given ones are
-    voronoi._STORE.clear()
+    builds = []
+    monkeypatch.setattr(voronoi, "_build_kernels", lambda q, X: builds.append((q, X)))
     assert main(["voronoi"] + argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert f"at least {need} terms, above the cap 1500000" in err
-    assert voronoi._STORE.kernel_builds == 0
+    assert builds == []
 
 
 @pytest.mark.parametrize("q,X", [(13, 5.0), (5, 0.58), (6, 0.8), (7, 1.1), (20, 50.0)])

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import math
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +308,7 @@ _KEEP = {
     "expsums.unit_mask": 16, "expsums.unit_inverse_table": 16, "expsums.kloosterman_table": 16,
     "expsums.kloosterman_explicit_pp_table": 16, "expsums._factor_table": None,
     "expsums.hyper_kl3_table": 16, "voronoi._main_term": 64, "bilinear._lambda_weights": 1,
-    "distribution._multiples": None, "distribution._char_sums": 2048,
+    "distribution._multiples": None, "distribution._char_sums": 2048, "voronoi._grid": 1,
 }
 _KINDS = {kind: getattr(sys.modules[f"expsum.{module}"], name)
           for kind in memo.COUNTS for module, _, name in [kind.partition(".")]}
@@ -342,6 +343,29 @@ def test_the_store_speaks_lru_caches_interface():
     assert (info.hits, info.misses, info.maxsize, info.currsize) == (1, 1, 16, 1)
     kloosterman_table.cache_clear()
     assert tuple(kloosterman_table.cache_info()) == (0, 0, 16, 0)
+
+
+def test_a_full_kind_drops_its_least_recent_value_before_a_build():
+    # so a build never shares memory with the value it replaces
+    refs, alive = [], []
+
+    def probe(n):
+        alive.append([r() is not None for r in refs])
+        value = np.full(n, n)
+        refs.append(weakref.ref(value))
+        return value
+
+    kinds = set(memo.COUNTS)
+    probe = memo.stored(1)(probe)
+    try:
+        probe(3)
+        probe(3)
+        probe(4)
+    finally:
+        for kind in set(memo.COUNTS) - kinds:
+            del memo.COUNTS[kind]
+    assert alive == [[], [False]]  # probe(3) hit, and 3's value was dead as 4's was built
+    assert probe.cache_info()[:2] == (1, 2)
 
 
 def test_explicit_pp_leaves_large_tables_of_at_most_one_modulus():

@@ -1,10 +1,12 @@
 """Voronoi summation for d(n): weights, kernel transforms, both sides."""
 
+import contextlib
 import hashlib
 import math
 import subprocess
 import sys
 import weakref
+from itertools import groupby
 from types import SimpleNamespace
 
 import mpmath
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from expsum import verify, voronoi
 from expsum.cli import ValidationError, build_parser, main, validate
-from expsum.families import units
+from expsum.modarith import units
 from expsum.voronoi import (
     CutoffTooSmall,
     NonCoprime,
@@ -83,7 +85,7 @@ def test_y0_transform_matches_mpmath_oracle(kx):
     if kx < voronoi.Z_HANKEL:
         got = voronoi._gy_panels(kappa, X_ORACLE)
     else:
-        got = voronoi._gy_hankel(np.array([kappa]), voronoi._STORE.grid(X_ORACLE))[0]
+        got = voronoi._gy_hankel(np.array([kappa]), voronoi._grid(X_ORACLE))[0]
     want = _oracle(lambda z: mpmath.bessely(0, z), kx)
     assert abs(got - want) < _oracle_tol()
 
@@ -131,7 +133,6 @@ def test_unconverged_dual_sum_raises(monkeypatch, capsys):
     # q = 1 at X = 50 needs 24576 terms; with one block allowed the build
     # stops at the cap, and the CLI reports it as a failed check (the
     # up-front refusal predicts far fewer than 8192 terms for this cell)
-    voronoi._STORE.clear()
     monkeypatch.setattr(voronoi, "N_HARD_CAP", voronoi.BLOCK)
     with pytest.raises(CutoffTooSmall, match="not converged below 8192 terms"):
         voronoi_residual(1, 1, SmoothWeight(50.0))
@@ -143,19 +144,20 @@ def test_unconverged_dual_sum_raises(monkeypatch, capsys):
 
 def test_fft_grid_edge_is_checked(monkeypatch):
     # past the grid edge the Y0 kernel reads as 0, so a grid whose edge
-    # moments are not below TAIL_TOL must raise, and the store keeps none
-    voronoi._STORE.clear()
+    # moments are not below TAIL_TOL must raise, and the memo keeps none
+    voronoi._grid.cache_clear()
     monkeypatch.setattr(voronoi, "TAIL_TOL", 1e-16)
     with pytest.raises(CutoffTooSmall, match="FFT grid edge"):
-        voronoi._STORE.grid(50.0)
-    assert voronoi._STORE.bk is None and voronoi._STORE.grid_builds == 1
+        voronoi._grid(50.0)
+    info = voronoi._grid.cache_info()
+    assert (info.misses, info.currsize) == (1, 0)
 
 
 def test_kernels_are_a_function_of_q_and_X():
+    # a cell built with a fresh grid equals one built after other q
     h = SmoothWeight(50.0)
-    voronoi._STORE.clear()
+    voronoi._grid.cache_clear()
     cold = voronoi_residual(2, 5, h)
-    voronoi._STORE.clear()
     for q in (3, 4, 7):
         voronoi_residual(1, q, h)
     assert voronoi_residual(2, 5, h) == cold
@@ -166,54 +168,87 @@ def gate_log():
     """The full criterion 9, run once with its grid builds, kernel builds
     and dual sums logged in order.
 
-    A build logs ("build", q, X, the store's kernel bytes as it starts,
-    which earlier kernels are alive then, its own kernel bytes); a cell's
+    A build logs ("build", q, X, the bytes of the earlier kernels alive as
+    it starts, which of them are alive, its own kernel bytes); a cell's
     dual sum logs ("dot", q, X); a grid build logs ("grid", X, nbytes).
     """
-    store = voronoi._STORE
-    store.clear()
+    voronoi._grid.cache_clear()
     events, refs = [], []
-    build_kernels, rhs, build_grid = voronoi._build_kernels, voronoi._rhs, voronoi._build_grid
+    build_kernels, rhs, grid = voronoi._build_kernels, voronoi._rhs, voronoi._grid
 
-    def kernels_spy(q, X, grid):
-        event = ["build", q, X, store.kernel_bytes(), [r() is not None for r in refs]]
+    def kernels_spy(q, X):
+        alive = [r() is not None for r in refs]
+        held = sum(r().nbytes for r in refs if r() is not None)
+        event = ["build", q, X, held, alive]
         events.append(event)
-        kern = build_kernels(q, X, grid)
+        kern = build_kernels(q, X)
         refs.extend(weakref.ref(w) for w in kern[:2])
         event.append(kern[0].nbytes + kern[1].nbytes)
         return kern
 
-    def rhs_spy(a, q, h):
+    def rhs_spy(a, q, h, kernels):
         events.append(("dot", q, h.X))
-        return rhs(a, q, h)
+        return rhs(a, q, h, kernels)
 
-    def grid_spy(X, spare):
-        bk = build_grid(X, spare)
-        events.append(("grid", X, bk.values.nbytes))
+    def grid_spy(X):
+        misses = grid.cache_info().misses
+        bk = grid(X)
+        if grid.cache_info().misses > misses:
+            events.append(("grid", X, bk.values.nbytes))
         return bk
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voronoi, "_build_kernels", kernels_spy)
         mp.setattr(voronoi, "_rhs", rhs_spy)
-        mp.setattr(voronoi, "_build_grid", grid_spy)
+        mp.setattr(voronoi, "_grid", grid_spy)
         result = verify.criterion_voronoi(quick=False)
     assert result.passed
+    builds = [e for e in events if e[0] == "build"]
     return SimpleNamespace(
         events=events,
-        builds=[e for e in events if e[0] == "build"],
-        counts=(store.kernel_builds, store.grid_builds),
+        builds=builds,
+        counts=(len(builds), grid.cache_info().misses),
+        alive_after=[r() is not None for r in refs],
     )
+
+
+def _watch_kernels(mp) -> list:
+    """Weak references to both kernel arrays of every build from now on."""
+    refs = []
+    build = voronoi._build_kernels
+
+    def spy(q, X):
+        kern = build(q, X)
+        refs.extend(weakref.ref(w) for w in kern[:2])
+        return kern
+
+    mp.setattr(voronoi, "_build_kernels", spy)
+    return refs
+
+
+@contextlib.contextmanager
+def _logged(events: list):
+    """Log ("build", q) at each kernel build and ("dot", q) at each cell's dual sum."""
+    build, rhs = voronoi._build_kernels, voronoi._rhs
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_build_kernels",
+                   lambda q, X: events.append(("build", q)) or build(q, X))
+        mp.setattr(voronoi, "_rhs",
+                   lambda a, q, h, kernels: events.append(("dot", q)) or rhs(a, q, h, kernels))
+        yield
 
 
 def test_gate_builds_one_kernel_per_q_and_X(gate_log):
     # the gate visits X outermost, then q, and a burst keeps every kernel
     # it builds until its cells have run, so every (q, X) kernel and every
     # X grid is built exactly once
-    store = voronoi._STORE
-    store.clear()
-    assert verify.criterion_voronoi(quick=True).passed
-    assert (store.kernel_builds, store.grid_builds) == (6, 1)
-    assert store.X == 50.0 and 6 in store.kern
+    voronoi._grid.cache_clear()
+    events = []
+    with _logged(events):
+        assert verify.criterion_voronoi(quick=True).passed
+    assert [q for kind, q in events if kind == "build"] == [1, 2, 3, 4, 5, 6]
+    info = voronoi._grid.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
     keys = [(q, X) for _, q, X, *_ in gate_log.builds]
     assert keys == [(q, X) for X in (50.0, 100.0, 200.0) for q in range(1, 21)]
     assert gate_log.counts == (60, 3)
@@ -243,65 +278,67 @@ def test_a_burst_builds_all_its_kernels_before_its_first_dual_sum(gate_log):
     assert len(bursts) == 7
 
 
-def test_the_store_holds_at_most_one_grid_of_kernels_plus_one_q(gate_log):
+def test_a_burst_holds_at_most_one_grid_of_kernels_plus_one_q(gate_log):
     # _BURST_BYTES is one moment grid's bytes, at every X
     assert {e[2] for e in gate_log.events if e[0] == "grid"} == {voronoi._BURST_BYTES}
     reached = False
-    for i, (_, q, X, held, alive, nbytes) in enumerate(gate_log.builds):
-        # the store's count is what is alive: of the kernels built before,
-        # the live ones sum to it
-        before = [b[5] for b, live in zip(gate_log.builds[:i], alive[::2]) if live]
-        assert alive[::2] == alive[1::2] and sum(before) == held
-        # a build starts below one grid's bytes, so after it the store
-        # holds less than that plus this q's kernels
+    for _, q, X, held, alive, nbytes in gate_log.builds:
+        # a q's two kernels live and die together
+        assert alive[::2] == alive[1::2]
+        # a build starts with less than one grid's bytes of kernels alive,
+        # so after it less than that plus this q's kernels are alive
         assert held < voronoi._BURST_BYTES, (q, X)
         reached |= held + nbytes >= voronoi._BURST_BYTES
     assert reached  # the bound is met, not just never approached
+    # and once the gate returns, no kernel is alive
+    assert not any(gate_log.alive_after)
 
 
 def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeypatch):
-    # the old X's grid and kernels are freed, not just unlisted, by the
-    # time the next grid's FFT pads are allocated
-    store = voronoi._STORE
-    store.clear()
-    voronoi_residual(1, 3, SmoothWeight(50.0))
-    voronoi_residual(1, 4, SmoothWeight(50.0))
-    old = [weakref.ref(store.bk)] + [weakref.ref(w) for w in store.kern[4][:2]]
-    buffer = weakref.ref(store.bk.values.base)
+    # the old X's grid is freed, not just unlisted, by the time the next
+    # grid's first moment FFT runs, and no kernel of the old X is alive
+    from scipy import fft
+
+    voronoi._grid.cache_clear()
+    refs = _watch_kernels(monkeypatch)
+    voronoi.scale_residuals([3, 4], 50.0)
+    old = [weakref.ref(voronoi._grid(50.0))] + refs
     seen = []
-    build = voronoi._build_grid
+    ifft = fft.ifft
 
-    def spy(X, spare):
-        seen.append((X, store.bk, dict(store.kern), [r() is None for r in old],
-                     spare is buffer()))
-        return build(X, spare)
+    def ifft_spy(*args, **kwargs):
+        seen.append([r() is None for r in old])
+        return ifft(*args, **kwargs)
 
-    monkeypatch.setattr(voronoi, "_build_grid", spy)
+    monkeypatch.setattr(fft, "ifft", ifft_spy)
     voronoi_residual(1, 3, SmoothWeight(100.0))
-    # the old grid's buffer, and no new one, receives the new grid
-    assert seen == [(100.0, None, {}, [True] * 3, True)]
-    assert store.bk.values.base is buffer()
-    assert (store.kernel_builds, store.grid_builds) == (3, 2)
+    assert seen == [[True] * 5] * 7  # six two-row batches and the last row
+    info = voronoi._grid.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
 
 
 def test_a_grid_still_viewed_keeps_its_buffer():
     # a view of the old grid that outlives it holds its buffer, so the
     # next grid goes to a new array and the view's values do not change
-    store = voronoi._STORE
-    store.clear()
-    held = store.grid(50.0).values[0]
+    held = voronoi._grid(50.0).values[0]
     before = held.tobytes()
-    new = store.grid(100.0).values
+    new = voronoi._grid(100.0).values
     assert not np.shares_memory(new, held)
     assert held.tobytes() == before
 
 
+@pytest.fixture(scope="module")
+def n_auto_20_50():
+    """The dual-sum length of q = 20 at X = 50."""
+    return voronoi._build_kernels(20, 50.0)[2]
+
+
 @pytest.mark.parametrize("q", range(1, 21))
-def test_root_table_phases_equal_the_exp_expression(q):
+def test_root_table_phases_equal_the_exp_expression(q, n_auto_20_50):
     # _rhs tiles one period of e(abar n / q), read from a q-point table;
     # each entry is the same np.exp expression, so the phases agree bit
     # for bit
-    n_auto = voronoi._STORE.kernels(20, 50.0)[2]
+    n_auto = n_auto_20_50
     n = np.arange(1, n_auto + 1)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
@@ -332,7 +369,7 @@ def test_paired_moment_ffts_equal_the_serial_transform():
     # left uncleared or a transform that differs from numpy's changes
     # their bits
     for X, rows in ((50.0, (0, 11, 12)), (0.75, (1,))):
-        values = voronoi._build_grid(X).values
+        values = voronoi._grid(X).values
         got = [values[k].tobytes() for k in rows]
         assert got == _serial_rows(X, rows, values.shape[1]), X
 
@@ -411,7 +448,7 @@ def _gl64_ref(f, lo, hi, npan):
 
 @pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
 def test_row_wise_hankel_equals_the_column_gather(X):
-    bk = voronoi._STORE.grid(X)
+    bk = voronoi._grid(X)
     width = bk.values.shape[1]
     edge = bk.dk * (width - 9)
     # base clipped to 0 (t < 3), every Hankel-regime kappa of q = 1 and
@@ -469,7 +506,8 @@ def test_periodic_phases_give_the_same_dual_sum(q):
     # the oracle is the two-tile sum on the real kernel: one tile of
     # e(abar n / q), one of its conjugate, each dotted with a float vector
     h = SmoothWeight(50.0)
-    wY, wK, n_auto = voronoi._STORE.kernels(q, 50.0)
+    kernels = voronoi._build_kernels(q, 50.0)
+    wY, wK, n_auto = kernels
     wY, wK = np.ascontiguousarray(wY.real), np.ascontiguousarray(wK.real)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
@@ -481,7 +519,7 @@ def test_periodic_phases_give_the_same_dual_sum(q):
         phases = np.tile(period, reps)[:n_auto]
         conj = np.tile(np.conj(period), reps)[:n_auto]
         want = complex((np.dot(wY, conj) + np.dot(wK, phases)) / q)
-        assert _packed(voronoi._rhs(a, q, h)[1]) == _packed(want)
+        assert _packed(voronoi._rhs(a, q, h, kernels)[1]) == _packed(want)
 
 
 # sha256 of the real parts wY.tobytes() + wK.tobytes() and n_auto,
@@ -496,14 +534,14 @@ _KERNEL_PINS = {
 
 @pytest.mark.parametrize("q,X", list(_KERNEL_PINS))
 def test_kernel_bytes_are_pinned(q, X):
-    wY, wK, n_auto = voronoi._STORE.kernels(q, X)
+    wY, wK, n_auto = voronoi._build_kernels(q, X)
     assert wY.dtype == wK.dtype == complex
     assert not wY.imag.any() and not wK.imag.any()
     real = np.ascontiguousarray(wY.real).tobytes() + np.ascontiguousarray(wK.real).tobytes()
     assert (n_auto, hashlib.sha256(real).hexdigest()) == _KERNEL_PINS[(q, X)]
 
 
-def test_a_new_q_drops_the_old_kernels_before_its_build(gate_log, monkeypatch):
+def test_a_new_q_drops_the_old_kernels_before_its_build(gate_log):
     # in the gate, a finished burst's kernels are freed before the next
     # burst's first build, and the current burst's stay alive
     i = first = 0  # builds so far, and where the current burst's began
@@ -518,26 +556,25 @@ def test_a_new_q_drops_the_old_kernels_before_its_build(gate_log, monkeypatch):
         if event[0] != "grid":  # a grid is built inside a kernel build
             last = event[0]
     assert first > 0
-    # a lone cell of a q the store does not hold drops the held burst
-    # before its build; a q it holds builds nothing
-    store = voronoi._STORE
-    store.clear()
-    voronoi.scale_residuals([1, 2], 50.0)
-    assert list(store.kern) == [1, 2]
-    voronoi_residual(1, 2, SmoothWeight(50.0))
-    assert store.kernel_builds == 2
-    old = [weakref.ref(w) for q in (1, 2) for w in store.kern[q][:2]]
-    seen = []
-    build = voronoi._build_kernels
 
-    def spy(q, X, grid):
-        seen.append((q, dict(store.kern), [r() is None for r in old]))
-        return build(q, X, grid)
 
-    monkeypatch.setattr(voronoi, "_build_kernels", spy)
+def test_no_kernel_outlives_the_call_that_built_it(monkeypatch):
+    # scale_residuals holds a burst's kernels only while it runs, and a
+    # lone cell builds its own and holds none once it returns
+    refs = _watch_kernels(monkeypatch)
+    assert len(voronoi.scale_residuals([1, 2], 50.0)) == 2
+    assert len(refs) == 4 and not any(r() for r in refs)
     voronoi_residual(1, 3, SmoothWeight(50.0))
-    assert seen == [(3, {}, [True] * 4)]
-    assert (list(store.kern), store.kernel_builds, store.grid_builds) == ([3], 3, 1)
+    assert len(refs) == 6 and not any(r() for r in refs)
+
+
+def test_a_repeated_q_runs_its_cells_twice_from_one_build():
+    events = []
+    with _logged(events):
+        cells = voronoi.scale_residuals([3, 3], 50.0)
+    assert events == [("build", 3)] + [("dot", 3)] * 4
+    assert [(q, a) for q, a, _ in cells] == [(3, 1), (3, 2)] * 2
+    assert cells[:2] == cells[2:]
 
 
 def _cell_line(r) -> str:
@@ -549,7 +586,7 @@ def _cell_line(r) -> str:
 
 def _quick_grid_digest() -> str:
     """sha256 of the lines of the 12 cells of criterion 9's quick grid."""
-    voronoi._STORE.clear()
+    voronoi._grid.cache_clear()
     digest = hashlib.sha256()
     for _, _, r in voronoi.scale_residuals(range(1, 7), 50.0):
         digest.update(_cell_line(r).encode())
@@ -564,13 +601,18 @@ def test_quick_grid_cells_are_pinned():
     assert _quick_grid_digest() == _QUICK_GRID_PIN
 
 
-@pytest.mark.parametrize("limit,held", [(0, [6]), (math.inf, [1, 2, 3, 4, 5, 6])])
+@pytest.mark.parametrize("limit,held", [(0, [[1], [2], [3], [4], [5], [6]]),
+                                        (math.inf, [[1, 2, 3, 4, 5, 6]])])
 def test_burst_size_changes_no_bit(monkeypatch, limit, held):
     # a limit of 0 builds each q just before its cells, as one kernel slot
     # did; no limit builds every q of X first: the cells are the same
     monkeypatch.setattr(voronoi, "_BURST_BYTES", limit)
-    assert _quick_grid_digest() == _QUICK_GRID_PIN
-    assert list(voronoi._STORE.kern) == held
+    events = []
+    with _logged(events):
+        assert _quick_grid_digest() == _QUICK_GRID_PIN
+    bursts = [[q for _, q in run] for kind, run in groupby(events, lambda e: e[0])
+              if kind == "build"]
+    assert bursts == held
 
 
 def _accepted(qs, X) -> bool:
@@ -592,12 +634,16 @@ def test_accepted_cells_close_and_a_burst_changes_no_bit(X, qs):
     assume(_accepted(qs, X))
     assume(max(voronoi.predicted_terms(q, X) for q in qs) <= 300_000)
     h = SmoothWeight(X)
-    voronoi._STORE.clear()
     # one q's kernels at a time, each built just before its cells ...
-    alone = [(q, a, voronoi_residual(a, q, h)) for q in qs for a in units(q)]
+    alone = []
+    for q in qs:
+        kernels = voronoi._build_kernels(q, X)
+        alone += [(q, a, voronoi_residual(a, q, h, kernels)) for a in units(q)]
     # ... and every q's built before the first cell
-    burst = voronoi.scale_residuals(qs, X)
-    assert len(voronoi._STORE.kern) == len(qs)
+    events = []
+    with _logged(events):
+        burst = voronoi.scale_residuals(qs, X)
+    assert [e[0] for e in events] == ["build"] * len(qs) + ["dot"] * len(burst)
     assert [(q, a) for q, a, _ in burst] == [(q, a) for q, a, _ in alone]
     for (q, a, got), (_, _, want) in zip(burst, alone):
         assert want.relative_residual <= 1e-6, (q, a, X)
@@ -608,8 +654,8 @@ def test_forked_workers_after_a_grid_build_print_the_same_bytes(capsys):
     # a grid build starts scipy.fft's worker threads in this process; the
     # --jobs 2 workers are forked after that and build their own grids,
     # and must print what --jobs 1 prints
-    voronoi._STORE.clear()
-    voronoi._build_grid(50.0)
+    voronoi._grid.cache_clear()
+    voronoi._grid.__wrapped__(50.0)
     argv = ["voronoi", "--q", "1..4", "--X", "50,100"]
     outs = {}
     for jobs in ("2", "1"):
