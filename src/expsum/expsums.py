@@ -10,12 +10,13 @@ store, 16 per kind; the CRT split's factor tables S(1, .; p^e) of p^e <=
 _FACTOR_KEEP = 5000 are kept for good, 12.8 MB of float64 for all 711.
 
 The exact layers under the CRT split are vectorised only where the
-bits allow.  unit_inverse_table exponentiates the units up to q/2 and
-fills the upper half from inv(q - x) = q - inv(x), in int32 products
-while (q - 1)^2 < 2^31.  kloosterman_direct takes every term's cosine
-and sine in one numpy pass, then runs its compensated sum as a plain
-float loop: the angles, the cos and sin bits and the additions, in
-order, are those of a term-by-term cmath.exp loop.
+bits allow.  unit_inverse_table exponentiates the units up to q/2, in
+blocks of _UNIT_BLOCK residues, and fills the upper half from
+inv(q - x) = q - inv(x), in int32 products while (q - 1)^2 < 2^31.
+kloosterman_direct takes every term's cosine and sine in one numpy
+pass, then runs its compensated sum as a plain float loop: the angles,
+the cos and sin bits and the additions, in order, are those of a
+term-by-term cmath.exp loop.
 
 Conventions used throughout:
   * e(x) = exp(2*pi*i*x), always evaluated on a reduced fraction
@@ -148,16 +149,20 @@ def unit_mask(q: int) -> np.ndarray:
     return m
 
 
+_UNIT_BLOCK = 2**16  # residues per block of unit_inverse_table: 0.5 MB of int64 units
+
+
 @stored(16, modulus=int)
 def unit_inverse_table(q: int) -> np.ndarray:
     """inv(x) mod q for units x, 0 for non-units; vectorised modular power.
 
-    Raises the units x <= q/2 alone to lambda(q) - 1, where lambda is the
-    Carmichael function: the exponent of the unit group, so x^lambda(q)
-    == 1 and x^(lambda(q)-1) == inv(x) (mod q) for every unit x.  The
-    upper half follows from inv(q - x) = q - inv(x).  Every residue is
-    below q, so the products fit int32 while (q - 1)^2 < 2^31 (q <= 46341)
-    and int64 up to the q <= 10^6 this accepts; the table is int64.
+    Raises the units x <= q/2 alone, _UNIT_BLOCK residues at a time, to
+    lambda(q) - 1, where lambda is the Carmichael function: the exponent
+    of the unit group, so x^lambda(q) == 1 and x^(lambda(q)-1) == inv(x)
+    (mod q) for every unit x.  The upper half follows from inv(q - x) =
+    q - inv(x).  Every residue is below q, so the products fit int32
+    while (q - 1)^2 < 2^31 (q <= 46341) and int64 up to the q <= 10^6
+    this accepts; the table is int64.
     """
     if q == 1:
         out = np.zeros(1, dtype=np.int64)
@@ -171,19 +176,27 @@ def unit_inverse_table(q: int) -> np.ndarray:
         lam_pk = 2 ** (k - 2) if p == 2 and k >= 3 else p ** (k - 1) * (p - 1)
         lam = math.lcm(lam, lam_pk)
     dtype = np.int32 if (q - 1) ** 2 < 2**31 else np.int64
-    low = np.flatnonzero(unit_mask(q)[: q // 2 + 1])
-    base = low.astype(dtype)
-    acc = np.ones(len(low), dtype=dtype)
-    e = lam - 1
-    while e:
-        if e & 1:
-            acc = (acc * base) % q
-        e >>= 1
-        if e:
-            base = (base * base) % q
+    mask = unit_mask(q)
+    half = q // 2 + 1
     out = np.zeros(q, dtype=np.int64)
-    out[low] = acc
-    out[q - low] = q - acc
+    for start in range(0, half, _UNIT_BLOCK):
+        low = np.flatnonzero(mask[start:min(start + _UNIT_BLOCK, half)])
+        low += start
+        base = low.astype(dtype)
+        acc = np.ones(len(low), dtype=dtype)
+        e = lam - 1
+        while e:
+            if e & 1:
+                np.multiply(acc, base, out=acc)
+                acc %= q
+            e >>= 1
+            if e:
+                np.multiply(base, base, out=base)
+                base %= q
+        out[low] = acc
+        np.subtract(q, low, out=low)
+        np.subtract(q, acc, out=acc)
+        out[low] = acc
     out.setflags(write=False)
     return out
 
@@ -194,14 +207,21 @@ def kloosterman_table(q: int) -> np.ndarray:
 
     S(1, c; q) = sum over units z of e(inv(z)/q) * e(c*z/q), which is q
     times the inverse DFT of V[z] = e(inv(z)/q) * [z unit].  The phases
-    are computed at the units alone; V is 0 elsewhere.  The result is
-    checked to be real to within 1e-9 * q.
+    are computed at the units alone, in one array freed once V holds
+    them; V is 0 elsewhere, and the transform and the scaling by q run in
+    V.  The result is checked to be real to within 1e-9 * q.
     """
     mask = unit_mask(q)
-    V = np.zeros(q, dtype=complex)
-    V[mask] = np.exp(2j * np.pi * unit_inverse_table(q)[mask] / q)
-    vals = q * np.fft.ifft(V)
-    worst = float(np.max(np.abs(vals.imag)))
+    phases = np.multiply(2j * np.pi, unit_inverse_table(q)[mask])
+    np.divide(phases, q, out=phases)
+    np.exp(phases, out=phases)
+    vals = np.zeros(q, dtype=complex)
+    vals[mask] = phases
+    del phases
+    np.fft.ifft(vals, out=vals)
+    vals *= q
+    imag = vals.imag
+    worst = float(max(imag.max(), -imag.min()))
     if worst > 1e-9 * q:
         raise AssertionError(f"S(1,.;{q}) imaginary part {worst} exceeds 1e-9*q")
     out = vals.real.copy()
@@ -219,17 +239,20 @@ def kloosterman_explicit_pp_table(pp: PrimePower) -> np.ndarray:
     if pp.gamma < 2 or pp.p == 2:
         raise BadModulus(f"need p odd and gamma >= 2, got p={pp.p}, gamma={pp.gamma}")
     p, q = pp.p, pp.q
-    x = np.arange(q, dtype=np.int64)
-    units = x[(x % p) != 0]
+    units = np.arange(q, dtype=np.int64).reshape(-1, p)[:, 1:].ravel()
+    squares = units * units
+    squares %= q
     roots = np.full(q, q, dtype=np.int64)
-    np.minimum.at(roots, (units * units) % q, units)
-    vals = np.zeros(q)
+    np.minimum.at(roots, squares, units)
+    del units, squares
     has = roots < q
     ell = roots[has]
+    del roots
     leg_table = np.array([0] + [legendre(r, p) for r in range(1, p)], dtype=np.int64)
     sign = leg_table[ell % p] ** pp.gamma
     phase = 2 * np.pi * ((2 * ell) % q) / q
     real_part = np.cos(phase) if q % 4 == 1 else -np.sin(phase)
+    vals = np.zeros(q)
     vals[has] = 2.0 * sign * p ** (pp.gamma / 2) * real_part
     vals.setflags(write=False)
     return vals

@@ -58,6 +58,7 @@ from .families import (
     render,
     split_vs_table,
 )
+from .memo import SMALL_Q
 from .modarith import PrimePower, is_prime, legendre
 from .voronoi import scale_residuals
 
@@ -115,35 +116,47 @@ def _criterion(name: str):
 # ------------------------------------------------------------------ 1
 
 
+def _explicit_pp_errors(p: int, gamma: int) -> tuple[float, float, int]:
+    """Worst |explicit - FFT| at the units mod p^gamma, worst |FFT| at the
+    non-residues, and the number of units; the first is inf where the
+    formula is not exactly 0 at a non-residue.  The modulus' arrays are
+    freed on return, before the next modulus is built."""
+    q = p**gamma
+    direct = kloosterman_table(q)
+    expl = kloosterman_explicit_pp_table(PrimePower(p, gamma))
+    leg = np.array([legendre(r, p) if r % p else 0 for r in range(p)])
+    unit = np.tile(leg != 0, q // p)
+    nonres = np.tile(leg == -1, q // p)
+    buf = np.subtract(expl, direct)
+    err = float(np.max(np.abs(buf, out=buf), where=unit, initial=0.0))
+    if np.any(expl, where=nonres):
+        err = math.inf  # formula must give exact zeros
+    zero = float(np.max(np.abs(direct, out=buf), where=nonres, initial=0.0))
+    return err, zero, int(unit.sum())
+
+
 @_criterion("explicit_pp_formula")
 def criterion_explicit_pp(quick: bool = False) -> tuple[bool, str]:
     """Explicit prime-power formula vs the FFT Kloosterman tables, scaled 1e-9."""
     cap = 10**4 if quick else 10**6
+    moduli = [(p, g) for p in (3, 5, 7, 11, 13) for g in range(2, 64) if p**g <= cap]
+    # A modulus above SMALL_Q is stored alone, and the FFT of the largest
+    # one sets this check's peak memory.  Built first, before any other
+    # large table, that peak does not depend on where earlier builds left
+    # free memory; the tables stored at the end are those of p, gamma order.
+    largest = max(moduli, key=lambda m: m[0] ** m[1])
+    if largest[0] ** largest[1] > SMALL_Q:
+        moduli.remove(largest)
+        moduli.insert(0, largest)
     worst = 0.0
     worst_zero = 0.0
     count = 0
-    for p in (3, 5, 7, 11, 13):
-        leg = np.array([legendre(r, p) if r % p else 0 for r in range(p)])
-        for gamma in range(2, 64):
-            q = p**gamma
-            if q > cap:
-                break
-            direct = kloosterman_table(q)
-            expl = kloosterman_explicit_pp_table(PrimePower(p, gamma))
-            beta = np.arange(q)
-            unit = beta % p != 0
-            scale = 2 * math.sqrt(q)
-            worst = max(
-                worst, float(np.max(np.abs(expl[unit] - direct[unit]))) / scale
-            )
-            nonres = unit & (leg[beta % p] == -1)
-            if nonres.any():
-                if np.max(np.abs(expl[nonres])) != 0.0:
-                    worst = math.inf  # formula must give exact zeros
-                worst_zero = max(
-                    worst_zero, float(np.max(np.abs(direct[nonres]))) / scale
-                )
-            count += int(unit.sum())
+    for p, gamma in moduli:
+        err, zero, units = _explicit_pp_errors(p, gamma)
+        scale = 2 * math.sqrt(p**gamma)
+        worst = max(worst, err / scale)
+        worst_zero = max(worst_zero, zero / scale)
+        count += units
     passed = worst <= 1e-9 and worst_zero <= 1e-9
     return passed, (
         f"{count} coprime (beta,p,gamma) values to p^gamma<={cap}; "

@@ -6,10 +6,11 @@ deterministic details string.  Run with `pytest tests/test_acceptance.py
 -v -s` to see the lines as they complete; plain pytest shows them for
 failing criteria only.
 
-The Kloosterman-table criteria (01, 03, 04) and the divisor-sum
-criteria (02, 10) also compare their details string with the one
-recorded in perfbench/golden.json, so a speed-up that moves any byte of
-those tables or sums fails here and not only in the benchmark.
+Every criterion but 09 and 12 also compares its details string with the
+one recorded in perfbench/golden.json, so a speed-up that moves any byte
+of their tables or sums fails here and not only in the benchmark.
+Criterion 09's bytes depend on the OpenBLAS thread count, and 12 has no
+golden copy.
 """
 
 import json
@@ -46,19 +47,19 @@ def test_criterion_04_weil_deligne_bounds():
 
 
 def test_criterion_05_charsum_prime_power_bounds():
-    _report(verify.criterion_charsum_pp(quick=False))
+    _report(verify.criterion_charsum_pp(quick=False), "charsum_pp")
 
 
 def test_criterion_06_charsum_prime_moebius_route():
-    _report(verify.criterion_charsum_prime(quick=False))
+    _report(verify.criterion_charsum_prime(quick=False), "charsum_prime")
 
 
 def test_criterion_07_df_correlation_bounds():
-    _report(verify.criterion_df(quick=False))
+    _report(verify.criterion_df(quick=False), "df")
 
 
 def test_criterion_08_calc_and_glue_crt_routes():
-    _report(verify.criterion_calc_glue(quick=False))
+    _report(verify.criterion_calc_glue(quick=False), "calc_glue")
 
 
 def test_criterion_09_voronoi_identity():
@@ -70,7 +71,7 @@ def test_criterion_10_d3_distribution():
 
 
 def test_criterion_11_bilinear_cancellation():
-    _report(verify.criterion_bilinear(quick=False))
+    _report(verify.criterion_bilinear(quick=False), "bilinear")
 
 
 def test_criterion_12_verify_all_determinism():

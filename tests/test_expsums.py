@@ -8,6 +8,7 @@ import importlib.util
 import io
 import math
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from expsum.expsums import (
     unit_mask,
     weil_audit,
 )
-from expsum.modarith import PrimePower, is_prime
+from expsum.modarith import PrimePower, is_prime, legendre
 
 SQRT5 = math.sqrt(5.0)
 
@@ -237,6 +238,59 @@ def test_explicit_pp_rejects_bad_modulus():
         kloosterman_explicit_pp_table(PrimePower(2, 3))
 
 
+# criterion 01's moduli: odd p^gamma <= 10^6, gamma >= 2
+_EXPLICIT_PP = [PrimePower(p, g) for p in (3, 5, 7, 11, 13) for g in range(2, 13) if p**g <= 10**6]
+
+
+def _explicit_pp_reference(pp: PrimePower) -> np.ndarray:
+    """The explicit table's earlier construction, kept as its bit reference."""
+    p, q = pp.p, pp.q
+    x = np.arange(q, dtype=np.int64)
+    units = x[(x % p) != 0]
+    roots = np.full(q, q, dtype=np.int64)
+    np.minimum.at(roots, (units * units) % q, units)
+    vals = np.zeros(q)
+    has = roots < q
+    ell = roots[has]
+    leg_table = np.array([0] + [legendre(r, p) for r in range(1, p)], dtype=np.int64)
+    sign = leg_table[ell % p] ** pp.gamma
+    phase = 2 * np.pi * ((2 * ell) % q) / q
+    real_part = np.cos(phase) if q % 4 == 1 else -np.sin(phase)
+    vals[has] = 2.0 * sign * p ** (pp.gamma / 2) * real_part
+    return vals
+
+
+def test_explicit_pp_table_equals_its_reference_bit_for_bit():
+    assert len(_EXPLICIT_PP) == 32
+    for pp in _EXPLICIT_PP:
+        assert kloosterman_explicit_pp_table.__wrapped__(pp).tobytes() == \
+            _explicit_pp_reference(pp).tobytes(), pp
+
+
+@pytest.mark.parametrize("build,arg,budget", [
+    # the table, 8 bytes a residue, and one block of units
+    (unit_inverse_table, 7**7, 10.5),
+    # the FFT buffer (16) and the phases at the units (16 * 6/7);
+    # pocketfft's plan and scratch are not numpy arrays, so tracemalloc
+    # does not see them
+    (kloosterman_table, 7**7, 30.0),
+    # the table (8) and the closed form's arrays over the residues
+    (kloosterman_explicit_pp_table, PrimePower(7, 7), 26.5),
+], ids=["unit_inverse_table", "kloosterman_table", "kloosterman_explicit_pp_table"])
+def test_large_builds_allocate_within_their_budget(build, arg, budget):
+    # numpy's peak allocation in one build at q = 7^7, in bytes a residue;
+    # the unit mask and inverses it reads are stored first, outside it
+    q = 7**7
+    unit_inverse_table(q)
+    tracemalloc.start()
+    try:
+        build.__wrapped__(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / q <= budget
+
+
 def test_unit_inverse_table_inverts():
     # every q <= 2048 covers 2^k with k >= 3, where lambda(q) = phi(q)/2,
     # and every composite q whose Carmichael exponent is below phi(q);
@@ -376,6 +430,23 @@ def test_explicit_pp_leaves_large_tables_of_at_most_one_modulus():
     # one modulus q <= 10^6: its unit mask (1 byte a residue), inverse,
     # Kloosterman and explicit tables (8 bytes each), 25 MB at most
     assert sum(t.nbytes for t in large) <= 25 * 10**6
+
+
+def test_explicit_pp_builds_its_largest_modulus_first_and_stores_what_p_gamma_order_does(
+        monkeypatch):
+    _empty_store()
+    for pp in _EXPLICIT_PP:
+        kloosterman_table(pp.q)
+        kloosterman_explicit_pp_table(pp)
+    want = [list(held) for held in memo._LARGE], _counts()
+    _empty_store()
+    built = []
+    table = verify.kloosterman_table
+    monkeypatch.setattr(verify, "kloosterman_table", lambda q: built.append(q) or table(q))
+    assert verify.criterion_explicit_pp(False).passed
+    assert built == [7**7] + [pp.q for pp in _EXPLICIT_PP if pp.q != 7**7]
+    assert ([list(held) for held in memo._LARGE], _counts()) == want
+    _empty_store()
 
 
 def test_a_large_table_of_another_modulus_drops_the_held_ones_before_its_build(monkeypatch):
