@@ -12,12 +12,16 @@ modulus q.
 Every evaluator follows the same degeneration convention as expsums:
 an inverted argument that is not a unit makes its Kloosterman factor
 vanish (the underlying pair sum is empty), which is the unique choice
-compatible with CRT factorisation.
+compatible with CRT factorisation; expsums.kloosterman_at_inverse
+applies it.  c_{gamma,u} and the glued sums take both factor rows from
+one pair builder, _pair_rows.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 from .arith import IdentityViolation, divisors, factorize
 from .expsums import (
     BoundReport,
+    kloosterman_at_inverse,
     kloosterman_table,
     make_report,
     unit_inverse_table,
@@ -93,6 +98,29 @@ class CharSumParams:
                 raise ValueError(f"gcd(2*{name}, p) must be 1, p = {p}")
 
 
+def _pair_rows(d: int, lam1: int, lam2: int, m: int, shift1, shift2, c, q: int) -> np.ndarray:
+    """Both factor rows of a pair sum over the units a1, a2 mod d.
+
+    The pairs solve lam1*inv(a1) - lam2*inv(a2) == m (mod d), in increasing
+    a1; at d = 1 the one pair is (0, 0).  Row j is S(1, c_j*inv(b_j +
+    a_j*k_j); q) for shift_j = (b_j, k_j), read by kloosterman_at_inverse:
+    c is one integer or the column (c_1, c_2).
+    """
+    if d == 1:  # no table mod 1 is read
+        a1 = a2 = np.zeros(1, dtype=np.int64)
+    else:
+        inv_d = unit_inverse_table(d)
+        mask_d = unit_mask(d)
+        a1 = mask_d.nonzero()[0]
+        abar2 = (pow(lam2, -1, d) * ((lam1 % d) * inv_d[a1] - m)) % d
+        ok = mask_d[abar2]
+        a1, a2 = a1[ok], inv_d[abar2[ok]]
+    (b1, k1), (b2, k2) = shift1, shift2
+    w = np.array((k1 % q * a1 + b1 % q, k2 % q * a2 + b2 % q))
+    w %= q
+    return kloosterman_at_inverse(c, w, q)
+
+
 def frakC_gamma_u(params: CharSumParams) -> complex:
     """Brute-force evaluation of the congruence-constrained double sum.
 
@@ -105,24 +133,11 @@ def frakC_gamma_u(params: CharSumParams) -> complex:
     """
     p, gamma, u = params.pp.p, params.pp.gamma, params.u
     q = params.pp.q
-    pu = p**u
     pg_u = p ** (gamma - u)
-    table = kloosterman_table(q)
-    invq = unit_inverse_table(q)
-    umq = unit_mask(q)
-    units = np.nonzero(unit_mask(pu))[0].astype(np.int64)
-    inv_pu = unit_inverse_table(pu)
-    lam2_inv = pow(params.lam2, -1, pu)
-
-    abar1 = inv_pu[units]
-    abar2 = (lam2_inv * ((params.lam1 % pu) * abar1 - params.m)) % pu
-    ok = unit_mask(pu)[abar2]
-    a1 = units[ok]
-    a2 = inv_pu[abar2[ok]]
-    w1 = ((params.s1 % q) * (pg_u % q) % q * a1 + params.t1) % q
-    w2 = ((params.s2 % q) * (pg_u % q) % q * a2 + params.t2) % q
-    f1 = np.where(umq[w1], table[invq[w1]], 0.0)
-    f2 = np.where(umq[w2], table[invq[w2]], 0.0)
+    f1, f2 = _pair_rows(
+        p**u, params.lam1, params.lam2, params.m,
+        (params.t1, params.s1 * pg_u), (params.t2, params.s2 * pg_u), 1, q,
+    )
     return complex(float(np.dot(f1, f2)))
 
 
@@ -334,18 +349,22 @@ def df_correlation(a: int, b: int, pp: PrimePower) -> BoundReport:
     )
 
 
+def _left_sum(xs) -> float:
+    """The floats xs added one at a time from 0.0, the same bits on every Python.
+
+    sum() compensates from Python 3.12 on and moves the last bit of
+    sqrt(1) + sqrt(2) + sqrt(5) + sqrt(10), for one.
+    """
+    return reduce(add, xs, 0.0)
+
+
 def _calC_factor(n1: int, n2: int, mtil: int, b: int, qi: int, v: int) -> complex:
     """One CRT factor of calC at the prime-power modulus qi with twist v."""
-    table = kloosterman_table(qi)
-    inv = unit_inverse_table(qi)
-    um = unit_mask(qi)
-    v2 = v * v % qi
     n2_inv = pow(n2, -1, qi)
     n2b_inv = pow(n2 * b % qi, -1, qi)
-    y = np.nonzero(um)[0].astype(np.int64)
+    y = unit_mask(qi).nonzero()[0]
     w = ((n1 % qi) * n2_inv % qi * y + n2b_inv * (mtil % qi)) % qi
-    f1 = table[(v2 * inv[y]) % qi]
-    f2 = np.where(um[w], table[(v2 * inv[w]) % qi], 0.0)
+    f1, f2 = kloosterman_at_inverse(v * v, np.array((y, w)), qi)
     return complex(float(np.dot(f1, f2)))
 
 
@@ -373,7 +392,7 @@ def calC(n1: int, n2: int, mtil: int, b: int, q: int) -> BoundReport:
             f"calC CRT mismatch at q={q}: direct {direct} vs product {crt}"
         )
     active = [k for k in divisors(q) if (n1 - n2) % k == 0 and mtil % k == 0]
-    bound = q**1.5 * sum(math.sqrt(k) for k in active)
+    bound = q**1.5 * _left_sum(map(math.sqrt, active))
     return make_report(
         sum_value=direct,
         bound_value=bound,
@@ -383,63 +402,28 @@ def calC(n1: int, n2: int, mtil: int, b: int, q: int) -> BoundReport:
     )
 
 
-def _glue_factor(c_mult: int, w: int, q: int) -> float:
-    """S(1, c_mult * inv(w); q); 0 when w is not a unit mod q."""
-    w %= q
-    if math.gcd(w, q) != 1:
-        return 0.0
-    return float(kloosterman_table(q)[c_mult * pow(w, -1, q) % q])
-
-
 def _glue_double_sum(
-    d: int,
-    qd_l1: int,
-    qd_l2: int,
-    c1: int,
-    c2: int,
-    m2: int,
-    m3: int,
-    m4: int,
-    mult1: int,
-    mult2: int,
-    q: int,
+    d: int, qd_l1: int, qd_l2: int, c1: int, c2: int, m2: int, m3: int, m4: int,
+    mult1: int, mult2: int, q: int,
 ) -> complex:
     """The restricted double sum over unit pairs a1, a2 mod d.
 
     Pairs satisfy c2*inv(a1) - c1*inv(a2) == m4 (mod d); the summand is
     S(1, mult1*inv(m2 + a1*qd_l1); q) * conj S(1, mult2*inv(m3 + a2*qd_l2); q).
+    The products are added one at a time in increasing a1, from 0.0.
     """
-    if d == 1:
-        return complex(_glue_factor(mult1, m2, q) * _glue_factor(mult2, m3, q))
-    c1_inv = pow(c1, -1, d)
-    inv_d = unit_inverse_table(d)
-    total = 0.0
-    for a1 in range(d):
-        if math.gcd(a1, d) != 1:
-            continue
-        abar2 = c1_inv * (c2 * int(inv_d[a1]) - m4) % d
-        if math.gcd(abar2, d) != 1:
-            continue
-        a2 = int(inv_d[abar2])
-        total += _glue_factor(mult1, m2 + a1 * qd_l1, q) * _glue_factor(
-            mult2, m3 + a2 * qd_l2, q
-        )
-    return complex(total)
+    f1, f2 = _pair_rows(
+        d, c2, c1, m4, (m2, qd_l1), (m3, qd_l2), np.array([[mult1], [mult2]]), q
+    )
+    products = (f1 * f2).tolist()
+    # d = 1: the one product as it is, since 0.0 + (-0.0) would be +0.0
+    # and the sign of a zero reaches the re column of the glue scan
+    return complex(products[0] if d == 1 else _left_sum(products))
 
 
 def frakC2_glue(
-    d: int,
-    q: int,
-    n1: int,
-    n2: int,
-    c1: int,
-    c2: int,
-    l1: int,
-    l2: int,
-    m2: int,
-    m3: int,
-    m4: int,
-    b: int,
+    d: int, q: int, n1: int, n2: int, c1: int, c2: int,
+    l1: int, l2: int, m2: int, m3: int, m4: int, b: int,
 ) -> BoundReport:
     """The glued double correlation sum coupling moduli d | q.
 
@@ -466,18 +450,14 @@ def frakC2_glue(
     qd = q // d
     mult1 = c1 * n1 * b % q
     mult2 = c2 * n2 * b % q
-    direct = d * _glue_double_sum(
-        d, qd * l1, qd * l2, c1, c2, m2, m3, m4, mult1, mult2, q
-    )
+    direct = d * _glue_double_sum(d, qd * l1, qd * l2, c1, c2, m2, m3, m4, mult1, mult2, q)
     crt: complex | None = None
     if math.gcd(d, qd) == 1:
         # modulus part prime to d: a_j-independent since (q/d)*l_j == 0 there
         if qd > 1:
             v = pow(d, -1, qd)
             v2 = v * v % qd
-            part = _glue_factor(v2 * mult1, m2, qd) * _glue_factor(
-                v2 * mult2, m3, qd
-            )
+            part = _glue_double_sum(1, 0, 0, 1, 1, m2, m3, 0, v2 * mult1, v2 * mult2, qd).real
         else:
             part = 1.0
         crt = complex(d) * part
@@ -485,17 +465,8 @@ def frakC2_glue(
             v = pow(q // p, -1, p)
             v2 = v * v % p
             crt *= _glue_double_sum(
-                p,
-                qd * l1 % p,
-                qd * l2 % p,
-                c1,
-                c2,
-                m2,
-                m3,
-                m4,
-                v2 * mult1 % p,
-                v2 * mult2 % p,
-                p,
+                p, qd * l1 % p, qd * l2 % p, c1, c2, m2, m3, m4,
+                v2 * mult1 % p, v2 * mult2 % p, p,
             )
         if abs(direct - crt) > 1e-6 * q * d * d:
             raise IdentityViolation(
@@ -508,7 +479,7 @@ def frakC2_glue(
         and (n1 * c1 * m3 - n2 * c2 * m2) % k == 0
         and (n1 * c1 * c1 * l2 - n2 * c2 * c2 * l1) % k == 0
     ]
-    bound = q * d**1.5 * sum(math.sqrt(k) for k in active)
+    bound = q * d**1.5 * _left_sum(map(math.sqrt, active))
     return make_report(
         sum_value=direct,
         bound_value=bound,

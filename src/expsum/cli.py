@@ -18,7 +18,8 @@ as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
 Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
-bad flag, config value or EXPSUM_JOBS, or a value beyond the caps).
+bad flag, config value or EXPSUM_JOBS, a value beyond the caps, or an
+--out that cannot be written).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from time import perf_counter, process_time
 
 from .bilinear import BilinearConfig, cancellation_scan
 from .distribution import discrepancy_scan
-from .expsums import hyper_kl3_table
+from .expsums import TABLE_Q_MAX, hyper_kl3_table
 from .families import (
     BILINEAR_HEADER,
     BrokenExecutor,
@@ -98,7 +99,8 @@ class ValidationError(ValueError):
 
 
 def validate(cfg: argparse.Namespace) -> None:
-    """Refuse parsed options beyond the caps, and voronoi cells that cannot converge.
+    """Refuse parsed options beyond the caps, an --out that cannot be written,
+    charsum-pp moduli beyond the tables and voronoi cells that cannot converge.
 
     cfg holds only its subcommand's options, defaults included; an option
     it lacks has nothing to check.
@@ -106,6 +108,10 @@ def validate(cfg: argparse.Namespace) -> None:
     opt = vars(cfg)
     if not 1 <= cfg.jobs <= CAPS["jobs"]:
         raise ValidationError(f"jobs must be in [1, {CAPS['jobs']}]")
+    if cfg.out and Path(cfg.out).is_dir():
+        raise ValidationError(f"--out {cfg.out} is a directory")
+    if cfg.out and not Path(cfg.out).parent.is_dir():
+        raise ValidationError(f"--out {cfg.out}: {Path(cfg.out).parent} is not a directory")
     if "tol" in opt and not (math.isfinite(cfg.tol) and cfg.tol >= 1e-12):
         # a nan or inf tolerance would pass every residual
         raise ValidationError(f"tolerance {cfg.tol} is not a finite number >= 1e-12")
@@ -122,6 +128,10 @@ def validate(cfg: argparse.Namespace) -> None:
             raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
         if p == 2 and cfg.subcommand in ("charsum-pp", "charsum-prime"):
             raise ValidationError("p = 2: the correlation sums need an odd prime")
+    if cfg.subcommand == "charsum-pp" and (q := max(cfg.p) ** cfg.gamma_max) > TABLE_Q_MAX:
+        raise ValidationError(
+            f"{max(cfg.p)}^{cfg.gamma_max} = {q} above the table range {TABLE_Q_MAX}"
+        )
     voronoi = cfg.subcommand == "voronoi"
     cap_x = CAPS["X_voronoi"] if voronoi else CAPS["X_distribution"]
     for x in opt.get("X", []):

@@ -23,8 +23,9 @@ Conventions used throughout:
     (numerator mod q)/q so angles stay small.
   * S(1, w-bar; q) with w NOT a unit mod q denotes the sum over pairs
     of units x, z with w*x*z == 1 (mod q), which is empty, hence 0.
-    This is the unique convention that commutes with CRT splitting and
-    it is applied wherever an inverted argument degenerates.
+    This is the unique convention that commutes with CRT splitting;
+    kloosterman_at_inverse is the one function that applies it, and
+    every table lookup at an inverted argument goes through it.
 """
 
 from __future__ import annotations
@@ -42,12 +43,14 @@ __all__ = [
     "BoundReport",
     "BadModulus",
     "kloosterman_direct",
+    "kloosterman_at_inverse",
     "kloosterman_explicit_pp_table",
     "kloosterman_split",
     "kloosterman_split_row",
     "kloosterman_table",
     "unit_inverse_table",
     "unit_mask",
+    "TABLE_Q_MAX",
     "hyper_kl3_table",
     "hyper_kl3_table_direct",
     "weil_audit",
@@ -151,6 +154,8 @@ def unit_mask(q: int) -> np.ndarray:
 
 _UNIT_BLOCK = 2**16  # residues per block of unit_inverse_table: 0.5 MB of int64 units
 
+TABLE_Q_MAX = 10**6  # the largest modulus unit_inverse_table, and so every table, accepts
+
 
 @stored(16, modulus=int)
 def unit_inverse_table(q: int) -> np.ndarray:
@@ -162,13 +167,13 @@ def unit_inverse_table(q: int) -> np.ndarray:
     (mod q) for every unit x.  The upper half follows from inv(q - x) =
     q - inv(x).  Every residue is below q, so the products fit int32
     while (q - 1)^2 < 2^31 (q <= 46341) and int64 up to the q <= 10^6
-    this accepts; the table is int64.
+    this accepts (TABLE_Q_MAX); the table is int64.
     """
     if q == 1:
         out = np.zeros(1, dtype=np.int64)
         out.setflags(write=False)
         return out
-    if q > 10**6:
+    if q > TABLE_Q_MAX:
         raise ValueError(f"q = {q} beyond desk-scale table range")
     lam = 1
     for p, k in factorize(q).pairs:
@@ -227,6 +232,22 @@ def kloosterman_table(q: int) -> np.ndarray:
     out = vals.real.copy()
     out.setflags(write=False)
     return out
+
+
+def kloosterman_at_inverse(c, w, q: int) -> np.ndarray:
+    """S(1, c*inv(w); q) at residues w in [0, q), and 0 where w is not a unit.
+
+    w indexes [0, q): an integer array, or a slice.  c is an integer or an
+    integer array broadcast against the values; an integer 1 skips the
+    multiply.  When no w is a unit, no inverse or Kloosterman table is read.
+    """
+    unit = unit_mask(q)[w]
+    if not unit.any():
+        return np.zeros(unit.shape)
+    idx = unit_inverse_table(q)[w]
+    if isinstance(c, np.ndarray) or c != 1:
+        idx = idx * (c % q) % q
+    return np.where(unit, kloosterman_table(q)[idx], 0.0)
 
 
 @stored(16, modulus=lambda pp: pp.q)
@@ -329,10 +350,7 @@ def hyper_kl3_table(q: int) -> np.ndarray:
     Kl3(m, q) = (1/q) * sum over units x of e(m*x/q) * S(1, inv(x); q),
     which is the inverse DFT of U[x] = S(1, inv(x); q) * [x unit].
     """
-    inv = unit_inverse_table(q)
-    sk = kloosterman_table(q)
-    U = np.where(unit_mask(q), sk[inv], 0.0)
-    out = np.fft.ifft(U)
+    out = np.fft.ifft(kloosterman_at_inverse(1, slice(None), q))
     out.setflags(write=False)
     return out
 

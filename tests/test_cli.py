@@ -230,6 +230,20 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     refused = capsys.readouterr()
     assert refused.out == ""
     assert refused.err.count("p = 2: the correlation sums need an odd prime") == 2
+    # a modulus p^gamma beyond the tables, or an --out that cannot be
+    # written, is refused before any work, with one error line
+    assert main(["charsum-pp", "--p", "131", "--gamma-max", "3"]) == 2
+    assert main(["charsum-pp", "--p", "3,31", "--gamma-max", "5"]) == 2
+    assert main(["kloosterman", "--q", "7", "--out", str(tmp_path / "no" / "x.csv")]) == 2
+    assert main(["kloosterman", "--q", "7", "--out", str(tmp_path)]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.splitlines() == [
+        "error: 131^3 = 2248091 above the table range 1000000",
+        "error: 31^5 = 28629151 above the table range 1000000",
+        f"error: --out {tmp_path / 'no' / 'x.csv'}: {tmp_path / 'no'} is not a directory",
+        f"error: --out {tmp_path} is a directory",
+    ]
 
 
 @pytest.mark.parametrize("argv", [["kloosterman", "--q", "6", "--tol", "nan"],

@@ -23,6 +23,7 @@ from expsum.expsums import (
     BadModulus,
     hyper_kl3_table,
     hyper_kl3_table_direct,
+    kloosterman_at_inverse,
     kloosterman_direct,
     kloosterman_explicit_pp_table,
     kloosterman_split,
@@ -133,6 +134,25 @@ def test_kloosterman_frozen_spots():
 def test_kloosterman_table_matches_direct(q, m):
     tab = kloosterman_table(q)
     assert abs(tab[m % q] - kloosterman_direct(1, m, q)) < 1e-9 * q
+
+
+@settings(deadline=None)
+@given(st.integers(1, 400), st.data())
+def test_kloosterman_at_inverse_is_the_scalar_rule_bit_for_bit(q, data):
+    table = kloosterman_table(q)
+
+    def rule(c: int, w: int) -> float:
+        return 0.0 if math.gcd(w, q) > 1 else float(table[c * pow(w, -1, q) % q])
+
+    w = data.draw(st.lists(st.integers(0, q - 1), max_size=12))
+    c1, c2 = (data.draw(st.just(1) | st.integers(-3 * q, 3 * q)) for _ in range(2))
+    got = kloosterman_at_inverse(c1, np.array(w, dtype=np.int64), q)
+    assert got.tobytes() == np.array([rule(c1, x) for x in w]).tobytes()
+    # one multiplier per row, both rows in one gather
+    rows = kloosterman_at_inverse(np.array([[c1], [c2]]), np.array([w, w], dtype=np.int64), q)
+    assert rows.tobytes() == np.array([[rule(c, x) for x in w] for c in (c1, c2)]).tobytes()
+    every = kloosterman_at_inverse(c1, slice(None), q)
+    assert every.tobytes() == np.array([rule(c1, x) for x in range(q)]).tobytes()
 
 
 @settings(deadline=None)
@@ -516,12 +536,12 @@ def test_every_stored_kind_builds_and_hits_as_its_lru_cache_does(workload, monke
 @pytest.mark.parametrize("argv,digest,builds", [
     (["charsum-pp", "--p", "5,7", "--gamma-max", "7"],
      "a1b99719b4d64a8167c4389bbeb944aa99d53b38bcfc23372f2d6d069bf64972",
-     {"expsums.unit_inverse_table": (14, 3798), "expsums.unit_mask": (14, 5712),
+     {"expsums.unit_inverse_table": (14, 3798), "expsums.unit_mask": (14, 3812),
       "expsums.kloosterman_table": (12, 1888)}),
     # q = 31^4 = 923521, the largest modulus the CLI reaches
     (["charsum-pp", "--p", "31", "--gamma-max", "4"],
      "35885a8598c554bf9821d415c7891cda408da2988ad9ab4dd366692319f03a2c",
-     {"expsums.unit_inverse_table": (4, 599), "expsums.unit_mask": (4, 903),
+     {"expsums.unit_inverse_table": (4, 599), "expsums.unit_mask": (4, 603),
       "expsums.kloosterman_table": (3, 297)}),
 ], ids=["p5,7-gamma7", "p31-gamma4"])
 def test_a_reused_large_modulus_builds_once(argv, digest, builds, capsys):
