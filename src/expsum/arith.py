@@ -2,7 +2,9 @@
 
 Divisor functions and their sieved tables, Moebius and Euler-phi
 accessors on exact factorizations, and the two-sided sigma_{0,0}
-identity, scalar and over a whole grid.
+identity, scalar and over a whole grid.  The grid's literal route tests
+coprimality in one gcd table and never reads d_3 or mu; its Moebius
+route takes no gcd.
 """
 
 from __future__ import annotations
@@ -160,19 +162,20 @@ def sigma00_grid(cap: int) -> np.ndarray:
     """grid[k, l] = sigma00(k, l) for 1 <= k, l <= cap (row and column 0 unused).
 
     Both routes of sigma00, each vectorised over k.  Literal: for each l,
-    count the pairs (d1, d2 | l/d1) with gcd(d2, k) = 1.  Moebius: add
-    mu(a) d_3(l/a) into the rows k = 0 mod a, for each squarefree a | l.
-    The two grids must agree exactly; the first (k, l) where they do not
-    raises IdentityViolation.
+    count the pairs (d1, d2 | l/d1) with gcd(d2, k) = 1, as one gather of
+    the columns d2 from a gcd table of every (k, d2) that is built once.
+    Moebius: add mu(a) d_3(l/a) into the rows k = 0 mod a, for each
+    squarefree a | l.  The two grids must agree exactly; the first (k, l)
+    where they do not raises IdentityViolation.
     """
     if cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    ks = np.arange(1, cap + 1)
+    coprime = _coprime_table(cap)
     literal = np.zeros((cap + 1, cap + 1), dtype=np.int64)
     mobius_form = np.zeros((cap + 1, cap + 1), dtype=np.int64)
     for l in range(1, cap + 1):
-        d2s = np.array([d2 for d1 in divisors(l) for d2 in divisors(l // d1)])
-        literal[1:, l] = (np.gcd(d2s[None, :], ks[:, None]) == 1).sum(axis=1)
+        d2s = [d2 for d1 in divisors(l) for d2 in divisors(l // d1)]
+        literal[1:, l] = coprime[1:, d2s].sum(axis=1)
         for a in divisors(l):
             mu = factorize(a).mobius()
             if mu:
@@ -184,3 +187,9 @@ def sigma00_grid(cap: int) -> np.ndarray:
             f"sigma00({k},{l}): literal {literal[k, l]} != moebius {mobius_form[k, l]}"
         )
     return mobius_form
+
+
+def _coprime_table(cap: int) -> np.ndarray:
+    """coprime[k, d] = (gcd(k, d) == 1) for 0 <= k, d <= cap, by np.gcd."""
+    ks = np.arange(cap + 1, dtype=np.int32)
+    return np.gcd(ks[:, None], ks[None, :]) == 1

@@ -18,8 +18,10 @@ as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
 Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
-bad flag, config value or EXPSUM_JOBS, a value beyond the caps, or an
---out that cannot be written).
+bad flag, config value or EXPSUM_JOBS, a value beyond the caps, a
+charsum-pp range with no cells, or an --out that cannot be written).  df
+writes the moduli p^gamma up to the q cap and names the (p, gamma) it
+skipped beyond it on stderr, exiting 0.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class ValidationError(ValueError):
 
 def validate(cfg: argparse.Namespace) -> None:
     """Refuse parsed options beyond the caps, an --out that cannot be written,
-    charsum-pp moduli beyond the tables and voronoi cells that cannot converge.
+    charsum-pp moduli beyond the tables or with no cells, and voronoi cells
+    that cannot converge.
 
     cfg holds only its subcommand's options, defaults included; an option
     it lacks has nothing to check.
@@ -128,6 +131,8 @@ def validate(cfg: argparse.Namespace) -> None:
             raise ValidationError(f"p = {p} is not a prime <= {CAPS['p']}")
         if p == 2 and cfg.subcommand in ("charsum-pp", "charsum-prime"):
             raise ValidationError("p = 2: the correlation sums need an odd prime")
+    if cfg.subcommand == "charsum-pp" and not charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max):
+        raise ValidationError("no (p, gamma, u) cells: need gamma_max >= 2 and u_max >= 1")
     if cfg.subcommand == "charsum-pp" and (q := max(cfg.p) ** cfg.gamma_max) > TABLE_Q_MAX:
         raise ValidationError(
             f"{max(cfg.p)}^{cfg.gamma_max} = {q} above the table range {TABLE_Q_MAX}"
@@ -327,12 +332,11 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
 
 
 def _run_df(cfg: argparse.Namespace) -> int:
-    mods = [
-        (p, gamma)
-        for p in cfg.p
-        for gamma in range(1, cfg.gamma_max + 1)
-        if p**gamma <= CAPS["q"]
-    ]
+    pairs = [(p, gamma) for p in cfg.p for gamma in range(1, cfg.gamma_max + 1)]
+    mods = [(p, gamma) for p, gamma in pairs if p**gamma <= CAPS["q"]]
+    if len(mods) < len(pairs):  # said, not refused: the rows that fit are still written
+        dropped = ", ".join(f"({p}, {gamma})" for p, gamma in pairs if p**gamma > CAPS["q"])
+        print(f"skipped (p, gamma) with p^gamma above {CAPS['q']}: {dropped}", file=sys.stderr)
 
     def one(mod: tuple[int, int]) -> list[dict]:
         p, gamma = mod

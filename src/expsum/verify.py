@@ -378,12 +378,42 @@ def criterion_voronoi(quick: bool = False) -> tuple[bool, str]:
 # ------------------------------------------------------------------ 10
 
 
+_TRIPLE_BLOCK = 1 << 12  # triples a block of _d3_triple_loop counts; more moves the peak RSS
+
+
 def _d3_triple_loop(X: int) -> np.ndarray:
-    """Literal sum over ordered triples a*b*c <= X (test oracle)."""
+    """out[n] = #{(a, b, c) : a*b*c = n}, counted over the ordered triples
+    with a*b*c <= X one by one: the sieve's oracle, reading no table.
+
+    The pairs (a, b) with a*b <= X are numbered a-major, b = 1..X//a.  A
+    block takes the next pairs until their multiples c = 1..X//(ab) reach
+    _TRIPLE_BLOCK triples (or one pair, if it alone has more), spells out
+    each triple's a*b*c by repeat/cumsum index arithmetic and bincounts
+    them, so the memory stays at one block whatever X is.  The next
+    window of pairs is at most twice the pairs the last block kept, so a
+    block reads few pairs that it does not count.
+    """
     out = np.zeros(X + 1, dtype=np.int64)
-    for a in range(1, X + 1):
-        for b in range(1, X // a + 1):
-            out[a * b :: a * b] += 1  # every c with a*b*c <= X
+    per_a = X // np.arange(1, X + 1)  # the number of b for each a
+    a_ends = np.cumsum(per_a)
+    i, n_pairs, window = 0, int(a_ends[-1]), 64
+    while i < n_pairs:
+        j = min(i + window, n_pairs)
+        lo, hi = np.searchsorted(a_ends, (i, j - 1), side="right")  # a - 1
+        seg = np.diff(np.minimum(a_ends[lo : hi + 1], j), prepend=i)
+        a = np.repeat(np.arange(lo + 1, hi + 2), seg)
+        firsts = a_ends[lo : hi + 1] - per_a[lo : hi + 1]  # the first pair of each a
+        b = np.arange(i + 1, j + 1) - np.repeat(firsts, seg)
+        ab = a * b
+        cs = X // ab  # the number of c for each pair
+        c_ends = np.cumsum(cs)
+        k = max(1, int(np.searchsorted(c_ends, _TRIPLE_BLOCK, side="right")))
+        ab, cs, c_ends = ab[:k], cs[:k], c_ends[:k]
+        abc = np.arange(1, int(c_ends[-1]) + 1) - np.repeat(c_ends - cs, cs)  # c
+        abc *= np.repeat(ab, cs)
+        out += np.bincount(abc, minlength=X + 1)
+        i += k
+        window = min(_TRIPLE_BLOCK, 2 * k + 64)
     return out
 
 

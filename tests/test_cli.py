@@ -244,6 +244,33 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
         f"error: --out {tmp_path / 'no' / 'x.csv'}: {tmp_path / 'no'} is not a directory",
         f"error: --out {tmp_path} is a directory",
     ]
+    # a charsum-pp range with no (p, gamma, u) cell printed its header alone
+    # and exited 0; it is refused as an empty --q list is
+    assert main(["charsum-pp", "--p", "7", "--gamma-max", "3", "--u-max", "0"]) == 2
+    assert main(["charsum-pp", "--p", "7", "--gamma-max", "3", "--u-max", "-2"]) == 2
+    assert main(["charsum-pp", "--p", "7", "--gamma-max", "1"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.splitlines() == 3 * [
+        "error: no (p, gamma, u) cells: need gamma_max >= 2 and u_max >= 1"
+    ]
+
+
+def test_df_names_the_moduli_beyond_the_cap_it_skips(capsys):
+    # the rows that fit are written and the exit is 0, as before; what is
+    # left out is named on stderr, not dropped without a word
+    assert main(["df", "--p", "131", "--gamma-max", "3"]) == 0
+    skipped = capsys.readouterr()
+    assert main(["df", "--p", "131", "--gamma-max", "1"]) == 0
+    fitting = capsys.readouterr()
+    assert skipped.out == fitting.out and len(skipped.out.splitlines()) == 31
+    assert skipped.err.splitlines()[0] == (
+        "skipped (p, gamma) with p^gamma above 10000: (131, 2), (131, 3)"
+    )
+    assert "skipped" not in fitting.err
+    assert main(["df", "--p", "3,23", "--gamma-max", "3"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "skipped (p, gamma) with p^gamma above 10000: (23, 3)"
 
 
 @pytest.mark.parametrize("argv", [["kloosterman", "--q", "6", "--tol", "nan"],

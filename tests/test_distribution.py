@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from expsum import distribution
 from expsum.arith import d3_exact, divisor_table, divisors, factorize
+from expsum.expsums import hyper_kl3_table
 from expsum.distribution import (
     _residue_totals,
+    _row_dtype,
     coprime_mean,
     d3_ap_sum,
     d3_to_bilinear,
@@ -67,6 +69,21 @@ def test_residue_totals_equal_bincount():
             ref = np.bincount(np.arange(X + 1) % d, weights=vals, minlength=d)[:d]
             got = _residue_totals(X, d)
             assert got.dtype == np.uint64 and np.array_equal(got, ref), (X, d)
+
+
+def test_rows_fold_in_uint32_only_while_no_total_can_reach_2_32(monkeypatch):
+    # every total is at most the whole sum, which the bound X (1 + log X)^2 covers
+    for X in (1, 2, 3, 100, 10**4, 10**6):
+        whole = int(np.sum(divisor_table(3, X), dtype=np.uint64))
+        assert whole <= X * (1 + math.log(X)) ** 2, X
+    assert _row_dtype(10**6) is _row_dtype(10**7) is np.uint32
+    assert _row_dtype(2 * 10**7) is _row_dtype(10**8) is np.uint64
+    # the uint64 fold, as taken beyond the bound, gives the same totals
+    narrow = {d: _residue_totals(10**6, d) for d in (1, 2, 7, 255, 256, 4099)}
+    monkeypatch.setattr(distribution, "_row_dtype", lambda X: np.uint64)
+    for d, t in narrow.items():
+        wide = _residue_totals(10**6, d)
+        assert wide.dtype == t.dtype == np.uint64 and np.array_equal(wide, t), d
 
 
 def test_progressions_partition_the_coprime_mass():
@@ -186,6 +203,53 @@ def test_a_second_scan_at_the_same_X_sums_no_multiples():
     assert multiples.cache_info()[:2] == (5, 7)  # (hits, misses)
     assert discrepancy_scan(3000, [6, 10, 15]) == first
     assert multiples.cache_info()[:2] == (17, 7)
+
+
+def _glued_per_n1(Y, q, b):
+    """The glued bracket with its (n1, m) pairs built one n1 at a time (reference)."""
+    tab = hyper_kl3_table(q)
+    hi = 2 * Y
+    d2 = divisor_table(2, hi)
+    glued = 0j
+    for n1 in range(1, hi + 1):
+        m_lo, m_hi = Y // n1 + 1, hi // n1
+        if m_lo > m_hi:
+            continue
+        m = np.arange(m_lo, m_hi + 1, dtype=np.int64)
+        glued += complex(
+            np.dot(d2[m_lo : m_hi + 1].astype(float), tab[(m * n1 * b) % q])
+        )
+    return glued
+
+
+def _same_bits(z, w):
+    return z == w and repr(z) == repr(w)
+
+
+def test_glued_bracket_is_the_per_n1_loop_bit_for_bit_on_criterion_10s_draws():
+    rng = np.random.default_rng(99)  # criterion 10's stream, in its order
+    for _ in range(100):
+        y = int(rng.integers(4, 400))
+        q = int(rng.integers(1, 50))
+        b = int(rng.integers(1, q + 1))
+        glued = d3_to_bilinear(y, q, b)[1]
+        assert _same_bits(glued, _glued_per_n1(y, q, b)), (y, q, b)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 2000), st.integers(1, 60), st.integers(-10**9, 10**9))
+def test_glued_bracket_is_the_per_n1_loop_bit_for_bit(Y, q, b):
+    assert _same_bits(d3_to_bilinear(Y, q, b)[1], _glued_per_n1(Y, q, b))
+
+
+def test_glued_blocks_keep_every_bit(monkeypatch):
+    # one n1 a block, and blocks that cut between n1 segments of several m
+    cases = ((37, 30, 7), (400, 49, 12), (2000, 11, -5))
+    want = {case: _glued_per_n1(*case) for case in cases}
+    for block in (1, 5, 64):
+        monkeypatch.setattr(distribution, "_PAIR_BLOCK", block)
+        for case, glued in want.items():
+            assert _same_bits(d3_to_bilinear(*case)[1], glued), (block, case)
 
 
 def test_d3_to_bilinear_rebracketing_is_exact():
