@@ -1,10 +1,13 @@
 """Command-line front door: scans and checks as deterministic CSV/JSON.
 
-Every subcommand walks its parameter family in a fixed order, formats
-floats as %.12e, and draws any random tuples from fixed seeds, so a
-given invocation is byte-reproducible (including across --jobs values;
-parallel results are merged back in canonical order).  Timing and the
-memo store's builds and hits, --jobs workers included, go to stderr only.
+Every subcommand walks its parameter family in a fixed order and draws
+any random tuples from fixed seeds.  Its runner builds rows of raw
+values; families.written formats them (floats as %.12e), in the --jobs
+workers for a scan, and families.render writes them, the columns in the
+row's key order.  So a given invocation is byte-reproducible (including
+across --jobs values; parallel results are merged back in canonical
+order).  Timing and the memo store's builds and hits, --jobs workers
+included, go to stderr only.
 
 COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
@@ -19,9 +22,9 @@ defaults included.
 
 Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
 bad flag, config value or EXPSUM_JOBS, a value beyond the caps, a
-charsum-pp range with no cells, or an --out that cannot be written).  df
-writes the moduli p^gamma up to the q cap and names the (p, gamma) it
-skipped beyond it on stderr, exiting 0.
+charsum-pp range with no cells, a df --gamma-max below 1, or an --out that
+cannot be written).  df writes the moduli p^gamma up to the q cap and names
+the (p, gamma) it skipped beyond it on stderr, exiting 0.
 """
 
 from __future__ import annotations
@@ -34,25 +37,25 @@ import sys
 from pathlib import Path
 from time import perf_counter, process_time
 
-from .bilinear import BilinearConfig, cancellation_scan
+import numpy as np
+
+from .bilinear import cancellation_scan
 from .distribution import discrepancy_scan
-from .expsums import TABLE_Q_MAX, hyper_kl3_table
+from .expsums import TABLE_Q_MAX, hyper_kl3_table, kloosterman_split_row, kloosterman_table
 from .families import (
-    BILINEAR_HEADER,
     BrokenExecutor,
+    bilinear_config,
     bilinear_row,
     calc_tuples,
     charsum_pp,
     charsum_pp_cells,
     charsum_prime,
     df_pairs,
-    fmt,
     glue_tuples,
-    middle_unit,
     modulus_rng,
     pmap,
     render,
-    split_vs_table,
+    written,
 )
 from .memo import COUNTS
 from .modarith import is_prime
@@ -102,8 +105,8 @@ class ValidationError(ValueError):
 
 def validate(cfg: argparse.Namespace) -> None:
     """Refuse parsed options beyond the caps, an --out that cannot be written,
-    charsum-pp moduli beyond the tables or with no cells, and voronoi cells
-    that cannot converge.
+    charsum-pp moduli beyond the tables or with no cells, df with no
+    moduli, and voronoi cells that cannot converge.
 
     cfg holds only its subcommand's options, defaults included; an option
     it lacks has nothing to check.
@@ -120,6 +123,8 @@ def validate(cfg: argparse.Namespace) -> None:
         raise ValidationError(f"tolerance {cfg.tol} is not a finite number >= 1e-12")
     if "gamma_max" in opt and cfg.gamma_max > CAPS["gamma_max"]:
         raise ValidationError(f"gamma_max {cfg.gamma_max} above cap {CAPS['gamma_max']}")
+    if cfg.subcommand == "df" and cfg.gamma_max < 1:
+        raise ValidationError(f"gamma_max {cfg.gamma_max}: df needs a modulus p^gamma, gamma >= 1")
     if opt.get("u_max") is not None and cfg.u_max > CAPS["u_max"]:
         raise ValidationError(f"u_max {cfg.u_max} above cap {CAPS['u_max']}")
     for key in ("q", "M", "N"):
@@ -232,19 +237,23 @@ def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> 
     return flags
 
 
-def _emit(rows: list[dict], header: list[str], cfg: argparse.Namespace) -> None:
-    """Write rows as CSV or JSON, to --out or stdout."""
-    text = render(rows, header, cfg.format)
+def _emit(rows: list[dict], cfg: argparse.Namespace) -> None:
+    """Write written rows as CSV or JSON, to --out or stdout."""
+    text = render(rows, cfg.format)
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _scan(one, items: list, header: list[str], cfg: argparse.Namespace) -> list[dict]:
-    """Emit the rows of one(item) for every item, in item order; return them."""
-    rows = [r for rs in pmap(one, items, cfg.jobs) for r in rs]
-    _emit(rows, header, cfg)
+def _scan(one, items: list, cfg: argparse.Namespace) -> list[dict]:
+    """Emit the rows of one(item) for every item, in item order; return them.
+
+    Each row is written where one runs, in a --jobs worker or here.
+    """
+    rows = pmap(lambda item: [written(r) for r in one(item)], items, cfg.jobs)
+    rows = [r for rs in rows for r in rs]
+    _emit(rows, cfg)
     return rows
 
 
@@ -253,26 +262,28 @@ def _scan(one, items: list, header: list[str], cfg: argparse.Namespace) -> list[
 
 def _run_kloosterman(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
-        rows = []
-        for m, value, split in split_vs_table(q):
-            diff = abs(split - value)
-            rows.append({"q": q, "m": m, "value": fmt(value),
-                         "split_value": fmt(split.real), "abs_diff": fmt(diff)})
-            if diff > cfg.tol * q:
-                raise AssertionError(f"split mismatch at q={q}, m={m}: {diff}")
-        return rows
+        value = kloosterman_table(q)
+        split = kloosterman_split_row(q)
+        diff = np.abs(split - value)
+        bad = np.flatnonzero(diff > cfg.tol * q)
+        if bad.size:
+            m = int(bad[0])
+            raise AssertionError(f"split mismatch at q={q}, m={m}: {float(diff[m])}")
+        return [{"q": q, "m": m, "value": v, "split_value": s, "abs_diff": d}
+                for m, (v, s, d) in enumerate(zip(value.tolist(), split.real.tolist(),
+                                                  diff.tolist()))]
 
-    _scan(one, cfg.q, ["q", "m", "value", "split_value", "abs_diff"], cfg)
+    _scan(one, cfg.q, cfg)
     return 0
 
 
 def _run_hyperkl3(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
         tab = hyper_kl3_table(q)
-        return [{"q": q, "m": m, "re": fmt(tab[m].real), "im": fmt(tab[m].imag),
-                 "abs": fmt(abs(tab[m]))} for m in range(q)]
+        return [{"q": q, "m": m, "re": v.real, "im": v.imag, "abs": abs(v)}
+                for m, v in enumerate(tab.tolist())]
 
-    _scan(one, cfg.q, ["q", "m", "re", "im", "abs"], cfg)
+    _scan(one, cfg.q, cfg)
     return 0
 
 
@@ -280,26 +291,14 @@ def _run_charsum_pp(cfg: argparse.Namespace) -> int:
     def one(cell: tuple[int, int, int]) -> list[dict]:
         p, gamma, u = cell
         return [
-            {
-                "p": p, "gamma": gamma, "u": u,
-                **{k: getattr(c, k) for k in _TUPLE_KEYS},
-                "case": rep.aux["case"],
-                "value": fmt(rep.sum_value.real),
-                "bound": fmt(rep.bound_value),
-                "ratio": fmt(rep.ratio),
-                "predicted_vanishing": int(rep.vanishing_predicted),
-                "vanished": int(rep.vanished),
-            }
+            {"p": p, "gamma": gamma, "u": u, **{k: getattr(c, k) for k in _TUPLE_KEYS},
+             "case": rep.aux["case"], "value": rep.sum_value.real, "bound": rep.bound_value,
+             "ratio": rep.ratio, "predicted_vanishing": rep.vanishing_predicted,
+             "vanished": rep.vanished}
             for c, rep in charsum_pp(p, gamma, u, 50)
         ]
 
-    rows = _scan(
-        one,
-        charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max),
-        ["p", "gamma", "u", *_TUPLE_KEYS,
-         "case", "value", "bound", "ratio", "predicted_vanishing", "vanished"],
-        cfg,
-    )
+    rows = _scan(one, charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max), cfg)
     return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else 0
 
 
@@ -310,24 +309,12 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
             diff = abs(rep.aux["completed"] - mo)
             if diff > cfg.tol * p * p:
                 raise AssertionError(f"route mismatch at p={p}: {diff}")
-            rows.append(
-                {
-                    "p": p, **dict(zip(_TUPLE_KEYS, tup)),
-                    "value": fmt(rep.sum_value.real),
-                    "completed": fmt(rep.aux["completed"].real),
-                    "moebius": fmt(mo.real),
-                    "route_diff": fmt(diff),
-                    "ratio": fmt(rep.ratio),
-                }
-            )
+            rows.append({"p": p, **dict(zip(_TUPLE_KEYS, tup)), "value": rep.sum_value.real,
+                         "completed": rep.aux["completed"].real, "moebius": mo.real,
+                         "route_diff": diff, "ratio": rep.ratio})
         return rows
 
-    _scan(
-        one,
-        cfg.p,
-        ["p", *_TUPLE_KEYS, "value", "completed", "moebius", "route_diff", "ratio"],
-        cfg,
-    )
+    _scan(one, cfg.p, cfg)
     return 0
 
 
@@ -340,80 +327,47 @@ def _run_df(cfg: argparse.Namespace) -> int:
 
     def one(mod: tuple[int, int]) -> list[dict]:
         p, gamma = mod
-        return [
-            {"p": p, "gamma": gamma, "a": a, "b": b,
-             "value": fmt(rep.sum_value.real), "bound": fmt(rep.bound_value),
-             "ratio": fmt(rep.ratio), "nu_min": rep.aux["nu_min"]}
-            for a, b, rep in df_pairs(p, gamma, 30)
-        ]
+        return [{"p": p, "gamma": gamma, "a": a, "b": b, "value": rep.sum_value.real,
+                 "bound": rep.bound_value, "ratio": rep.ratio, "nu_min": rep.aux["nu_min"]}
+                for a, b, rep in df_pairs(p, gamma, 30)]
 
-    _scan(one, mods, ["p", "gamma", "a", "b", "value", "bound", "ratio", "nu_min"], cfg)
+    _scan(one, mods, cfg)
     return 0
 
 
 def _run_calc(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
-        return [
-            {"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b,
-             "re": fmt(rep.sum_value.real), "im": fmt(rep.sum_value.imag),
-             "bound": fmt(rep.bound_value), "ratio": fmt(rep.ratio),
-             "crt_residual": fmt(rep.aux["residual"])}
-            for (n1, n2, mtil, b), rep in calc_tuples(q, modulus_rng(q))
-        ]
+        return [{"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b, "re": rep.sum_value.real,
+                 "im": rep.sum_value.imag, "bound": rep.bound_value, "ratio": rep.ratio,
+                 "crt_residual": rep.aux["residual"]}
+                for (n1, n2, mtil, b), rep in calc_tuples(q, modulus_rng(q))]
 
-    _scan(
-        one,
-        cfg.q,
-        ["q", "n1", "n2", "mtil", "b", "re", "im", "bound", "ratio", "crt_residual"],
-        cfg,
-    )
+    _scan(one, cfg.q, cfg)
     return 0
 
 
 def _run_glue(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
-        return [
-            {"d": d, "q": q,
-             "re": fmt(rep.sum_value.real), "im": fmt(rep.sum_value.imag),
-             "bound": fmt(rep.bound_value), "ratio": fmt(rep.ratio),
-             "crt_residual": "" if rep.aux["residual"] is None
-             else fmt(rep.aux["residual"]),
-             "active_k": ";".join(str(k) for k in rep.aux["active_k"])}
-            for d, rep in glue_tuples(q, modulus_rng(q))
-        ]
+        return [{"d": d, "q": q, "re": rep.sum_value.real, "im": rep.sum_value.imag,
+                 "bound": rep.bound_value, "ratio": rep.ratio,
+                 "crt_residual": rep.aux["residual"], "active_k": rep.aux["active_k"]}
+                for d, rep in glue_tuples(q, modulus_rng(q))]
 
-    _scan(
-        one,
-        cfg.q,
-        ["d", "q", "re", "im", "bound", "ratio", "crt_residual", "active_k"],
-        cfg,
-    )
+    _scan(one, cfg.q, cfg)
     return 0
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:
     # one item per X, so that one worker builds each X's moment grid and kernels
     def one(x: float) -> list[dict]:
-        return [{
-            "q": q, "a": a, "X": fmt(x),
-            "lhs_re": fmt(rep.lhs.real), "lhs_im": fmt(rep.lhs.imag),
-            "main": fmt(rep.rhs_main.real),
-            "dual_re": fmt(rep.rhs_dual.real),
-            "dual_im": fmt(rep.rhs_dual.imag),
-            "truncation": rep.truncation_level,
-            "residual": fmt(rep.residual),
-            "relative": fmt(rep.relative_residual),
-            "_rel": rep.relative_residual,
-        } for q, a, rep in scale_residuals(cfg.q, x)]
+        return [{"q": q, "a": a, "X": x, "lhs_re": rep.lhs.real, "lhs_im": rep.lhs.imag,
+                 "main": rep.rhs_main.real, "dual_re": rep.rhs_dual.real,
+                 "dual_im": rep.rhs_dual.imag, "truncation": rep.truncation_level,
+                 "residual": rep.residual, "relative": rep.relative_residual,
+                 "_rel": rep.relative_residual}
+                for q, a, rep in scale_residuals(cfg.q, x)]
 
-    rows = _scan(
-        one,
-        cfg.X,
-        ["q", "a", "X", "lhs_re", "lhs_im", "main", "dual_re", "dual_im",
-         "truncation", "residual", "relative"],
-        cfg,
-    )
-    bad = [r for r in rows if r["_rel"] > cfg.tol]
+    bad = [r for r in _scan(one, cfg.X, cfg) if r["_rel"] > cfg.tol]
     if bad:
         print(f"{len(bad)} cells above tolerance {cfg.tol}", file=sys.stderr)
         return 1
@@ -421,35 +375,14 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
 
 
 def _run_bilinear(cfg: argparse.Namespace) -> int:
-    configs = [
-        BilinearConfig(q=q, M=m, N=n, b=middle_unit(q))
-        for q in cfg.q
-        for m in cfg.M or [max(4, q // 2)]
-        for n in cfg.N
-    ]
+    configs = [bilinear_config(q, n, m) for q in cfg.q for m in cfg.M or [None] for n in cfg.N]
     reports = cancellation_scan(configs)
-    _emit([bilinear_row(r) for r in reports], BILINEAR_HEADER, cfg)
+    _emit([written(bilinear_row(r)) for r in reports], cfg)
     return 0 if all(r.within_trivial for r in reports) else 1
 
 
 def _run_distribution(cfg: argparse.Namespace) -> int:
-    rows = [
-        {
-            "X": r["X"], "q": r["q"], "a": r["a"], "ap_sum": r["ap_sum"],
-            "coprime_mean": fmt(r["coprime_mean"]),
-            "delta": fmt(r["delta"]),
-            "max_abs_delta": fmt(r["max_abs_delta"]),
-            "slope_fit": fmt(r["slope_fit"]),
-        }
-        for x in cfg.X
-        for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)
-    ]
-    _emit(
-        rows,
-        ["X", "q", "a", "ap_sum", "coprime_mean", "delta",
-         "max_abs_delta", "slope_fit"],
-        cfg,
-    )
+    _emit([written(r) for x in cfg.X for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)], cfg)
     return 0
 
 
@@ -459,11 +392,9 @@ def _run_verify_all(cfg: argparse.Namespace) -> int:
         results = results + [criterion_determinism()]
     for res in results:
         print(f"[time] {res.name}: {res.elapsed:.2f}s cpu {res.cpu:.2f}s", file=sys.stderr)
-    rows = [
-        {"check": r.name, "passed": int(r.passed), "details": r.details.replace(",", ";")}
-        for r in results
-    ]
-    _emit(rows, ["check", "passed", "details"], cfg)
+    rows = [{"check": r.name, "passed": r.passed, "details": r.details.replace(",", ";")}
+            for r in results]
+    _emit([written(r) for r in rows], cfg)
     return 0 if all(r.passed for r in results) else 1
 
 

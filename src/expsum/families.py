@@ -1,11 +1,13 @@
 """Seeded parameter families shared by the CLI scans and the criteria.
 
 Each family is defined once: its seed, its draw loop and the sums it
-evaluates.  A CLI subcommand formats a family's records as rows; the
-matching acceptance criterion aggregates the same records into its
-details string.  The two differ only in how many records they draw.
-fmt is the one float format and pmap the one order-preserving parallel
-map, so output bytes do not depend on --jobs.
+evaluates.  A CLI subcommand turns a family's records into rows of raw
+values; the matching acceptance criterion aggregates the same records
+into its details string.  The two differ only in how many records they
+draw.  written is the one place a row value is formatted (floats by
+fmt, the one float format), render the one CSV/JSON writer, and pmap
+the one order-preserving parallel map, so output bytes do not depend on
+--jobs.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from .arith import divisors, factorize
-from .bilinear import CancellationReport
+from .bilinear import BilinearConfig, CancellationReport
 from .charsums import (
     CharSumParams,
     calC,
@@ -28,18 +30,17 @@ from .charsums import (
     moebius_reduce,
     ppower_bound,
 )
-from .expsums import BoundReport, kloosterman_split_row, kloosterman_table
+from .expsums import BoundReport
 from .memo import COUNTS
 from .modarith import PrimePower, units
 
 __all__ = [
-    "BILINEAR_HEADER",
     "BrokenExecutor",
     "fmt",
+    "written",
     "pmap",
     "render",
-    "middle_unit",
-    "split_vs_table",
+    "bilinear_config",
     "charsum_pp_cells",
     "charsum_pp",
     "charsum_prime",
@@ -53,6 +54,30 @@ __all__ = [
 
 def fmt(x: float) -> str:
     return f"{x:.12e}"
+
+
+def written(row: dict) -> dict:
+    """row with each value as it is written; keys starting with _ keep theirs.
+
+    A float is written by fmt, a bool or numpy integer as an int, None as
+    the empty string and a list as its items joined by ";"; an int or a
+    string is written as it is.
+    """
+    out = {}
+    for k, v in row.items():
+        if k[0] == "_" or type(v) is int:  # a plain int, the commonest cell, at once
+            out[k] = v
+        elif isinstance(v, float):  # numpy's float64 too
+            out[k] = fmt(v)
+        elif isinstance(v, (bool, np.bool_, np.integer)):  # a bool is written 1 or 0
+            out[k] = int(v)
+        elif v is None:
+            out[k] = ""
+        elif isinstance(v, list):
+            out[k] = ";".join(map(str, v))
+        else:
+            out[k] = v
+    return out
 
 
 _TASK: tuple = ()  # (fn, items) of the running pmap, inherited by its forked workers
@@ -96,26 +121,25 @@ def pmap(fn, items, jobs: int) -> list:
     return [out for out, _ in done]
 
 
-def render(rows: list[dict], header: list[str], kind: str = "csv") -> str:
-    """The header fields of rows as CSV or JSON text; other keys are ignored."""
-    if kind == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(str(row[h]) for h in header) for row in rows]
-        return "\n".join(lines) + "\n"
-    return json.dumps([{h: row[h] for h in header} for row in rows], indent=0) + "\n"
+def render(rows: list[dict], kind: str = "csv") -> str:
+    """Written rows as CSV or JSON text.
+
+    The columns are the first row's keys in their order, less those that
+    start with _.  Zero rows write nothing as CSV and [] as JSON.
+    """
+    cols = [k for k in rows[0] if k[0] != "_"] if rows else []
+    if kind == "json":
+        return json.dumps([{c: row[c] for c in cols} for row in rows], indent=0) + "\n"
+    if not rows:
+        return ""
+    lines = [",".join(cols)] + [",".join(str(row[c]) for c in cols) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def middle_unit(q: int) -> int:
-    """The median unit mod q: the b of the bilinear scans."""
+def bilinear_config(q: int, N: int, M: int | None = None) -> BilinearConfig:
+    """The plain bilinear config at q: b the median unit mod q, M by default max(4, q // 2)."""
     us = units(q)
-    return us[len(us) // 2]
-
-
-def split_vs_table(q: int) -> list[tuple[int, float, complex]]:
-    """(m, S(1, m; q) from the FFT table, S(1, m; q) by CRT splitting), all m."""
-    tab = kloosterman_table(q)
-    split = kloosterman_split_row(q)
-    return [(m, float(tab[m]), complex(split[m])) for m in range(q)]
+    return BilinearConfig(q=q, M=max(4, q // 2) if M is None else M, N=N, b=us[len(us) // 2])
 
 
 def charsum_pp_cells(
@@ -212,21 +236,11 @@ def glue_tuples(q: int, rng: np.random.Generator) -> list[tuple[int, BoundReport
     return out
 
 
-BILINEAR_HEADER = [
-    "q", "p", "M", "N", "abs_S", "trivial", "thm_squarefree",
-    "thm_primepower", "thm_alt", "exponent", "hypothesis_ok",
-]
-
-
 def bilinear_row(r: CancellationReport) -> dict:
-    """One cancellation report as BILINEAR_HEADER fields; floats formatted."""
+    """One cancellation report as a row of raw values."""
     return {
-        "q": r.q, "p": r.p, "M": r.M, "N": r.N,
-        "abs_S": fmt(abs(r.sum_value)),
-        "trivial": fmt(r.trivial_bound),
-        "thm_squarefree": fmt(r.thm_squarefree),
-        "thm_primepower": fmt(r.thm_primepower),
-        "thm_alt": fmt(r.thm_alt),
-        "exponent": fmt(r.exponent),
-        "hypothesis_ok": int(r.hypothesis_ok),
+        "q": r.q, "p": r.p, "M": r.M, "N": r.N, "abs_S": abs(r.sum_value),
+        "trivial": r.trivial_bound, "thm_squarefree": r.thm_squarefree,
+        "thm_primepower": r.thm_primepower, "thm_alt": r.thm_alt,
+        "exponent": r.exponent, "hypothesis_ok": r.hypothesis_ok,
     }

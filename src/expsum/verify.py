@@ -38,12 +38,13 @@ from .expsums import (
     kloosterman_direct,
     kloosterman_explicit_pp_table,
     kloosterman_split,
+    kloosterman_split_row,
     kloosterman_table,
     unit_mask,
     weil_audit,
 )
 from .families import (
-    BILINEAR_HEADER,
+    bilinear_config,
     bilinear_row,
     calc_tuples,
     charsum_pp,
@@ -52,11 +53,10 @@ from .families import (
     df_pairs,
     fmt,
     glue_tuples,
-    middle_unit,
     modulus_rng,
     pmap,
     render,
-    split_vs_table,
+    written,
 )
 from .memo import SMALL_Q
 from .modarith import PrimePower, is_prime, legendre
@@ -196,8 +196,9 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
     worst_split = 0.0
     worst_hyper = 0.0
     for q in range(1, qcap + 1):
-        for _, value, split in split_vs_table(q):
-            worst_split = max(worst_split, abs(split - value) / q)
+        tab = kloosterman_table(q)
+        split = kloosterman_split_row(q)
+        worst_split = max(worst_split, float(np.max(np.abs(split - tab))) / q)
         h1 = hyper_kl3_table(q)
         h2 = hyper_kl3_table_direct(q)
         worst_hyper = max(worst_hyper, float(np.max(np.abs(h1 - h2))) / q)
@@ -462,14 +463,14 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
         moduli = [1, 5, 12, 49, 210, 343, 27, 64, 121, 101]
     configs = []
     for i, q in enumerate(moduli):
-        b = middle_unit(q)
         n = 2 + i % 4
         phase = np.exp(2j * np.pi * 0.37 * np.arange(n))
         alpha = tuple(0.9 * phase)
-        configs.append(BilinearConfig(q=q, M=max(4, q // 2), N=n, b=b))
+        plain = bilinear_config(q, n)
+        configs.append(plain)
         configs.append(
             BilinearConfig(
-                q=q, M=max(4, min(2 * q, 4000)), N=n, b=b, alpha=alpha,
+                q=q, M=max(4, min(2 * q, 4000)), N=n, b=plain.b, alpha=alpha,
                 w=0.01 + 0.01j, s1=0.02j, s2=-0.01,
             )
         )
@@ -497,7 +498,7 @@ def criterion_bilinear(quick: bool = False) -> tuple[bool, str]:
 
 def reports_csv(reports: list[CancellationReport]) -> str:
     """Render cancellation reports as the canonical CSV text."""
-    return render([bilinear_row(r) for r in reports], BILINEAR_HEADER)
+    return render([written(bilinear_row(r)) for r in reports])
 
 
 # ------------------------------------------------------------------ 12

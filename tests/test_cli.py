@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,7 +30,7 @@ from expsum.cli import (
     validate,
 )
 from expsum.expsums import hyper_kl3_table
-from expsum.families import pmap
+from expsum.families import fmt, pmap, render, written
 from expsum.modarith import units
 
 _INTS = st.integers(-10**6, 10**6)
@@ -254,6 +256,15 @@ def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     assert refused.err.splitlines() == 3 * [
         "error: no (p, gamma, u) cells: need gamma_max >= 2 and u_max >= 1"
     ]
+    # df below gamma 1 has no modulus p^gamma and printed its header alone
+    assert main(["df", "--p", "3", "--gamma-max", "0"]) == 2
+    assert main(["df", "--p", "3", "--gamma-max", "-1"]) == 2
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err.splitlines() == [
+        "error: gamma_max 0: df needs a modulus p^gamma, gamma >= 1",
+        "error: gamma_max -1: df needs a modulus p^gamma, gamma >= 1",
+    ]
 
 
 def test_df_names_the_moduli_beyond_the_cap_it_skips(capsys):
@@ -469,6 +480,85 @@ def test_scan_bytes_are_pinned_and_jobs_independent(argv, digest, tmp_path, caps
     assert path.read_bytes() == out
 
 
+# sha256 of `expsum verify-all --quick` stdout: the check rows as written
+VERIFY_QUICK_SHA256 = "6178ef597bf96b377646209cdf47971bac6aac79d1d46ca6c7eea91f1162ebc0"
+
+
+def test_verify_all_quick_bytes_are_pinned(capsys):
+    assert main(["verify-all", "--quick"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_QUICK_SHA256
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _pool_scans() -> list[tuple[list[str], str]]:
+    """Each benchmark pool scan, with its --jobs, and its golden stdout sha256."""
+    spec = importlib.util.spec_from_file_location(
+        "_perfbench_workloads", _PERFBENCH / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    golden = json.loads((_PERFBENCH / "golden.json").read_text())["scans"]
+    scans = [argv + ["--jobs", str(wl.SCAN_JOBS)] for argv in wl.scan_variants()]
+    return [(argv, golden[wl.scan_key(argv)]) for argv in scans]
+
+
+def test_every_benchmark_pool_scan_exits_0_with_its_golden_bytes(capsys):
+    # the benchmark counts a scan that exits nonzero or moves a byte as failed
+    scans = _pool_scans()
+    assert len(scans) == 48 and all("--jobs 2" in " ".join(a) for a, _ in scans)
+    wrong = []
+    for argv, digest in scans:
+        code = main(argv)
+        out = capsys.readouterr().out.encode()
+        if code != 0 or hashlib.sha256(out).hexdigest() != digest:
+            wrong.append((" ".join(argv), code))
+    assert wrong == []
+
+
+def test_written_formats_each_value_type_in_one_place():
+    row = {"f": 0.1, "np": np.float64(-2.5), "t": True, "fa": False, "nb": np.bool_(True),
+           "i": 7, "ni": np.int64(-3), "none": None, "lst": [1, 2, 3], "s": "*",
+           "_raw": 0.25}
+    out = written(row)
+    assert out == {"f": "1.000000000000e-01", "np": "-2.500000000000e+00", "t": 1, "fa": 0,
+                   "nb": 1, "i": 7, "ni": -3, "none": "", "lst": "1;2;3", "s": "*",
+                   "_raw": 0.25}
+    # a bool is an int subclass: it must come out as the int 1 or 0, not True/False
+    assert [type(out[k]) for k in ("t", "fa", "nb", "ni")] == [int] * 4
+    assert list(out) == list(row)
+    text = render([out, out])
+    assert text.splitlines()[0] == "f,np,t,fa,nb,i,ni,none,lst,s"  # no _ key
+    assert text.splitlines()[1] == "1.000000000000e-01,-2.500000000000e+00,1,0,1,7,-3,,1;2;3,*"
+    assert "True" not in text and "False" not in text
+    assert json.loads(render([out], "json")) == [{k: v for k, v in out.items() if k != "_raw"}]
+    assert written({}) == {}
+    assert render([]) == "" and render([], "json") == "[]\n"
+
+
+def test_kloosterman_rows_are_the_per_element_values(capsys):
+    # the runner reads the table and the split row as whole arrays; each row
+    # is what the per-m scalars it replaced wrote
+    qs = [*range(1, 120), 1000, 4999, 5000]
+    assert main(["kloosterman", "--q", ",".join(map(str, qs))]) == 0
+    want = ["q,m,value,split_value,abs_diff"]
+    for q in qs:
+        tab, split = cli.kloosterman_table(q), cli.kloosterman_split_row(q)
+        for m in range(q):
+            value, s = float(tab[m]), complex(split[m])
+            want.append(f"{q},{m},{fmt(value)},{fmt(s.real)},{fmt(abs(s - value))}")
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_kloosterman_names_the_first_m_above_the_tolerance(monkeypatch, capsys):
+    real = cli.kloosterman_split_row
+    monkeypatch.setattr(cli, "kloosterman_split_row", lambda q: real(q) + (np.arange(q) >= 2))
+    assert main(["kloosterman", "--q", "5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "check failed: AssertionError: split mismatch at q=5, m=2: 1.0\n"
+
+
 def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
     calls = []
     real = distribution.ramanujan_decomposition
@@ -649,7 +739,7 @@ def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):
     def boom(q):
         raise AssertionError(f"split mismatch at q={q}")
 
-    monkeypatch.setattr(cli, "split_vs_table", boom)
+    monkeypatch.setattr(cli, "kloosterman_split_row", boom)
     errs = {}
     for jobs in ("1", "2"):
         assert main(["kloosterman", "--q", "5,7", "--jobs", jobs]) == 1
@@ -660,7 +750,7 @@ def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):
 
 @_TWO_CPUS
 def test_a_worker_that_dies_gives_exit_1(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "split_vs_table", lambda q: os._exit(3))
+    monkeypatch.setattr(cli, "kloosterman_split_row", lambda q: os._exit(3))
     assert main(["kloosterman", "--q", "5,7", "--jobs", "2"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
