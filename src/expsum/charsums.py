@@ -31,7 +31,6 @@ from .expsums import (
     BoundReport,
     kloosterman_at_inverse,
     kloosterman_table,
-    make_report,
     unit_inverse_table,
     unit_mask,
 )
@@ -188,13 +187,9 @@ def ppower_bound(params: CharSumParams) -> BoundReport:
         predicted = not congruence_ok
         bound = float(p ** (gamma + u))
     value = frakC_gamma_u(params)
-    return make_report(
-        sum_value=value,
-        bound_value=bound,
-        vanishing_predicted=predicted,
-        term_count=p ** (2 * u),
-        aux={"case": "A" if case_a else "B", "nu": nu, "k": k,
-             "congruence_ok": congruence_ok},
+    return BoundReport(
+        value, bound, predicted, term_count=p ** (2 * u),
+        aux={"case": "A" if case_a else "B", "nu": nu, "k": k, "congruence_ok": congruence_ok},
     )
 
 
@@ -256,16 +251,8 @@ def frakC_11(
         and (lam1 * s1 - lam2 * s2) % p == 0
     )
     bound = p**1.5 + (p**2 if delta else 0.0)
-    return make_report(
-        sum_value=value,
-        bound_value=bound,
-        vanishing_predicted=False,
-        term_count=p**2,
-        aux={
-            "delta": delta,
-            "completed": frakC_11_completed(p, s1, t1, s2, t2, lam1, lam2, m),
-        },
-    )
+    completed = frakC_11_completed(p, s1, t1, s2, t2, lam1, lam2, m)
+    return BoundReport(value, bound, term_count=p**2, aux={"delta": delta, "completed": completed})
 
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -340,13 +327,8 @@ def df_correlation(a: int, b: int, pp: PrimePower) -> BoundReport:
         valuation_capped(b, p, gamma),
     )
     bound = p ** (1.5 * gamma) * p ** (nu_min / 2)
-    return make_report(
-        sum_value=value,
-        bound_value=bound,
-        vanishing_predicted=False,
-        term_count=p ** (2 * gamma),
-        aux={"nu_min": nu_min, "skipped": int(len(x) - len(xs))},
-    )
+    return BoundReport(value, bound, term_count=p ** (2 * gamma),
+                       aux={"nu_min": nu_min, "skipped": int(len(x) - len(xs))})
 
 
 def _left_sum(xs) -> float:
@@ -387,19 +369,14 @@ def calC(n1: int, n2: int, mtil: int, b: int, q: int) -> BoundReport:
         qi = p**e
         v = pow(q // qi, -1, qi)
         crt *= _calC_factor(n1, n2, mtil, b, qi, v)
-    if abs(direct - crt) > 1e-6 * q * q:
+    if not abs(direct - crt) <= 1e-6 * q * q:  # a nan fails too
         raise IdentityViolation(
             f"calC CRT mismatch at q={q}: direct {direct} vs product {crt}"
         )
     active = [k for k in divisors(q) if (n1 - n2) % k == 0 and mtil % k == 0]
     bound = q**1.5 * _left_sum(map(math.sqrt, active))
-    return make_report(
-        sum_value=direct,
-        bound_value=bound,
-        vanishing_predicted=False,
-        term_count=q**2,
-        aux={"crt_value": crt, "residual": abs(direct - crt), "active_k": active},
-    )
+    return BoundReport(direct, bound, term_count=q**2,
+                       aux={"crt_value": crt, "residual": abs(direct - crt), "active_k": active})
 
 
 def _glue_double_sum(
@@ -468,7 +445,7 @@ def frakC2_glue(
                 p, qd * l1 % p, qd * l2 % p, c1, c2, m2, m3, m4,
                 v2 * mult1 % p, v2 * mult2 % p, p,
             )
-        if abs(direct - crt) > 1e-6 * q * d * d:
+        if not abs(direct - crt) <= 1e-6 * q * d * d:
             raise IdentityViolation(
                 f"glue CRT mismatch at d={d}, q={q}: {direct} vs {crt}"
             )
@@ -480,14 +457,6 @@ def frakC2_glue(
         and (n1 * c1 * c1 * l2 - n2 * c2 * c2 * l1) % k == 0
     ]
     bound = q * d**1.5 * _left_sum(map(math.sqrt, active))
-    return make_report(
-        sum_value=direct,
-        bound_value=bound,
-        vanishing_predicted=False,
-        term_count=d * d,
-        aux={
-            "crt_value": crt,
-            "residual": None if crt is None else abs(direct - crt),
-            "active_k": active,
-        },
-    )
+    residual = None if crt is None else abs(direct - crt)
+    return BoundReport(direct, bound, term_count=d * d,
+                       aux={"crt_value": crt, "residual": residual, "active_k": active})

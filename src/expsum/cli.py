@@ -2,7 +2,8 @@
 
 Every subcommand walks its parameter family in a fixed order and draws
 any random tuples from fixed seeds.  Its runner builds rows of raw
-values; families.written formats them (floats as %.12e), in the --jobs
+values, or passes a correlation family's rows through as they are;
+families.written formats them (floats as %.12e), in the --jobs
 workers for a scan, and families.render writes them, the columns in the
 row's key order.  So a given invocation is byte-reproducible (including
 across --jobs values; parallel results are merged back in canonical
@@ -20,7 +21,8 @@ A default, like EXPSUM_JOBS for --jobs, is a flag's text and is converted
 as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
-Exit codes: 0 success, 1 any check/invariant failure, 2 usage error (a
+Exit codes: 0 success, 1 any check/invariant failure (a nan residual or
+difference fails its check), 2 usage error (a
 bad flag, config value or EXPSUM_JOBS, a value beyond the caps, a
 charsum-pp range with no cells, a df --gamma-max below 1, or an --out that
 cannot be written).  df writes the moduli p^gamma up to the q cap and names
@@ -90,10 +92,6 @@ CAPS = {
 # dual sum's ~1e-9 absolute truncation over the 1e-6 relative gate, so that
 # a cell can meet the gate at all (its |lhs| is at most this mass)
 VORONOI_MASS_FLOOR = 1e-3
-
-# the correlation-sum parameters of the charsum-pp and charsum-prime rows
-_TUPLE_KEYS = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
-
 
 class ParseError(argparse.ArgumentTypeError):
     """Malformed config file or range expression."""
@@ -265,7 +263,7 @@ def _run_kloosterman(cfg: argparse.Namespace) -> int:
         value = kloosterman_table(q)
         split = kloosterman_split_row(q)
         diff = np.abs(split - value)
-        bad = np.flatnonzero(diff > cfg.tol * q)
+        bad = np.flatnonzero(~(diff <= cfg.tol * q))  # a nan fails too
         if bad.size:
             m = int(bad[0])
             raise AssertionError(f"split mismatch at q={q}, m={m}: {float(diff[m])}")
@@ -288,30 +286,17 @@ def _run_hyperkl3(cfg: argparse.Namespace) -> int:
 
 
 def _run_charsum_pp(cfg: argparse.Namespace) -> int:
-    def one(cell: tuple[int, int, int]) -> list[dict]:
-        p, gamma, u = cell
-        return [
-            {"p": p, "gamma": gamma, "u": u, **{k: getattr(c, k) for k in _TUPLE_KEYS},
-             "case": rep.aux["case"], "value": rep.sum_value.real, "bound": rep.bound_value,
-             "ratio": rep.ratio, "predicted_vanishing": rep.vanishing_predicted,
-             "vanished": rep.vanished}
-            for c, rep in charsum_pp(p, gamma, u, 50)
-        ]
-
-    rows = _scan(one, charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max), cfg)
+    cells = charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max)
+    rows = _scan(lambda cell: charsum_pp(*cell, 50), cells, cfg)
     return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else 0
 
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
     def one(p: int) -> list[dict]:
-        rows = []
-        for tup, rep, mo in charsum_prime(p, 25):
-            diff = abs(rep.aux["completed"] - mo)
-            if diff > cfg.tol * p * p:
-                raise AssertionError(f"route mismatch at p={p}: {diff}")
-            rows.append({"p": p, **dict(zip(_TUPLE_KEYS, tup)), "value": rep.sum_value.real,
-                         "completed": rep.aux["completed"].real, "moebius": mo.real,
-                         "route_diff": diff, "ratio": rep.ratio})
+        rows = charsum_prime(p, 25)
+        for r in rows:
+            if not r["route_diff"] <= cfg.tol * p * p:  # a nan fails too
+                raise AssertionError(f"route mismatch at p={p}: {r['route_diff']}")
         return rows
 
     _scan(one, cfg.p, cfg)
@@ -324,36 +309,17 @@ def _run_df(cfg: argparse.Namespace) -> int:
     if len(mods) < len(pairs):  # said, not refused: the rows that fit are still written
         dropped = ", ".join(f"({p}, {gamma})" for p, gamma in pairs if p**gamma > CAPS["q"])
         print(f"skipped (p, gamma) with p^gamma above {CAPS['q']}: {dropped}", file=sys.stderr)
-
-    def one(mod: tuple[int, int]) -> list[dict]:
-        p, gamma = mod
-        return [{"p": p, "gamma": gamma, "a": a, "b": b, "value": rep.sum_value.real,
-                 "bound": rep.bound_value, "ratio": rep.ratio, "nu_min": rep.aux["nu_min"]}
-                for a, b, rep in df_pairs(p, gamma, 30)]
-
-    _scan(one, mods, cfg)
+    _scan(lambda mod: df_pairs(*mod, 30), mods, cfg)
     return 0
 
 
 def _run_calc(cfg: argparse.Namespace) -> int:
-    def one(q: int) -> list[dict]:
-        return [{"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b, "re": rep.sum_value.real,
-                 "im": rep.sum_value.imag, "bound": rep.bound_value, "ratio": rep.ratio,
-                 "crt_residual": rep.aux["residual"]}
-                for (n1, n2, mtil, b), rep in calc_tuples(q, modulus_rng(q))]
-
-    _scan(one, cfg.q, cfg)
+    _scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)
     return 0
 
 
 def _run_glue(cfg: argparse.Namespace) -> int:
-    def one(q: int) -> list[dict]:
-        return [{"d": d, "q": q, "re": rep.sum_value.real, "im": rep.sum_value.imag,
-                 "bound": rep.bound_value, "ratio": rep.ratio,
-                 "crt_residual": rep.aux["residual"], "active_k": rep.aux["active_k"]}
-                for d, rep in glue_tuples(q, modulus_rng(q))]
-
-    _scan(one, cfg.q, cfg)
+    _scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)
     return 0
 
 
@@ -367,7 +333,7 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
                  "_rel": rep.relative_residual}
                 for q, a, rep in scale_residuals(cfg.q, x)]
 
-    bad = [r for r in _scan(one, cfg.X, cfg) if r["_rel"] > cfg.tol]
+    bad = [r for r in _scan(one, cfg.X, cfg) if not r["_rel"] <= cfg.tol]  # a nan fails too
     if bad:
         print(f"{len(bad)} cells above tolerance {cfg.tol}", file=sys.stderr)
         return 1

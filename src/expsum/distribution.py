@@ -197,7 +197,7 @@ def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]
         if zero_sum != 0:
             raise AssertionError(f"zero-sum identity violated at q={q}: {zero_sum}")
         defects = ramanujan_decomposition(X, q).defects(ap.astype(np.float64))
-        bad = np.flatnonzero(defects > tol)
+        bad = np.flatnonzero(~(defects <= tol))  # a nan fails too
         if bad.size:
             i = bad[0]
             raise AssertionError(

@@ -54,7 +54,6 @@ __all__ = [
     "hyper_kl3_table",
     "hyper_kl3_table_direct",
     "weil_audit",
-    "make_report",
 ]
 
 
@@ -67,41 +66,27 @@ class BoundReport:
     """A computed sum against a bound expression.
 
     ratio = |sum_value| / bound_value (inf when the bound is 0 and the
-    sum is not); vanished means |sum_value| <= 1e-6 * term_count.
-    Extra per-operation facts (case labels, right-hand sides, residuals)
-    travel in aux.
+    sum is not); vanished means |sum_value| <= 1e-6 * term_count, the
+    one vanishing threshold.  Extra per-operation facts (case labels,
+    right-hand sides, residuals) travel in aux.
     """
 
     sum_value: complex
     bound_value: float
-    ratio: float
-    vanishing_predicted: bool
-    vanished: bool
+    vanishing_predicted: bool = False
     term_count: int = 1
     aux: dict = field(default_factory=dict)
 
+    @property
+    def ratio(self) -> float:
+        mag = abs(self.sum_value)
+        if self.bound_value == 0.0:
+            return 0.0 if mag == 0.0 else math.inf
+        return mag / self.bound_value
 
-def make_report(
-    sum_value: complex,
-    bound_value: float,
-    vanishing_predicted: bool,
-    term_count: int,
-    aux: dict | None = None,
-) -> BoundReport:
-    mag = abs(sum_value)
-    if bound_value == 0.0:
-        ratio = 0.0 if mag == 0.0 else math.inf
-    else:
-        ratio = mag / bound_value
-    return BoundReport(
-        sum_value=sum_value,
-        bound_value=bound_value,
-        ratio=ratio,
-        vanishing_predicted=vanishing_predicted,
-        vanished=mag <= 1e-6 * term_count,
-        term_count=term_count,
-        aux=aux or {},
-    )
+    @property
+    def vanished(self) -> bool:
+        return abs(self.sum_value) <= 1e-6 * self.term_count
 
 
 def kloosterman_direct(a: int, b: int, q: int) -> complex:
@@ -227,7 +212,7 @@ def kloosterman_table(q: int) -> np.ndarray:
     vals *= q
     imag = vals.imag
     worst = float(max(imag.max(), -imag.min()))
-    if worst > 1e-9 * q:
+    if not worst <= 1e-9 * q:  # a nan fails too
         raise AssertionError(f"S(1,.;{q}) imaginary part {worst} exceeds 1e-9*q")
     out = vals.real.copy()
     out.setflags(write=False)
@@ -378,6 +363,11 @@ def hyper_kl3_table_direct(q: int) -> np.ndarray:
     return np.fft.ifft(W)
 
 
+def _worse(x: float, worst: float) -> bool:
+    """x replaces the running maximum worst: x is larger, or the first nan."""
+    return not x <= worst and worst == worst
+
+
 def weil_audit(P: int) -> BoundReport:
     """Exhaustive Weil and Deligne bound scan over primes p <= P.
 
@@ -396,27 +386,25 @@ def weil_audit(P: int) -> BoundReport:
             continue
         sk = kloosterman_table(p)
         weil = float(np.max(np.abs(sk[1:]))) / (2 * math.sqrt(p))
-        if weil > max_weil:
+        if _worse(weil, max_weil):
             max_weil, arg_weil = weil, (p, int(np.argmax(np.abs(sk[1:])) + 1))
         for k in range(3):
             a = 1 + (k * 7919) % (p - 1) if p > 2 else 1
             b = 1 + (k * 104729) % (p - 1) if p > 2 else 1
             lit = kloosterman_direct(a, b, p)
             tab = sk[(a * b) % p]
-            if abs(lit - tab) > 1e-9 * p:
+            if not abs(lit - tab) <= 1e-9 * p:
                 raise AssertionError(
                     f"S({a},{b};{p}) literal {lit} vs reduced {tab}"
                 )
         hk = hyper_kl3_table(p)
         dl = float(np.max(np.abs(hk[1:]))) / 3.0
-        if dl > max_deligne:
+        if _worse(dl, max_deligne):
             max_deligne, arg_deligne = dl, (p, int(np.argmax(np.abs(hk[1:])) + 1))
-    worst = max(max_weil, max_deligne)
-    return make_report(
+    worst = max_deligne if _worse(max_deligne, max_weil) else max_weil
+    return BoundReport(
         sum_value=complex(worst),
         bound_value=1.0,
-        vanishing_predicted=False,
-        term_count=1,
         aux={
             "max_weil_ratio": max_weil,
             "weil_argmax": arg_weil,

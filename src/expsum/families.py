@@ -1,13 +1,14 @@
 """Seeded parameter families shared by the CLI scans and the criteria.
 
 Each family is defined once: its seed, its draw loop and the sums it
-evaluates.  A CLI subcommand turns a family's records into rows of raw
-values; the matching acceptance criterion aggregates the same records
-into its details string.  The two differ only in how many records they
-draw.  written is the one place a row value is formatted (floats by
-fmt, the one float format), render the one CSV/JSON writer, and pmap
-the one order-preserving parallel map, so output bytes do not depend on
---jobs.
+evaluates.  A correlation family returns one row of raw values per sum,
+the record its CLI scan writes as it is and its acceptance criterion
+aggregates by column (ratio, route_diff, predicted_vanishing, vanished,
+crt_residual) into its details string.  The two differ only in how many
+rows they draw.  written is the one place a row value is formatted
+(floats by fmt, the one float format), render the one CSV/JSON writer,
+and pmap the one order-preserving parallel map, so output bytes do not
+depend on --jobs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .charsums import (
     moebius_reduce,
     ppower_bound,
 )
-from .expsums import BoundReport
 from .memo import COUNTS
 from .modarith import PrimePower, units
 
@@ -156,10 +156,8 @@ def charsum_pp_cells(
     return cells
 
 
-def charsum_pp(
-    p: int, gamma: int, u: int, n: int
-) -> list[tuple[CharSumParams, BoundReport]]:
-    """n seeded c_{gamma,u} tuples of one cell, each with its ppower_bound."""
+def charsum_pp(p: int, gamma: int, u: int, n: int) -> list[dict]:
+    """The rows of n seeded c_{gamma,u} tuples of one cell, each against its ppower_bound."""
     rng = np.random.default_rng(97 * p + 31 * gamma + u)
     pp = PrimePower(p, gamma)
     q = pp.q
@@ -173,26 +171,32 @@ def charsum_pp(
         m = p**j * int(rng.integers(1, max(2, q // p**j)))
         if m % q == 0:
             continue
-        params = CharSumParams(pp, u, s1, t1, s2, t2, lam1, lam2, m)
-        out.append((params, ppower_bound(params)))
+        rep = ppower_bound(CharSumParams(pp, u, s1, t1, s2, t2, lam1, lam2, m))
+        out.append({"p": p, "gamma": gamma, "u": u, "s1": s1, "t1": t1, "s2": s2, "t2": t2,
+                    "lam1": lam1, "lam2": lam2, "m": m, "case": rep.aux["case"],
+                    "value": rep.sum_value.real, "bound": rep.bound_value, "ratio": rep.ratio,
+                    "predicted_vanishing": rep.vanishing_predicted, "vanished": rep.vanished})
     return out
 
 
-def charsum_prime(p: int, n: int) -> list[tuple[tuple, BoundReport, complex]]:
-    """n seeded c_{1,1} tuples mod p: (s1,t1,s2,t2,lam1,lam2,m), frakC_11, Moebius route."""
+def charsum_prime(p: int, n: int) -> list[dict]:
+    """The rows of n seeded c_{1,1} tuples mod p: frakC_11, its completion and the Moebius route."""
     rng = np.random.default_rng(1000 + p)
     out = []
     for _ in range(n):
         s1, s2, lam1, lam2, t1, t2 = (int(v) for v in rng.integers(1, p, size=6))
         m = int(rng.integers(0, p))
-        tup = (s1, t1, s2, t2, lam1, lam2, m)
-        rep = frakC_11(p, *tup)
-        out.append((tup, rep, moebius_correlation(moebius_reduce(*tup, p), p)))
+        rep = frakC_11(p, s1, t1, s2, t2, lam1, lam2, m)
+        completed = rep.aux["completed"]
+        mo = moebius_correlation(moebius_reduce(s1, t1, s2, t2, lam1, lam2, m, p), p)
+        out.append({"p": p, "s1": s1, "t1": t1, "s2": s2, "t2": t2, "lam1": lam1, "lam2": lam2,
+                    "m": m, "value": rep.sum_value.real, "completed": completed.real,
+                    "moebius": mo.real, "route_diff": abs(completed - mo), "ratio": rep.ratio})
     return out
 
 
-def df_pairs(p: int, gamma: int, n: int) -> list[tuple[int, int, BoundReport]]:
-    """n seeded (a, b, df_correlation(a, b, p^gamma)) with a a unit."""
+def df_pairs(p: int, gamma: int, n: int) -> list[dict]:
+    """The rows of n seeded df_correlation(a, b, p^gamma), a a unit."""
     pp = PrimePower(p, gamma)
     rng = np.random.default_rng(13 * p + gamma)
     out = []
@@ -201,7 +205,9 @@ def df_pairs(p: int, gamma: int, n: int) -> list[tuple[int, int, BoundReport]]:
         if a % p == 0:
             a = 1
         b = int(rng.integers(0, pp.q))
-        out.append((a, b, df_correlation(a, b, pp)))
+        rep = df_correlation(a, b, pp)
+        out.append({"p": p, "gamma": gamma, "a": a, "b": b, "value": rep.sum_value.real,
+                    "bound": rep.bound_value, "ratio": rep.ratio, "nu_min": rep.aux["nu_min"]})
     return out
 
 
@@ -210,19 +216,23 @@ def modulus_rng(q: int) -> np.random.Generator:
     return np.random.default_rng(4000 + q)
 
 
-def calc_tuples(q: int, rng: np.random.Generator) -> list[tuple[tuple, BoundReport]]:
-    """calC at mtil = 0 and at one drawn mtil: ((n1, n2, mtil, b), report)."""
+def calc_tuples(q: int, rng: np.random.Generator) -> list[dict]:
+    """The rows of calC at mtil = 0 and at one drawn mtil."""
     us = units(q)
     pick = lambda: us[int(rng.integers(len(us)))]
     out = []
     for mtil in (0, int(rng.integers(q))):
         n1, n2, b = pick(), pick(), pick()
-        out.append(((n1, n2, mtil, b), calC(n1, n2, mtil, b, q)))
+        rep = calC(n1, n2, mtil, b, q)
+        out.append({"q": q, "n1": n1, "n2": n2, "mtil": mtil, "b": b, "re": rep.sum_value.real,
+                    "im": rep.sum_value.imag, "bound": rep.bound_value, "ratio": rep.ratio,
+                    "crt_residual": rep.aux["residual"]})
     return out
 
 
-def glue_tuples(q: int, rng: np.random.Generator) -> list[tuple[int, BoundReport]]:
-    """One frakC2_glue tuple per squarefree d | q: (d, report)."""
+def glue_tuples(q: int, rng: np.random.Generator) -> list[dict]:
+    """The rows of one frakC2_glue tuple per squarefree d | q; crt_residual is
+    None where gcd(d, q/d) > 1 leaves no coprime split to cross-check."""
     us = units(q)
     pick = lambda: us[int(rng.integers(len(us)))]
     out = []
@@ -232,7 +242,9 @@ def glue_tuples(q: int, rng: np.random.Generator) -> list[tuple[int, BoundReport
             int(rng.integers(q)), int(rng.integers(q)), int(rng.integers(d)),
             pick(),
         )
-        out.append((d, rep))
+        out.append({"d": d, "q": q, "re": rep.sum_value.real, "im": rep.sum_value.imag,
+                    "bound": rep.bound_value, "ratio": rep.ratio,
+                    "crt_residual": rep.aux["residual"], "active_k": rep.aux["active_k"]})
     return out
 
 

@@ -113,6 +113,19 @@ def _criterion(name: str):
     return decorate
 
 
+def _worst(values) -> float:
+    """The largest of values, 0.0 if there are none, nan if any is nan.
+
+    max() would keep its running value against a nan, and a nan passes no
+    limit: a gate never passes on a nan.
+    """
+    worst = 0.0
+    for x in values:
+        if x > worst or x != x:
+            worst = x
+    return worst
+
+
 # ------------------------------------------------------------------ 1
 
 
@@ -148,15 +161,14 @@ def criterion_explicit_pp(quick: bool = False) -> tuple[bool, str]:
     if largest[0] ** largest[1] > SMALL_Q:
         moduli.remove(largest)
         moduli.insert(0, largest)
-    worst = 0.0
-    worst_zero = 0.0
-    count = 0
+    errs, zeros, count = [], [], 0
     for p, gamma in moduli:
         err, zero, units = _explicit_pp_errors(p, gamma)
         scale = 2 * math.sqrt(p**gamma)
-        worst = max(worst, err / scale)
-        worst_zero = max(worst_zero, zero / scale)
+        errs.append(err / scale)
+        zeros.append(zero / scale)
         count += units
+    worst, worst_zero = _worst(errs), _worst(zeros)
     passed = worst <= 1e-9 and worst_zero <= 1e-9
     return passed, (
         f"{count} coprime (beta,p,gamma) values to p^gamma<={cap}; "
@@ -193,15 +205,14 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
     qcap = 120 if quick else 500
     comp_cap = 1000 if quick else 10**4
     deg_cap = 500 if quick else 2000
-    worst_split = 0.0
-    worst_hyper = 0.0
+    split_errs, hyper_errs = [], []
     for q in range(1, qcap + 1):
         tab = kloosterman_table(q)
         split = kloosterman_split_row(q)
-        worst_split = max(worst_split, float(np.max(np.abs(split - tab))) / q)
+        split_errs.append(float(np.max(np.abs(split - tab))) / q)
         h1 = hyper_kl3_table(q)
         h2 = hyper_kl3_table_direct(q)
-        worst_hyper = max(worst_hyper, float(np.max(np.abs(h1 - h2))) / q)
+        hyper_errs.append(float(np.max(np.abs(h1 - h2))) / q)
     rng = np.random.default_rng(20260814)
     n_comp = 0
     for q in range(4, comp_cap + 1):
@@ -213,7 +224,7 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
             a = int(units[rng.integers(len(units))])
             b = int(rng.integers(q))
             diff = abs(kloosterman_split(a, b, q) - tab[(a * b) % q])
-            worst_split = max(worst_split, diff / q)
+            split_errs.append(diff / q)
             n_comp += 1
         if q <= deg_cap and factorize(q).omega() > 1:
             # degenerate first argument: compare against the literal sum
@@ -222,8 +233,9 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
                 a = q - factorize(q).pairs[0][0]  # force a common factor
             b = int(rng.integers(q))
             diff = abs(kloosterman_split(a, b, q) - kloosterman_direct(a, b, q))
-            worst_split = max(worst_split, diff / q)
+            split_errs.append(diff / q)
             n_comp += 1
+    worst_split, worst_hyper = _worst(split_errs), _worst(hyper_errs)
     passed = worst_split <= 1e-9 and worst_hyper <= 1e-9
     return passed, (
         f"q<={qcap} all m plus {n_comp} sampled composite pairs to q<={comp_cap}; "
@@ -255,20 +267,16 @@ def criterion_charsum_pp(quick: bool = False) -> tuple[bool, str]:
     """c_{gamma,u} scan: predicted vanishing is real; ratios <= 16."""
     gmax = 4 if quick else 6
     per_cell = 40 if quick else 200
-    worst_ratio = 0.0
-    count = vanish_predicted = vanish_violated = 0
     cells = charsum_pp_cells((3, 5), gmax)
-    for cell in cells:
-        for _, rep in charsum_pp(*cell, per_cell):
-            count += 1
-            worst_ratio = max(worst_ratio, rep.ratio)
-            vanish_predicted += rep.vanishing_predicted
-            vanish_violated += rep.vanishing_predicted and not rep.vanished
-    passed = vanish_violated == 0 and worst_ratio <= RATIO_CAP
+    rows = [r for cell in cells for r in charsum_pp(*cell, per_cell)]
+    worst_ratio = _worst(r["ratio"] for r in rows)
+    predicted = [r for r in rows if r["predicted_vanishing"]]
+    violated = sum(not r["vanished"] for r in predicted)
+    passed = violated == 0 and worst_ratio <= RATIO_CAP
     return passed, (
-        f"{count} tuples over {len(cells)} cells (p in 3,5; gamma<={gmax}); "
-        f"max ratio {fmt(worst_ratio)}; {vanish_predicted} predicted "
-        f"vanishings, {vanish_violated} violated"
+        f"{len(rows)} tuples over {len(cells)} cells (p in 3,5; gamma<={gmax}); "
+        f"max ratio {fmt(worst_ratio)}; {len(predicted)} predicted "
+        f"vanishings, {violated} violated"
     )
 
 
@@ -280,19 +288,12 @@ def criterion_charsum_prime(quick: bool = False) -> tuple[bool, str]:
     """c_{1,1}: projective completion equals the Moebius route."""
     pcap = 13 if quick else 31
     per_p = 15 if quick else 50
-    worst_diff = 0.0
-    worst_ratio = 0.0
-    count = 0
-    for p in (q for q in range(3, pcap + 1) if is_prime(q)):
-        for _, rep, mo in charsum_prime(p, per_p):
-            worst_diff = max(
-                worst_diff, abs(rep.aux["completed"] - mo) / (p * p)
-            )
-            worst_ratio = max(worst_ratio, rep.ratio)
-            count += 1
+    rows = [r for p in range(3, pcap + 1) if is_prime(p) for r in charsum_prime(p, per_p)]
+    worst_diff = _worst(r["route_diff"] / (r["p"] * r["p"]) for r in rows)
+    worst_ratio = _worst(r["ratio"] for r in rows)
     passed = worst_diff <= 1e-6 and worst_ratio <= RATIO_CAP
     return passed, (
-        f"{count} tuples over primes p<={pcap}; worst scaled route "
+        f"{len(rows)} tuples over primes p<={pcap}; worst scaled route "
         f"difference {fmt(worst_diff)}; max ratio {fmt(worst_ratio)}"
     )
 
@@ -305,18 +306,14 @@ def criterion_df(quick: bool = False) -> tuple[bool, str]:
     """Second-moment correlation bound; |S(1,x;5)|^2 spot value 19."""
     caps = {3: 4, 5: 3, 7: 2} if quick else {3: 6, 5: 4, 7: 3}
     per_mod = 30 if quick else 100
-    worst_ratio = 0.0
-    count = 0
-    for p, gmax in caps.items():
-        for gamma in range(1, gmax + 1):
-            for _, _, rep in df_pairs(p, gamma, per_mod):
-                worst_ratio = max(worst_ratio, rep.ratio)
-                count += 1
+    rows = [r for p, gmax in caps.items() for gamma in range(1, gmax + 1)
+            for r in df_pairs(p, gamma, per_mod)]
+    worst_ratio = _worst(r["ratio"] for r in rows)
     spot = df_correlation(1, 0, PrimePower(5, 1)).sum_value
     spot_err = abs(spot - 19)
     passed = worst_ratio <= RATIO_CAP and spot_err <= 1e-6
     return passed, (
-        f"{count} pairs over {sum(caps.values())} moduli; max ratio "
+        f"{len(rows)} pairs over {sum(caps.values())} moduli; max ratio "
         f"{fmt(worst_ratio)}; spot sum|S(1,x;5)|^2 error {fmt(spot_err)}"
     )
 
@@ -328,30 +325,21 @@ def criterion_df(quick: bool = False) -> tuple[bool, str]:
 def criterion_calc_glue(quick: bool = False) -> tuple[bool, str]:
     """calC and glue sums: CRT equals direct; ratios <= 16; deltas exact."""
     qcap = 60 if quick else 200
-    worst_calc = 0.0
-    worst_glue = 0.0
-    n_calc = n_glue = n_crt = 0
+    calc, glue = [], []
     for q in range(2, qcap + 1):
         rng = modulus_rng(q)  # the glue tuples continue the calC stream
-        for _, rep in calc_tuples(q, rng):  # CRT checked inside
-            worst_calc = max(worst_calc, rep.ratio)
-            n_calc += 1
-        for _, rep in glue_tuples(q, rng):
-            worst_glue = max(worst_glue, rep.ratio)
-            n_glue += 1
-            if rep.aux["crt_value"] is not None:
-                n_crt += 1
+        calc += calc_tuples(q, rng)  # CRT checked inside
+        glue += glue_tuples(q, rng)
+    worst_calc = _worst(r["ratio"] for r in calc)
+    worst_glue = _worst(r["ratio"] for r in glue)
+    n_crt = sum(r["crt_residual"] is not None for r in glue)
     # hand-checked predicate spots: symmetric tuple activates every k | d
     sym = frakC2_glue(15, 15, 1, 1, 1, 1, 1, 1, 1, 1, 0, 1)
     single = frakC2_glue(1, 15, 2, 7, 1, 4, 2, 1, 3, 5, 0, 2)
-    predicates_ok = sym.aux["active_k"] == [1, 3, 5, 15] and single.aux[
-        "active_k"
-    ] == [1]
-    passed = (
-        worst_calc <= RATIO_CAP and worst_glue <= RATIO_CAP and predicates_ok
-    )
+    predicates_ok = sym.aux["active_k"] == [1, 3, 5, 15] and single.aux["active_k"] == [1]
+    passed = worst_calc <= RATIO_CAP and worst_glue <= RATIO_CAP and predicates_ok
     return passed, (
-        f"{n_calc} calC tuples and {n_glue} glue tuples (q<={qcap}, "
+        f"{len(calc)} calC tuples and {len(glue)} glue tuples (q<={qcap}, "
         f"{n_crt} with coprime-split cross-check); max calC ratio "
         f"{fmt(worst_calc)}; max glue ratio {fmt(worst_glue)}; "
         f"congruence predicates exact: {predicates_ok}"
@@ -366,10 +354,8 @@ def criterion_voronoi(quick: bool = False) -> tuple[bool, str]:
     """Voronoi identity residual <= 1e-6 relative across the grid."""
     qcap = 6 if quick else 20
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
-    worst = 0.0
     cells = [cell for x in xs for cell in scale_residuals(range(1, qcap + 1), x)]
-    for _, _, rep in cells:
-        worst = max(worst, rep.relative_residual)
+    worst = _worst(rep.relative_residual for _, _, rep in cells)
     return worst <= 1e-6, (
         f"{len(cells)} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
         f"worst relative residual {fmt(worst)}"
@@ -435,15 +421,14 @@ def criterion_distribution(quick: bool = False) -> tuple[bool, str]:
     sieve_ok = bool(np.array_equal(sieve, loop))
     # re-bracketing identity of sharp-window sums
     rng = np.random.default_rng(99)
-    worst_glue = 0.0
+    glue_errs = []
     for _ in range(20 if quick else 100):
         y = int(rng.integers(4, 400))
         q = int(rng.integers(1, 50))
         b = int(rng.integers(1, q + 1))
         direct, glued = d3_to_bilinear(y, q, b)
-        worst_glue = max(
-            worst_glue, abs(direct - glued) / max(1.0, abs(direct))
-        )
+        glue_errs.append(abs(direct - glued) / max(1.0, abs(direct)))
+    worst_glue = _worst(glue_errs)
     passed = sieve_ok and worst_glue <= 1e-9
     n_pairs = sum(1 for r in rows if r["a"] != "*")
     return passed, (

@@ -413,7 +413,7 @@ def _main_term(q: int, X: float) -> float:
         return (np.log(np.sqrt(x) / q) + EULER_GAMMA) * h(x)
 
     coarse, fine = _gl64(f, X, 2 * X, 16), _gl64(f, X, 2 * X, 32)
-    if abs(coarse - fine) > 1e-10 * max(1.0, abs(fine)):
+    if not abs(coarse - fine) <= 1e-10 * max(1.0, abs(fine)):  # a nan fails too
         raise AssertionError(
             f"main-term quadrature not converged: {coarse} vs {fine}"
         )

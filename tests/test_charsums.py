@@ -140,7 +140,8 @@ CHARSUM_PP_DRAWS = {
 @pytest.mark.parametrize("cell", sorted(CHARSUM_PP_DRAWS))
 def test_charsum_pp_draws_are_frozen(cell):
     head, digest = CHARSUM_PP_DRAWS[cell]
-    tups = [(c.s1, c.t1, c.s2, c.t2, c.lam1, c.lam2, c.m) for c, _ in charsum_pp(*cell, 200)]
+    keys = ("s1", "t1", "s2", "t2", "lam1", "lam2", "m")
+    tups = [tuple(r[k] for k in keys) for r in charsum_pp(*cell, 200)]
     assert tups[:5] == head
     assert hashlib.sha256(repr(tups).encode()).hexdigest() == digest
 

@@ -1,6 +1,7 @@
 """CLI: parsing, validation, output formats, reproducibility."""
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -733,6 +734,50 @@ def test_a_criterion_has_one_name_whether_it_passes_or_raises(monkeypatch):
     assert (failed.name, failed.passed) == ("df_second_moment", False)
     assert failed.details == "raised ArithmeticError: boom"
     assert failed.elapsed >= 0 and failed.cpu >= 0
+
+
+def test_a_nan_in_criterion_3s_split_row_fails_it(monkeypatch):
+    # max() keeps its running value against a nan, and nan > tol is False
+    real = verify.kloosterman_split_row
+
+    def with_nan(q):
+        row = real(q).copy()
+        if q == 7:
+            row[3] = math.nan
+        return row
+
+    monkeypatch.setattr(verify, "kloosterman_split_row", with_nan)
+    res = verify.criterion_crt_split(True)
+    assert not res.passed
+    assert "worst split error nan*q" in res.details
+
+
+def _one_nan_residual(scale_residuals):
+    """scale_residuals with the residual of its first cell at q = 2 a nan."""
+
+    def patched(qs, x):
+        cells = scale_residuals(qs, x)
+        i = next(i for i, (q, _, _) in enumerate(cells) if q == 2)
+        q, a, rep = cells[i]
+        cells[i] = (q, a, dataclasses.replace(rep, residual=math.nan))
+        return cells
+
+    return patched
+
+
+def test_a_nan_in_one_criterion_9_cell_fails_it(monkeypatch):
+    monkeypatch.setattr(verify, "scale_residuals", _one_nan_residual(verify.scale_residuals))
+    res = verify.criterion_voronoi(True)
+    assert not res.passed
+    assert res.details.endswith("worst relative residual nan")
+
+
+def test_voronoi_exits_1_on_a_nan_residual(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "scale_residuals", _one_nan_residual(cli.scale_residuals))
+    assert main(["voronoi", "--q", "1..3", "--X", "50"]) == 1
+    out, err = capsys.readouterr()
+    assert ",nan,nan\n" in out  # the cell is still written, residual and relative
+    assert "1 cells above tolerance 1e-06" in err
 
 
 def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):

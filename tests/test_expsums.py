@@ -21,6 +21,7 @@ from expsum import cli, expsums, memo, verify
 from expsum.arith import factorize
 from expsum.expsums import (
     BadModulus,
+    BoundReport,
     hyper_kl3_table,
     hyper_kl3_table_direct,
     kloosterman_at_inverse,
@@ -363,6 +364,19 @@ def test_hyper_kl3_deligne_bound_small_primes():
         tab = hyper_kl3_table(p)
         # normalised: |Kl3(m, p)| <= 3 for units m
         assert float(np.max(np.abs(tab[1:]))) <= 3.0 + 1e-9
+
+
+def test_bound_report_derives_ratio_and_vanished():
+    assert BoundReport(0j, 0.0).ratio == 0.0  # a zero sum against a zero bound
+    assert BoundReport(1e-300 + 0j, 0.0).ratio == math.inf
+    assert BoundReport(3 + 4j, 2.0).ratio == 2.5
+    edge = 1e-6 * 25  # the threshold at term_count 25
+    assert BoundReport(complex(edge), 1.0, term_count=25).vanished
+    assert not BoundReport(complex(math.nextafter(edge, 1.0)), 1.0, term_count=25).vanished
+    rep = BoundReport(1e-6 + 0j, 1.0)
+    assert (rep.vanishing_predicted, rep.term_count, rep.vanished) == (False, 1, True)
+    nan = BoundReport(complex(math.nan), 1.0)
+    assert math.isnan(nan.ratio) and not nan.vanished
 
 
 def test_weil_audit_small():
