@@ -19,7 +19,6 @@ from .arith import (
 )
 from .bilinear import (
     BilinearConfig,
-    CancellationReport,
     bilinear_grouped,
     bilinear_sum,
     cancellation_scan,
@@ -62,7 +61,7 @@ from .expsums import (
     weil_audit,
 )
 from .modarith import PrimePower, is_prime, legendre, sqrt_mod_pp
-from .verify import CheckResult, reports_csv, run_checks
+from .verify import CheckResult, run_checks
 from .voronoi import (
     SmoothWeight,
     VoronoiReport,

@@ -44,7 +44,6 @@ from .voronoi import SmoothWeight
 
 __all__ = [
     "BilinearConfig",
-    "CancellationReport",
     "bilinear_sum",
     "bilinear_grouped",
     "thm_bound",
@@ -102,35 +101,6 @@ class BilinearConfig:
     def shift(self) -> complex:
         """The divisor-power shift: lam(m) = sigma_shift(m) * m^s2."""
         return self.s1 - 2 * self.w
-
-
-@dataclass(frozen=True)
-class CancellationReport:
-    """|S| against the trivial and theorem bounds for one config."""
-
-    q: int
-    p: int
-    M: int
-    N: int
-    sum_value: complex
-    trivial_bound: float
-    thm_squarefree: float
-    thm_primepower: float
-    thm_alt: float
-    hypothesis_ok: bool
-
-    @property
-    def exponent(self) -> float:
-        """log |S| / log(trivial); 1 means no cancellation."""
-        if self.sum_value == 0:
-            return -math.inf
-        if self.trivial_bound <= 0 or self.trivial_bound == 1:
-            return math.nan
-        return math.log(abs(self.sum_value)) / math.log(self.trivial_bound)
-
-    @property
-    def within_trivial(self) -> bool:
-        return abs(self.sum_value) <= self.trivial_bound * (1 + 1e-9)
 
 
 def _m_support(cfg: BilinearConfig) -> np.ndarray:
@@ -246,14 +216,25 @@ def hypothesis_flags(q: int, M: int, N: int) -> tuple[bool, bool]:
     return sf, pp
 
 
-def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]:
-    """Evaluate |S| against trivial and theorem bounds for each config.
+def _exponent(abs_s: float, trivial: float) -> float:
+    """log |S| / log(trivial); 1 means no cancellation."""
+    if abs_s == 0:
+        return -math.inf
+    if trivial <= 0 or trivial == 1:
+        return math.nan
+    return math.log(abs_s) / math.log(trivial)
+
+
+def cancellation_scan(configs: list[BilinearConfig]) -> list[dict]:
+    """One row per config: |S| against the trivial and theorem bounds.
 
     Every sum is evaluated both ways, bilinear_sum and bilinear_grouped,
     and the two must agree to 1e-9 relative; trivial_bound gives the
     bound.  The memo store hands all three one Kl3 table and one weight
     vector per config.  Theorem bounds are recorded but never asserted
-    (their constants are unspecified).
+    (their constants are unspecified).  The rows are those the bilinear
+    scan writes; _within_trivial, not written, is |S| <= trivial with a
+    1e-9 relative margin.
     """
     out = []
     for cfg in configs:
@@ -265,20 +246,13 @@ def cancellation_scan(configs: list[BilinearConfig]) -> list[CancellationReport]
         pairs = factorize(cfg.q).pairs
         p_small = pairs[0][0] if pairs else 1
         sf_ok, pp_ok = hypothesis_flags(cfg.q, cfg.M, cfg.N)
-        out.append(
-            CancellationReport(
-                q=cfg.q,
-                p=p_small,
-                M=cfg.M,
-                N=cfg.N,
-                sum_value=s,
-                trivial_bound=trivial_bound(cfg),
-                thm_squarefree=thm_bound("squarefree", cfg.q, cfg.M, cfg.N),
-                thm_primepower=thm_bound(
-                    "primepower", cfg.q, cfg.M, cfg.N, p=p_small
-                ),
-                thm_alt=thm_bound("alt", cfg.q, cfg.M, cfg.N),
-                hypothesis_ok=sf_ok or pp_ok,
-            )
-        )
+        abs_s, trivial = abs(s), trivial_bound(cfg)
+        out.append({
+            "q": cfg.q, "p": p_small, "M": cfg.M, "N": cfg.N, "abs_S": abs_s,
+            "trivial": trivial, "thm_squarefree": thm_bound("squarefree", cfg.q, cfg.M, cfg.N),
+            "thm_primepower": thm_bound("primepower", cfg.q, cfg.M, cfg.N, p=p_small),
+            "thm_alt": thm_bound("alt", cfg.q, cfg.M, cfg.N),
+            "exponent": _exponent(abs_s, trivial), "hypothesis_ok": sf_ok or pp_ok,
+            "_within_trivial": abs_s <= trivial * (1 + 1e-9),
+        })
     return out

@@ -189,7 +189,7 @@ def ppower_bound(params: CharSumParams) -> BoundReport:
     value = frakC_gamma_u(params)
     return BoundReport(
         value, bound, predicted, term_count=p ** (2 * u),
-        aux={"case": "A" if case_a else "B", "nu": nu, "k": k, "congruence_ok": congruence_ok},
+        aux={"case": "A" if case_a else "B", "congruence_ok": congruence_ok},
     )
 
 
@@ -327,8 +327,7 @@ def df_correlation(a: int, b: int, pp: PrimePower) -> BoundReport:
         valuation_capped(b, p, gamma),
     )
     bound = p ** (1.5 * gamma) * p ** (nu_min / 2)
-    return BoundReport(value, bound, term_count=p ** (2 * gamma),
-                       aux={"nu_min": nu_min, "skipped": int(len(x) - len(xs))})
+    return BoundReport(value, bound, term_count=p ** (2 * gamma), aux={"nu_min": nu_min})
 
 
 def _left_sum(xs) -> float:
@@ -376,7 +375,7 @@ def calC(n1: int, n2: int, mtil: int, b: int, q: int) -> BoundReport:
     active = [k for k in divisors(q) if (n1 - n2) % k == 0 and mtil % k == 0]
     bound = q**1.5 * _left_sum(map(math.sqrt, active))
     return BoundReport(direct, bound, term_count=q**2,
-                       aux={"crt_value": crt, "residual": abs(direct - crt), "active_k": active})
+                       aux={"residual": abs(direct - crt), "active_k": active})
 
 
 def _glue_double_sum(
@@ -459,4 +458,4 @@ def frakC2_glue(
     bound = q * d**1.5 * _left_sum(map(math.sqrt, active))
     residual = None if crt is None else abs(direct - crt)
     return BoundReport(direct, bound, term_count=d * d,
-                       aux={"crt_value": crt, "residual": residual, "active_k": active})
+                       aux={"residual": residual, "active_k": active})

@@ -363,31 +363,19 @@ def hyper_kl3_table_direct(q: int) -> np.ndarray:
     return np.fft.ifft(W)
 
 
-def _worse(x: float, worst: float) -> bool:
-    """x replaces the running maximum worst: x is larger, or the first nan."""
-    return not x <= worst and worst == worst
+def weil_audit(P: int) -> list[dict]:
+    """Exhaustive Weil and Deligne bound scan: one row per prime p <= P.
 
-
-def weil_audit(P: int) -> BoundReport:
-    """Exhaustive Weil and Deligne bound scan over primes p <= P.
-
-    Checks |S(a, b; p)| <= 2*sqrt(p) for all unit pairs (reduced to the
-    table S(1, a*b; p), with the reduction itself spot-checked against
-    three literal sums per prime) and |Kl3(m, p)| <= 3 for all units m.
-    The report's ratio is the worst observed normalised value;
-    bound_value 1 means ratio <= 1 is a pass.
+    weil is max |S(a, b; p)| / (2*sqrt(p)) over all unit pairs (reduced
+    to the table S(1, a*b; p), with the reduction itself spot-checked
+    against three literal sums per prime, which raise on a mismatch) and
+    deligne is max |Kl3(m, p)| / 3 over all units m; a ratio <= 1 is a pass.
     """
-    max_weil = 0.0
-    max_deligne = 0.0
-    arg_weil: tuple[int, int] = (0, 0)
-    arg_deligne: tuple[int, int] = (0, 0)
+    out = []
     for p in range(2, P + 1):
         if not is_prime(p):
             continue
         sk = kloosterman_table(p)
-        weil = float(np.max(np.abs(sk[1:]))) / (2 * math.sqrt(p))
-        if _worse(weil, max_weil):
-            max_weil, arg_weil = weil, (p, int(np.argmax(np.abs(sk[1:])) + 1))
         for k in range(3):
             a = 1 + (k * 7919) % (p - 1) if p > 2 else 1
             b = 1 + (k * 104729) % (p - 1) if p > 2 else 1
@@ -397,18 +385,6 @@ def weil_audit(P: int) -> BoundReport:
                 raise AssertionError(
                     f"S({a},{b};{p}) literal {lit} vs reduced {tab}"
                 )
-        hk = hyper_kl3_table(p)
-        dl = float(np.max(np.abs(hk[1:]))) / 3.0
-        if _worse(dl, max_deligne):
-            max_deligne, arg_deligne = dl, (p, int(np.argmax(np.abs(hk[1:])) + 1))
-    worst = max_deligne if _worse(max_deligne, max_weil) else max_weil
-    return BoundReport(
-        sum_value=complex(worst),
-        bound_value=1.0,
-        aux={
-            "max_weil_ratio": max_weil,
-            "weil_argmax": arg_weil,
-            "max_deligne_ratio": max_deligne,
-            "deligne_argmax": arg_deligne,
-        },
-    )
+        out.append({"p": p, "weil": float(np.max(np.abs(sk[1:]))) / (2 * math.sqrt(p)),
+                    "deligne": float(np.max(np.abs(hyper_kl3_table(p)[1:]))) / 3.0})
+    return out

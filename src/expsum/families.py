@@ -4,11 +4,13 @@ Each family is defined once: its seed, its draw loop and the sums it
 evaluates.  A correlation family returns one row of raw values per sum,
 the record its CLI scan writes as it is and its acceptance criterion
 aggregates by column (ratio, route_diff, predicted_vanishing, vanished,
-crt_residual) into its details string.  The two differ only in how many
-rows they draw.  written is the one place a row value is formatted
-(floats by fmt, the one float format), render the one CSV/JSON writer,
-and pmap the one order-preserving parallel map, so output bytes do not
-depend on --jobs.
+crt_residual) into its details string.  The two differ in how many
+rows they draw, and the glue sums also in which: criterion 8 draws a
+modulus' glue tuples from modulus_rng(q) after its calC tuples, while
+the glue scan starts that stream afresh.  written is the one place a
+row value is formatted (floats by fmt, the one float format), render
+the one CSV/JSON writer, and pmap the one order-preserving parallel
+map, so output bytes do not depend on --jobs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from concurrent.futures import BrokenExecutor
 import numpy as np
 
 from .arith import divisors, factorize
-from .bilinear import BilinearConfig, CancellationReport
+from .bilinear import BilinearConfig
 from .charsums import (
     CharSumParams,
     calC,
@@ -48,7 +50,6 @@ __all__ = [
     "modulus_rng",
     "calc_tuples",
     "glue_tuples",
-    "bilinear_row",
 ]
 
 
@@ -212,7 +213,8 @@ def df_pairs(p: int, gamma: int, n: int) -> list[dict]:
 
 
 def modulus_rng(q: int) -> np.random.Generator:
-    """The stream the calC and glue tuples at modulus q are drawn from."""
+    """The stream of the calC and glue tuples at modulus q: criterion 8 draws
+    both from one stream, calC first; the calC and glue scans each start one."""
     return np.random.default_rng(4000 + q)
 
 
@@ -232,7 +234,9 @@ def calc_tuples(q: int, rng: np.random.Generator) -> list[dict]:
 
 def glue_tuples(q: int, rng: np.random.Generator) -> list[dict]:
     """The rows of one frakC2_glue tuple per squarefree d | q; crt_residual is
-    None where gcd(d, q/d) > 1 leaves no coprime split to cross-check."""
+    None where gcd(d, q/d) > 1 leaves no coprime split to cross-check.  The
+    tuples are rng's next draws, which differ at the same q between criterion
+    8 (after the calC draws) and the glue scan (a fresh modulus_rng(q))."""
     us = units(q)
     pick = lambda: us[int(rng.integers(len(us)))]
     out = []
@@ -246,13 +250,3 @@ def glue_tuples(q: int, rng: np.random.Generator) -> list[dict]:
                     "bound": rep.bound_value, "ratio": rep.ratio,
                     "crt_residual": rep.aux["residual"], "active_k": rep.aux["active_k"]})
     return out
-
-
-def bilinear_row(r: CancellationReport) -> dict:
-    """One cancellation report as a row of raw values."""
-    return {
-        "q": r.q, "p": r.p, "M": r.M, "N": r.N, "abs_S": abs(r.sum_value),
-        "trivial": r.trivial_bound, "thm_squarefree": r.thm_squarefree,
-        "thm_primepower": r.thm_primepower, "thm_alt": r.thm_alt,
-        "exponent": r.exponent, "hypothesis_ok": r.hypothesis_ok,
-    }

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .arith import divisor_table, factorize, sigma00, sigma00_grid
-from .bilinear import BilinearConfig, CancellationReport, cancellation_scan
+from .bilinear import BilinearConfig, cancellation_scan
 from .charsums import RATIO_CAP, df_correlation, frakC2_glue
 from .distribution import d3_to_bilinear, discrepancy_scan
 from .expsums import (
@@ -45,7 +45,6 @@ from .expsums import (
 )
 from .families import (
     bilinear_config,
-    bilinear_row,
     calc_tuples,
     charsum_pp,
     charsum_pp_cells,
@@ -66,7 +65,6 @@ __all__ = [
     "CheckResult",
     "ALL_CHECKS",
     "run_checks",
-    "reports_csv",
     "criterion_explicit_pp",
     "criterion_sigma00",
     "criterion_crt_split",
@@ -251,11 +249,15 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
 def criterion_weil_deligne(quick: bool = False) -> tuple[bool, str]:
     """|S(a,b;p)| <= 2 sqrt p and |Kl3~(m,p)| <= 3, exhaustively."""
     cap = 50 if quick else 200
-    rep = weil_audit(cap)
-    return rep.ratio <= 1.0, (
-        f"primes p<={cap}; worst bound fraction {fmt(rep.ratio)} "
-        f"(Weil at p={rep.aux['weil_argmax'][0]}, "
-        f"Deligne at p={rep.aux['deligne_argmax'][0]})"
+    rows = weil_audit(cap)
+    worst = {col: _worst(r[col] for r in rows) for col in ("weil", "deligne")}
+    # the first prime at each maximum, or the first with a nan
+    at = {col: next(r["p"] for r in rows if r[col] == w or r[col] != r[col])
+          for col, w in worst.items()}
+    fraction = _worst(worst.values())
+    return fraction <= 1.0, (
+        f"primes p<={cap}; worst bound fraction {fmt(fraction)} "
+        f"(Weil at p={at['weil']}, Deligne at p={at['deligne']})"
     )
 
 
@@ -466,24 +468,19 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
 def criterion_bilinear(quick: bool = False) -> tuple[bool, str]:
     """Path agreement, trivial bound, and the hypothesis-flag CSV."""
     configs = _bilinear_grid(quick)
-    reports = cancellation_scan(configs)  # raises on split
-    exceed = [r for r in reports if not r.within_trivial]
-    csv_text = reports_csv(reports)
+    rows = cancellation_scan(configs)  # raises on split
+    exceed = [r for r in rows if not r["_within_trivial"]]
+    csv_text = render([written(r) for r in rows])
     header_ok = csv_text.splitlines()[0] == (
         "q,p,M,N,abs_S,trivial,thm_squarefree,thm_primepower,thm_alt,"
         "exponent,hypothesis_ok"
     )
     passed = not exceed and header_ok
     return passed, (
-        f"{len(reports)} configs (q up to {max(c.q for c in configs)}); "
+        f"{len(rows)} configs (q up to {max(c.q for c in configs)}); "
         f"paths agree at 1e-9; {len(exceed)} trivial-bound violations; "
         f"CSV rows {len(csv_text.splitlines()) - 1} with hypothesis flags"
     )
-
-
-def reports_csv(reports: list[CancellationReport]) -> str:
-    """Render cancellation reports as the canonical CSV text."""
-    return render([written(bilinear_row(r)) for r in reports])
 
 
 # ------------------------------------------------------------------ 12

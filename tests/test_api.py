@@ -118,6 +118,23 @@ def test_lru_caches_do_not_grow():
     assert sum(_lru_caches(p.read_text()) for p in SRC.glob("*.py")) == 0
 
 
+def _bound_reports(source: str) -> int:
+    """Calls that build a BoundReport, by its name or as an attribute."""
+    return sum(isinstance(n, ast.Call)
+               and ((isinstance(n.func, ast.Name) and n.func.id == "BoundReport")
+                    or (isinstance(n.func, ast.Attribute) and n.func.attr == "BoundReport"))
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_bound_reports_are_built_in_charsums_alone():
+    # a BoundReport is one correlation sum against its bound; a scan's
+    # maxima and where they fall travel in rows, not in a report's fields
+    assert _bound_reports("BoundReport(1j, 2.0)\nx = expsums.BoundReport(0j, 1.0)\n"
+                          "BoundReport\nf(BoundReport)\n") == 2
+    built = {p.stem for p in SRC.glob("*.py") if _bound_reports(p.read_text())}
+    assert built == {"charsums"}
+
+
 
 def _named_functions(path: Path) -> dict[tuple[str, int], str]:
     """(file, first line) -> module.qualname of every function defined in a module."""

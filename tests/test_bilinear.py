@@ -17,7 +17,7 @@ from expsum.bilinear import (
     thm_bound,
     trivial_bound,
 )
-from expsum.verify import reports_csv
+from expsum.families import render, written
 
 
 def test_config_validation():
@@ -118,10 +118,10 @@ def test_cancellation_scan_and_csv():
         BilinearConfig(q=q, M=max(4, q // 2), N=2, b=1)
         for q in (5, 27, 49)
     ]
-    reports = cancellation_scan(configs)
-    assert len(reports) == 3
-    assert all(r.within_trivial for r in reports)
-    text = reports_csv(reports)
+    rows = cancellation_scan(configs)
+    assert len(rows) == 3
+    assert all(r["_within_trivial"] for r in rows)
+    text = render([written(r) for r in rows])
     lines = text.strip().split("\n")
     assert lines[0] == (
         "q,p,M,N,abs_S,trivial,thm_squarefree,thm_primepower,thm_alt,"
@@ -144,23 +144,25 @@ def test_cancellation_scan_equals_the_public_functions():
     ]
     weights = bilinear._lambda_weights
     weights.cache_clear()
-    reports = cancellation_scan(configs)
+    rows = cancellation_scan(configs)
     # built once per config, then read by the other sum and the bound
     assert weights.cache_info()[:2] == (2 * len(configs), len(configs))  # (hits, misses)
 
     def bits(*xs):
-        return np.array(xs, dtype=complex).tobytes()
+        return np.array(xs, dtype=float).tobytes()
 
-    for cfg, rep in zip(configs, reports, strict=True):
+    for cfg, row in zip(configs, rows, strict=True):
         weights.cache_clear()
         s, trivial = bilinear_sum(cfg), trivial_bound(cfg)
         weights.cache_clear()
-        assert bits(rep.sum_value, rep.trivial_bound) == bits(s, trivial), cfg
+        assert bits(row["abs_S"], row["trivial"]) == bits(abs(s), trivial), cfg
 
 
 def test_exponent_property():
-    reports = cancellation_scan([BilinearConfig(q=121, M=60, N=4)])
-    (rep,) = reports
-    if rep.sum_value != 0 and rep.trivial_bound > 1:
-        want = math.log(abs(rep.sum_value)) / math.log(rep.trivial_bound)
-        assert rep.exponent == pytest.approx(want)
+    (row,) = cancellation_scan([BilinearConfig(q=121, M=60, N=4)])
+    if row["abs_S"] != 0 and row["trivial"] > 1:
+        want = math.log(row["abs_S"]) / math.log(row["trivial"])
+        assert row["exponent"] == pytest.approx(want)
+    # no cancellation measure without a sum, or against a bound of 0 or 1
+    assert bilinear._exponent(0.0, 5.0) == -math.inf
+    assert math.isnan(bilinear._exponent(2.0, 1.0)) and math.isnan(bilinear._exponent(2.0, 0.0))

@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expsum import cli, distribution, memo, verify, voronoi
+from expsum import bilinear, cli, distribution, memo, verify, voronoi
 from expsum.cli import (
     CAPS,
     ParseError,
@@ -778,6 +778,52 @@ def test_voronoi_exits_1_on_a_nan_residual(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert ",nan,nan\n" in out  # the cell is still written, residual and relative
     assert "1 cells above tolerance 1e-06" in err
+
+
+@pytest.mark.parametrize("col, named", [
+    ("weil", "(Weil at p=13, Deligne at p=47)"),
+    ("deligne", "(Weil at p=47, Deligne at p=13)"),
+])
+def test_a_nan_in_one_criterion_4_row_fails_it_and_names_its_prime(monkeypatch, col, named):
+    real = verify.weil_audit
+
+    def with_nan(P):
+        rows = real(P)
+        next(r for r in rows if r["p"] == 13)[col] = math.nan
+        return rows
+
+    monkeypatch.setattr(verify, "weil_audit", with_nan)
+    res = verify.criterion_weil_deligne(True)
+    assert not res.passed
+    assert res.details.endswith(f"worst bound fraction nan {named}")
+
+
+def _one_trivial_bound_exceeded(monkeypatch):
+    """bilinear.trivial_bound at half of |S| for the plain config at q = 49."""
+    real = bilinear.trivial_bound
+
+    def patched(cfg):
+        if cfg.q == 49 and cfg.alpha is None:
+            return abs(bilinear.bilinear_sum(cfg)) / 2
+        return real(cfg)
+
+    monkeypatch.setattr(bilinear, "trivial_bound", patched)
+
+
+def test_bilinear_writes_every_row_and_exits_1_above_the_trivial_bound(monkeypatch, capsys):
+    _one_trivial_bound_exceeded(monkeypatch)
+    assert main(["bilinear", "--q", "27,49,121", "--N", "2"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[0] for line in out] == ["q", "27", "49", "121"]
+    abs_s, trivial = (float(v) for v in out[2].split(",")[4:6])
+    assert abs_s > trivial > 0
+
+
+def test_criterion_11_fails_on_a_trivial_bound_violation(monkeypatch):
+    _one_trivial_bound_exceeded(monkeypatch)
+    res = verify.criterion_bilinear(True)
+    assert not res.passed
+    assert "; 1 trivial-bound violations;" in res.details
 
 
 def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):

@@ -34,7 +34,7 @@ from expsum.expsums import (
     unit_mask,
     weil_audit,
 )
-from expsum.modarith import PrimePower, is_prime, legendre
+from expsum.modarith import PrimePower, is_prime, legendre, units
 
 SQRT5 = math.sqrt(5.0)
 
@@ -380,12 +380,21 @@ def test_bound_report_derives_ratio_and_vanished():
 
 
 def test_weil_audit_small():
-    rep = weil_audit(50)
-    assert rep.ratio <= 1.0
-    assert rep.aux["max_weil_ratio"] <= 1.0
-    assert rep.aux["max_deligne_ratio"] <= 1.0
-    p, m = rep.aux["weil_argmax"]
-    assert 2 <= p <= 50 and 1 <= m < p
+    rows = weil_audit(50)
+    assert [r["p"] for r in rows] == [p for p in range(2, 51) if is_prime(p)]
+    assert all(r["weil"] <= 1.0 and r["deligne"] <= 1.0 for r in rows)
+
+
+def test_weil_audit_rows_are_the_literal_maxima():
+    # each ratio is the maximum over the units, read from the literal sums
+    # rather than from the tables the audit reduces to
+    for row in weil_audit(13):
+        p = row["p"]
+        us = units(p)
+        weil = max(abs(kloosterman_direct(a, b, p)) for a in us for b in us) / (2 * math.sqrt(p))
+        deligne = float(np.max(np.abs(hyper_kl3_table_direct(p)[1:]))) / 3.0
+        assert abs(row["weil"] - weil) <= 1e-12, p
+        assert abs(row["deligne"] - deligne) <= 1e-12, p
 
 
 # ------------------------------------------------------------- memo store
