@@ -17,6 +17,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import select
+import signal
+import sys
 from concurrent.futures import BrokenExecutor
 
 import numpy as np
@@ -81,45 +85,95 @@ def written(row: dict) -> dict:
     return out
 
 
-_TASK: tuple = ()  # (fn, items) of the running pmap, inherited by its forked workers
-
-
-def _run_item(i: int):
-    """fn(items[i]) in a worker, and the memo counts it added: {kind: [hits, misses]}."""
-    fn, items = _TASK
-    for counts in COUNTS.values():  # the worker's totals are not read: count from 0
-        counts[:] = [0, 0]
-    return fn(items[i]), {kind: list(counts) for kind, counts in COUNTS.items()}
-
-
 def pmap(fn, items, jobs: int) -> list:
     """[fn(it) for it in items] on min(jobs, len(items), cpu count) forked workers.
 
     With one worker the items run in the caller.  A worker takes the next
-    item when it is free, so it sees its items in list order; results come
-    back in list order.  fn is inherited, never pickled; its results and
-    exceptions are, with each item's memo counts, which are added to this
-    process's.  A worker that dies raises BrokenExecutor.
+    item index from one shared task pipe when it is free, so it sees its
+    items in list order; results come back in list order.  fn and items
+    are inherited, never pickled; fn's results and exceptions are, and so
+    are each worker's memo counts, which start from 0 and are added to this
+    process's.  The exception of the earliest failing item is raised; a
+    worker that dies raises BrokenExecutor.  Every worker is reaped before
+    pmap returns or raises, so its CPU time counts in os.times() here.
     """
-    global _TASK
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
-    # deferred: multiprocessing adds about 10 ms to every start of the CLI
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    _TASK = (fn, items)
+    r, w = os.pipe()
+    task_r, task_w = open(r, "rb", buffering=0), open(w, "wb", buffering=0)
+    readers = {}  # the read end of each unreaped worker's result pipe -> its pid
+    sys.stdout.flush()  # else a worker would write what they hold again
+    sys.stderr.flush()
     try:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-            done = list(pool.map(_run_item, range(len(items))))
+        for _ in range(workers):
+            r, w = os.pipe()
+            if (pid := os.fork()) == 0:  # a worker: run items until the task pipe is drained
+                code = 1
+                try:
+                    task_w.close()
+                    for counts in COUNTS.values():
+                        counts[:] = [0, 0]
+                    done = []
+                    # a task is 4 bytes and written in atomic pieces of them, so
+                    # a read never splits one
+                    while task := task_r.read(4):
+                        i = int.from_bytes(task, "little")
+                        try:
+                            done.append((i, True, fn(items[i])))
+                        except BaseException as exc:  # raised in the caller, as at one worker
+                            done.append((i, False, exc))
+                    with open(w, "wb") as sink:  # only now: the caller writes tasks until here
+                        pickle.dump((done, COUNTS), sink, pickle.HIGHEST_PROTOCOL)
+                    sys.stdout.flush()  # what fn printed, as at exit
+                    sys.stderr.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            readers[open(r, "rb")] = pid
+        task_r.close()
+        # written after the fork, since the pipe holds 64 KiB; POSIX makes a
+        # write of up to 512 bytes atomic
+        tasks = np.arange(len(items), dtype="<u4").tobytes()
+        try:
+            for k in range(0, len(tasks), 512):
+                task_w.write(tasks[k:k + 512])
+        except BrokenPipeError:  # every worker is gone; their exit codes say why
+            pass
+        task_w.close()
+        out, failed = [None] * len(items), {}
+        while readers:  # reap each worker as it ends, so that one that dies is seen at once
+            reader = select.select(list(readers), [], [])[0][0]
+            with reader:
+                data = reader.read()
+            pid = readers[reader]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del readers[reader]
+            if code:
+                raise BrokenExecutor(f"pmap worker {pid} exited with code {code}")
+            try:
+                done, added = pickle.loads(data)
+            except Exception as exc:
+                raise BrokenExecutor(f"pmap worker {pid} sent results that do not load") from exc
+            for i, ok, value in done:
+                if ok:
+                    out[i] = value
+                else:
+                    failed[i] = value
+            for kind, (hits, misses) in added.items():
+                COUNTS[kind][0] += hits
+                COUNTS[kind][1] += misses
     finally:
-        _TASK = ()
-    for _, added in done:
-        for kind, (hits, misses) in added.items():
-            COUNTS[kind][:] = COUNTS[kind][0] + hits, COUNTS[kind][1] + misses
-    return [out for out, _ in done]
+        task_r.close()
+        task_w.close()
+        for reader, pid in readers.items():  # pmap raised: stop and reap the rest
+            reader.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def render(rows: list[dict], kind: str = "csv") -> str:

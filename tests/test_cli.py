@@ -11,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from expsum.cli import (
     validate,
 )
 from expsum.expsums import hyper_kl3_table
-from expsum.families import fmt, pmap, render, written
+from expsum.families import BrokenExecutor, fmt, pmap, render, written
 from expsum.modarith import units
 
 _INTS = st.integers(-10**6, 10**6)
@@ -707,6 +708,85 @@ def test_pmap_runs_in_at_most_jobs_worker_processes():
     assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
 
+@_TWO_CPUS
+def test_pmap_hands_a_free_worker_the_next_item():
+    # item 0 holds one worker, so the other takes every later item
+    def slow_first(i):
+        if i == 0:
+            time.sleep(0.3)
+        return i, os.getpid()
+
+    got = pmap(slow_first, list(range(8)), 2)
+    assert [i for i, _ in got] == list(range(8))
+    pids = [pid for _, pid in got]
+    assert len(set(pids[1:])) == 1 and pids[0] != pids[1]
+
+
+@_TWO_CPUS
+def test_pmap_raises_the_exception_of_the_earliest_failing_item(monkeypatch, capsys):
+    def fail(i):
+        if i == 1:
+            time.sleep(0.2)  # item 3 fails first
+        if i in (1, 3):
+            raise ValueError(f"bad item {i}")
+        return i
+
+    with pytest.raises(ValueError, match=r"^bad item 1$"):
+        pmap(fail, list(range(6)), 2)
+
+    def mismatch(q):
+        if q == 5:
+            time.sleep(0.2)
+        raise AssertionError(f"split mismatch at q={q}")
+
+    monkeypatch.setattr(cli, "kloosterman_split_row", mismatch)
+    assert main(["kloosterman", "--q", "5,7,11", "--jobs", "2"]) == 1
+    assert capsys.readouterr() == ("", "check failed: AssertionError: split mismatch at q=5\n")
+
+
+@_TWO_CPUS
+def test_pmap_stops_every_worker_when_one_dies():
+    def die_or_wait(i):
+        if i == 0:
+            os._exit(3)
+        time.sleep(30)
+
+    t0 = time.perf_counter()
+    with pytest.raises(BrokenExecutor, match="exited with code 3"):
+        pmap(die_or_wait, [0, 1, 2], 2)
+    assert time.perf_counter() - t0 < 10  # the sleeping worker was not waited for
+    with pytest.raises(ChildProcessError):  # and no child is left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_TWO_CPUS
+def test_pmap_adds_the_memo_counts_of_each_worker_from_0():
+    hyper_kl3_table.cache_clear()
+    hyper_kl3_table(5)  # a build here; the workers inherit it and its count
+    assert hyper_kl3_table.cache_info()[:2] == (0, 1)  # (hits, misses)
+    pmap(lambda q: hyper_kl3_table(q)[1], [5, 7], 2)  # one worker hits, the other builds
+    assert hyper_kl3_table.cache_info()[:2] == (1, 2)
+
+
+@_TWO_CPUS
+def test_pmap_takes_more_items_than_a_pipe_holds():
+    items = list(range(20_000))  # 80 kB of 4-byte tasks, beyond a 64 KiB pipe buffer
+    assert pmap(lambda i: -i, items, 2) == [-i for i in items]
+
+
+@_TWO_CPUS
+def test_the_cpu_of_the_workers_is_counted(tmp_path, capsys):
+    hyper_kl3_table.cache_clear()  # else the workers inherit both tables and build none
+    before = os.times()
+    assert main(["hyperkl3", "--q", "4999,4993", "--jobs", "2", "--out", str(tmp_path / "o")]) == 0
+    after = os.times()
+    capsys.readouterr()
+    # a child's CPU time is added to these when it is reaped, so pmap reaped
+    # every worker before it returned; cli._cpu() reads them
+    assert (after.children_user + after.children_system
+            > before.children_user + before.children_system)
+
+
 def test_voronoi_maps_one_item_per_X(monkeypatch, capsys):
     # a worker builds the moment grid and kernels of the X it is handed; no other does
     seen = []
@@ -846,6 +926,8 @@ def test_a_worker_that_dies_gives_exit_1(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("worker failed: ")
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_module_invocation_runs():
