@@ -5,12 +5,12 @@ The central object is
     S = sum_{n in W} sum_{m >= 1} alpha_n lam(m) Kl3~(m n b, q) V(m/M)
 
 where W = {1, ..., N}, |alpha_n| <= 1,
-lam(m) = sigma_{s1 - 2w}(m) * m^s2 (so the default w = s1 = s2 = 0
-gives the plain divisor function d(m)), and V is the smooth bump
-SmoothWeight(1.0) on [1, 2].  Two independent evaluation paths are
-provided, a literal double sum and a residue-class grouping, plus
-reference evaluations of the three cancellation bounds used for
-exponent studies:
+lam(m) = sigma_shift(m) * m^s2, where shift stands for s1 - 2w, the
+sigma_{s1 - 2w} of the paper (so the default shift = s2 = 0 gives the
+plain divisor function d(m)), and V is the smooth bump SmoothWeight(1.0)
+on [1, 2].  Two independent evaluation paths are provided, a literal
+double sum and a residue-class grouping, plus reference evaluations of
+the three cancellation bounds used for exponent studies:
 
     alt        : M N^(1/2) + M^(1/2) N q^(1/4)
     squarefree : q^(3/8) M^(1/2) N^(3/4) + q^(-1/4) M N^(3/2) + N q^(3/4)
@@ -59,15 +59,15 @@ class BilinearConfig:
     """One bilinear-sum configuration.
 
     The n-window is 1, ..., N; alpha defaults to all ones.  The m-sum
-    runs over (M, 2M), the support of V(m/M).
+    runs over (M, 2M), the support of V(m/M).  shift is the divisor-power
+    shift s1 - 2w: lam(m) = sigma_shift(m) * m^s2.
     """
 
     q: int
     M: int
     N: int
     b: int = 1
-    w: complex = 0j
-    s1: complex = 0j
+    shift: complex = 0j
     s2: complex = 0j
     alpha: tuple[complex, ...] | None = None
 
@@ -83,7 +83,7 @@ class BilinearConfig:
                 )
             if any(abs(a) > 1 + 1e-12 for a in self.alpha):
                 raise ValueError("coefficients must satisfy |alpha_n| <= 1")
-        for name in ("w", "s1", "s2"):
+        for name in ("shift", "s2"):
             if abs(getattr(self, name)) > 4:
                 raise ValueError(f"|{name}| too large for desk scale")
 
@@ -96,11 +96,6 @@ class BilinearConfig:
         if self.alpha is None:
             return np.ones(self.N, dtype=complex)
         return np.asarray(self.alpha, dtype=complex)
-
-    @property
-    def shift(self) -> complex:
-        """The divisor-power shift: lam(m) = sigma_shift(m) * m^s2."""
-        return self.s1 - 2 * self.w
 
 
 def _m_support(cfg: BilinearConfig) -> np.ndarray:

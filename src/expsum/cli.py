@@ -22,11 +22,13 @@ as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
 Exit codes: 0 success, 1 any check/invariant failure (a nan residual or
-difference fails its check), 2 usage error (a
+difference fails its check, and a correlation scan -- charsum-pp,
+charsum-prime, df, calC, glue -- fails on a row whose ratio is above
+RATIO_CAP or nan, after writing every row), 2 usage error (a
 bad flag, config value or EXPSUM_JOBS, a value beyond the caps, a
 charsum-pp range with no cells, a df --gamma-max below 1, or an --out that
 cannot be written).  df writes the moduli p^gamma up to the q cap and names
-the (p, gamma) it skipped beyond it on stderr, exiting 0.
+the (p, gamma) it skipped beyond it on stderr; a skip alone does not fail it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from time import perf_counter, process_time
 import numpy as np
 
 from .bilinear import cancellation_scan
+from .charsums import RATIO_CAP
 from .distribution import discrepancy_scan
 from .expsums import TABLE_Q_MAX, hyper_kl3_table, kloosterman_split_row, kloosterman_table
 from .families import (
@@ -254,6 +257,20 @@ def _scan(one, items: list, cfg: argparse.Namespace) -> list[dict]:
     return rows
 
 
+def _capped_scan(one, items: list, cfg: argparse.Namespace) -> tuple[list[dict], int]:
+    """_scan of a correlation family, then its RATIO_CAP check: (rows, exit code).
+
+    Each row also carries its raw ratio as _ratio, taken where one runs and
+    not written.  The code is 1, with one stderr line that counts them, if
+    a row's ratio is above RATIO_CAP or nan; else 0.
+    """
+    rows = _scan(lambda item: [dict(r, _ratio=r["ratio"]) for r in one(item)], items, cfg)
+    over = sum(not r["_ratio"] <= RATIO_CAP for r in rows)  # a nan counts too
+    if over:
+        print(f"{over} rows with ratio above {RATIO_CAP} or nan", file=sys.stderr)
+    return rows, int(over > 0)
+
+
 # ---------------------------------------------------------------- runners
 
 
@@ -286,8 +303,8 @@ def _run_hyperkl3(cfg: argparse.Namespace) -> int:
 
 def _run_charsum_pp(cfg: argparse.Namespace) -> int:
     cells = charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max)
-    rows = _scan(lambda cell: charsum_pp(*cell, 50), cells, cfg)
-    return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else 0
+    rows, code = _capped_scan(lambda cell: charsum_pp(*cell, 50), cells, cfg)
+    return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else code
 
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
@@ -298,8 +315,7 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
                 raise AssertionError(f"route mismatch at p={p}: {r['route_diff']}")
         return rows
 
-    _scan(one, cfg.p, cfg)
-    return 0
+    return _capped_scan(one, cfg.p, cfg)[1]
 
 
 def _run_df(cfg: argparse.Namespace) -> int:
@@ -308,18 +324,15 @@ def _run_df(cfg: argparse.Namespace) -> int:
     if len(mods) < len(pairs):  # said, not refused: the rows that fit are still written
         dropped = ", ".join(f"({p}, {gamma})" for p, gamma in pairs if p**gamma > CAPS["q"])
         print(f"skipped (p, gamma) with p^gamma above {CAPS['q']}: {dropped}", file=sys.stderr)
-    _scan(lambda mod: df_pairs(*mod, 30), mods, cfg)
-    return 0
+    return _capped_scan(lambda mod: df_pairs(*mod, 30), mods, cfg)[1]
 
 
 def _run_calc(cfg: argparse.Namespace) -> int:
-    _scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)
-    return 0
+    return _capped_scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)[1]
 
 
 def _run_glue(cfg: argparse.Namespace) -> int:
-    _scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)
-    return 0
+    return _capped_scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)[1]
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:

@@ -458,7 +458,7 @@ def _bilinear_grid(quick: bool) -> list[BilinearConfig]:
         configs.append(
             BilinearConfig(
                 q=q, M=max(4, min(2 * q, 4000)), N=n, b=plain.b, alpha=alpha,
-                w=0.01 + 0.01j, s1=0.02j, s2=-0.01,
+                shift=-0.02, s2=-0.01,
             )
         )
     return configs[: 10 if quick else 50]

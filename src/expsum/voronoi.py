@@ -49,25 +49,22 @@ tiled.  Since wY is real, its dot product with the conjugate phases is the
 conjugate of its dot product with the phases, bit for bit, so one phase
 vector serves both.
 
-The gate and the CLI run one X at a time through scale_residuals, which
-visits q in order and runs the kernels in bursts: it builds the kernels of
-consecutive q until they hold one moment grid's bytes, then runs every
-cell of those q, a in order, then drops them.  OpenBLAS splits each long
-dot product over two threads, and its helper thread busy-waits for about
-0.1 s after the last one; with the dot products of a burst after all of
-its builds, that spin comes once per burst (7 times over the gate), not
-during every kernel build (60 times).  Each dot keeps its operands,
-length and order, so every bit is the same.  The kernels of a burst are
-held by scale_residuals alone and freed before the next burst's first
-build; a lone voronoi_residual builds its own and holds none afterwards.
-Under --jobs the CLI hands each worker process one X, so no kernel is
-built twice.  The moment grid is the memo kind voronoi._grid, which keeps
-the grid of one X and drops it before the next X's grid is built, so the
-two never share memory.  The 13 moment FFTs of one X run in place as six
-(2, 2^21) batches on scipy.fft's two workers, then the last row alone.
-scipy.fft caches one plan of that length and shares it between its
-workers, where np.fft rebuilds its plan on every call; both run pocketfft,
-and each row equals np.fft.ifft's serial transform bit for bit.
+The gate and the CLI run one X at a time through scale_residuals, the one
+holder of a scale's state.  It builds the moment grid of X once, then
+visits q in order and runs the kernels in bursts: it builds the kernels
+(and main term) of consecutive q until they hold one moment grid's bytes,
+then runs every cell of those q, a in order, then drops them.  OpenBLAS
+splits each long dot product over two threads, and its helper thread
+busy-waits for about 0.1 s after the last one; with the dot products of a
+burst after all of its builds, that spin comes once per burst (7 times
+over the gate).  Each dot keeps its operands, length and order, so every
+bit is the same.  The kernels of a burst are freed before the next
+burst's first build, and the grid when scale_residuals returns, so no
+grid or kernel of one X is alive while the next X's grid is built.  Under
+--jobs the CLI hands each worker process one X, so no kernel is built
+twice.  The 13 moment FFTs of one X run in place as six (2, 2^21)
+batches on scipy.fft's two workers, then the last row alone; each row
+equals np.fft.ifft's serial transform bit for bit.
 The Gauss-Legendre panels evaluate their integrand once on the whole node
 matrix (for K0, once for every kappa of a block) and reduce it panel by
 panel.  scipy is imported by the panel quadratures and the grid build
@@ -88,7 +85,6 @@ from itertools import accumulate
 import numpy as np
 
 from .arith import divisor_table
-from .memo import stored
 from .modarith import units
 
 __all__ = [
@@ -158,8 +154,6 @@ class SmoothWeight:
         out = np.zeros_like(s)
         inside = np.abs(s) < 1
         out[inside] = np.exp(1 - 1 / (1 - s[inside] ** 2))
-        if np.isscalar(x) or arr.ndim == 0:
-            return float(out)
         return out
 
 
@@ -204,7 +198,6 @@ class _BkGrid:
     values: np.ndarray  # shape (_KTERMS, Mmax), S_k(kappa_m); B = du e^{i k u0} S
 
 
-@stored(1)
 def _grid(X: float) -> _BkGrid:
     """The moments of g up to kappa*u0 = 4608, checked to be negligible there.
 
@@ -357,14 +350,17 @@ def _divisors(n: int) -> np.ndarray:
     return divisor_table(2, size)
 
 
-def _build_kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
-    """(wY, wK, n_auto): the d(n)-weighted dual-sum kernels of one (q, X).
+def _build_kernels(
+    q: int, X: float, grid: _BkGrid
+) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """(wY, wK, n_auto, main): the d(n)-weighted dual-sum kernels of one (q, X)
+    and its main term.
 
     wY[i] = d(i+1)*Hminus((i+1)/q^2) and wK[i] = d(i+1)*Hplus((i+1)/q^2)
     for i < n_auto, where n_auto ends the second consecutive block whose
     weighted terms all stay below TAIL_TOL.  Both are complex with zero
     imaginary parts, so the dot products of every cell take them as they
-    are.  Hankel-regime kappas read the moment grid of X.
+    are.  Hankel-regime kappas read grid, the moment grid of X.
     """
     u0 = math.sqrt(X)
     pieces_y, pieces_k = [], []
@@ -384,7 +380,7 @@ def _build_kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
             y[i] = _gy_panels(float(kappas[i]), X)
         big = ~small
         if big.any():
-            y[big] = _gy_hankel(kappas[big], _grid(X))
+            y[big] = _gy_hankel(kappas[big], grid)
         hminus = -2 * math.pi * y
         hplus = 4 * _gk_panels(kappas, X)
         d = _divisors(hi)[n + 1 : hi + 1]
@@ -397,10 +393,9 @@ def _build_kernels(q: int, X: float) -> tuple[np.ndarray, np.ndarray, int]:
     wK = np.concatenate(pieces_k, dtype=complex)
     wY.setflags(write=False)
     wK.setflags(write=False)
-    return wY, wK, n
+    return wY, wK, n, _main_term(q, X)
 
 
-@stored(64)
 def _main_term(q: int, X: float) -> float:
     """(2/q) integral (log(sqrt(x)/q) + gamma) h(x) dx, composite GL64.
 
@@ -433,13 +428,17 @@ def voronoi_lhs(a: int, q: int, h: SmoothWeight) -> complex:
     return complex(np.dot(d * h(n.astype(float)), phases))
 
 
-def _rhs(
-    a: int, q: int, h: SmoothWeight, kernels: tuple[np.ndarray, np.ndarray, int]
-) -> tuple[complex, complex, int]:
-    """(main term, dual sum, truncation level) from the kernels of (q, h.X);
-    voronoi_lhs checked (a, q)."""
-    main = complex(_main_term(q, h.X))
-    wY, wK, n_auto = kernels
+def voronoi_residual(
+    a: int, q: int, h: SmoothWeight, kernels: tuple[np.ndarray, np.ndarray, int, float]
+) -> VoronoiReport:
+    """Both sides of the identity and their difference at one cell.
+
+    kernels is (wY, wK, n_auto, main) of (q, h.X), as scale_residuals
+    builds them.
+    """
+    lhs = voronoi_lhs(a, q, h)
+    wY, wK, n_auto, main = kernels
+    main = complex(main)
     abar = pow(a, -1, q)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     # e(abar n / q) has period q in n: gather one period, then tile it.
@@ -449,26 +448,11 @@ def _rhs(
     period = roots[(abar * np.arange(1, q + 1)) % q]
     phases = np.tile(period, -(-n_auto // q))[:n_auto]
     dual = complex((np.dot(wY, phases).conjugate() + np.dot(wK, phases)) / q)
-    return main, dual, n_auto
-
-
-def voronoi_residual(
-    a: int, q: int, h: SmoothWeight, kernels: tuple[np.ndarray, np.ndarray, int] | None = None
-) -> VoronoiReport:
-    """Both sides of the identity and their difference at one cell.
-
-    kernels is (wY, wK, n_auto) of (q, h.X), as scale_residuals passes
-    them; without it the call builds its own and holds none afterwards.
-    """
-    lhs = voronoi_lhs(a, q, h)
-    if kernels is None:
-        kernels = _build_kernels(q, h.X)
-    main, dual, level = _rhs(a, q, h, kernels)
     return VoronoiReport(
         lhs=lhs,
         rhs_main=main,
         rhs_dual=dual,
-        truncation_level=level,
+        truncation_level=n_auto,
         residual=abs(lhs - main - dual),
     )
 
@@ -476,23 +460,25 @@ def voronoi_residual(
 def scale_residuals(qs, X: float) -> list[tuple[int, int, VoronoiReport]]:
     """(q, a, report) of every cell at scale X: q as qs lists them, then a unit a.
 
-    The report is voronoi_residual(a, q, SmoothWeight(X)), and the units
-    1 <= a <= q run in increasing order.  A burst takes q in order, each
-    built once, until its kernels hold _BURST_BYTES, so it holds less than
-    that plus one q's kernels (and at least one q); its cells run after its
-    last build.
+    The report is voronoi_residual(a, q, SmoothWeight(X), kernels of (q, X)),
+    and the units 1 <= a <= q run in increasing order.  The moment grid of
+    X is built once, after the argument check, and freed on return.  A
+    burst takes q in order, each built once, until its kernels hold
+    _BURST_BYTES, so it holds less than that plus one q's kernels (and at
+    least one q); its cells run after its last build.
     """
     qs = list(qs)
     if qs and min(qs) < 1:
         raise ValueError(f"q must be >= 1, got {min(qs)}")
     h = SmoothWeight(X)
+    grid = _grid(X)
     out = []
     while qs:
         kernels, held, burst = {}, 0, []  # the last burst's are freed before this one's builds
         for q in qs:
             burst.append(q)
             if q not in kernels:
-                kernels[q] = _build_kernels(q, X)
+                kernels[q] = _build_kernels(q, X, grid)
                 held += kernels[q][0].nbytes + kernels[q][1].nbytes
             if held >= _BURST_BYTES:
                 break

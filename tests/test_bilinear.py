@@ -28,13 +28,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         BilinearConfig(q=5, M=4, N=1, alpha=(1.5,))  # coefficient too large
     with pytest.raises(ValueError):
-        BilinearConfig(q=5, M=4, N=1, w=5.0)  # shift out of desk range
+        BilinearConfig(q=5, M=4, N=1, shift=5.0)  # shift out of desk range
+    with pytest.raises(ValueError):
+        BilinearConfig(q=5, M=4, N=1, shift=3 + 3j)  # |shift| > 4, each part <= 4
+    with pytest.raises(ValueError):
+        BilinearConfig(q=5, M=4, N=1, s2=-4.5)
+    assert BilinearConfig(q=5, M=4, N=1, shift=-4, s2=4j).shift == -4
     with pytest.raises(ValueError):
         BilinearConfig(q=0, M=4, N=1)
 
 
 def test_default_weights_are_divisor_function():
-    # shift = s1 - 2w = 0 and s2 = 0 make lam = sigma_0 = d
+    # shift = 0 and s2 = 0 make lam = sigma_0 = d
     cfg = BilinearConfig(q=7, M=6, N=2)
     assert cfg.shift == 0
     assert cfg.alpha_vector.tolist() == [1.0, 1.0]
@@ -138,9 +143,9 @@ def test_cancellation_scan_equals_the_public_functions():
     # equal the public function's with the weights built afresh, bit for bit
     configs = [
         BilinearConfig(q=7, M=6, N=2),
-        BilinearConfig(q=27, M=40, N=3, b=2, s1=0.5, s2=-0.25j),
-        BilinearConfig(q=30, M=25, N=4, b=7, w=0.3, alpha=(1, -1j, 0.5, 0.25 + 0.5j)),
-        BilinearConfig(q=121, M=60, N=4, s1=1.0 + 0.5j),
+        BilinearConfig(q=27, M=40, N=3, b=2, shift=0.5, s2=-0.25j),
+        BilinearConfig(q=30, M=25, N=4, b=7, shift=-0.6, alpha=(1, -1j, 0.5, 0.25 + 0.5j)),
+        BilinearConfig(q=121, M=60, N=4, shift=1.0 + 0.5j),
     ]
     weights = bilinear._lambda_weights
     weights.cache_clear()

@@ -396,10 +396,11 @@ def test_voronoi_refuses_scales_with_almost_no_integer_mass(x, code, capsys):
 def test_voronoi_refuses_cells_that_cannot_converge(argv, need, capsys, monkeypatch):
     # (13, 2), (16, 4), (20, 10) and (42, 50) would build kernels for 1.6-18 s
     # and then fail with CutoffTooSmall; the bound c(X) q^2/X is over the cap,
-    # so they are refused before any kernel is built; the default q range ends
-    # at 20 and the default X is 50, both checked as given ones are
+    # so they are refused before any grid or kernel is built; the default q
+    # range ends at 20 and the default X is 50, both checked as given ones are
     builds = []
-    monkeypatch.setattr(voronoi, "_build_kernels", lambda q, X: builds.append((q, X)))
+    monkeypatch.setattr(voronoi, "_grid", lambda *args: builds.append(args))
+    monkeypatch.setattr(voronoi, "_build_kernels", lambda *args: builds.append(args))
     assert main(["voronoi"] + argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -858,6 +859,42 @@ def test_voronoi_exits_1_on_a_nan_residual(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert ",nan,nan\n" in out  # the cell is still written, residual and relative
     assert "1 cells above tolerance 1e-06" in err
+
+
+# each correlation scan and the family function whose rows it writes
+_CAPPED_SCANS = {
+    ("charsum-pp", "--p", "3", "--gamma-max", "2"): "charsum_pp",
+    ("charsum-prime", "--p", "5"): "charsum_prime",
+    ("df", "--p", "3", "--gamma-max", "2"): "df_pairs",
+    ("calC", "--q", "2..6"): "calc_tuples",
+    ("glue", "--q", "2..6"): "glue_tuples",
+}
+
+
+@pytest.mark.parametrize("ratio", [17.0, math.nan], ids=["17", "nan"])
+@pytest.mark.parametrize("argv", list(_CAPPED_SCANS), ids=[a[0] for a in _CAPPED_SCANS])
+def test_a_correlation_scan_writes_every_row_and_exits_1_above_the_ratio_cap(
+        argv, ratio, monkeypatch, capsys):
+    # README: scans assert ratio <= RATIO_CAP = 16, and a nan fails a check
+    assert main(list(argv)) == 0
+    want = capsys.readouterr().out.splitlines()
+    real, patched = getattr(cli, _CAPPED_SCANS[argv]), []
+
+    def one_row_over(*args):
+        rows = real(*args)
+        if not patched:
+            rows[0]["ratio"] = ratio
+            patched.append(written(rows[0])["ratio"])
+        return rows
+
+    monkeypatch.setattr(cli, _CAPPED_SCANS[argv], one_row_over)
+    assert main(list(argv)) == 1
+    out, err = capsys.readouterr()
+    got = out.splitlines()
+    ratio_col = got[0].split(",").index("ratio")
+    assert got[0] == want[0] and got[2:] == want[2:]  # every row is still written
+    assert got[1].split(",")[ratio_col] == patched[0] == fmt(ratio)
+    assert err.splitlines()[0] == "1 rows with ratio above 16.0 or nan"
 
 
 @pytest.mark.parametrize("col, named", [

@@ -404,8 +404,8 @@ _KEEP = {
     "arith.factorize": 100_000, "arith.divisor_table": 8,
     "expsums.unit_mask": 16, "expsums.unit_inverse_table": 16, "expsums.kloosterman_table": 16,
     "expsums.kloosterman_explicit_pp_table": 16, "expsums._factor_table": None,
-    "expsums.hyper_kl3_table": 16, "voronoi._main_term": 64, "bilinear._lambda_weights": 1,
-    "distribution._multiples": None, "distribution._char_sums": 2048, "voronoi._grid": 1,
+    "expsums.hyper_kl3_table": 16, "bilinear._lambda_weights": 1,
+    "distribution._multiples": None, "distribution._char_sums": 2048,
 }
 _KINDS = {kind: getattr(sys.modules[f"expsum.{module}"], name)
           for kind in memo.COUNTS for module, _, name in [kind.partition(".")]}

@@ -30,24 +30,37 @@ from expsum.voronoi import (
 def test_smooth_weight_support_and_endpoints():
     h = SmoothWeight(50.0)
     assert h.support == (50.0, 100.0)
-    assert h(50.0) == 0.0
-    assert h(100.0) == 0.0
-    assert h(49.0) == 0.0 and h(101.0) == 0.0
-    assert h(75.0) == pytest.approx(1.0)
+    at = h(np.array([50.0, 100.0, 49.0, 101.0, 75.0]))
+    assert at[:4].tolist() == [0.0] * 4
+    assert at[4] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         SmoothWeight(0.0)
 
 
-def test_smooth_weight_scalar_array_agree():
+def test_smooth_weight_is_a_bump_on_its_support():
     h = SmoothWeight(10.0)
     xs = np.linspace(5.0, 25.0, 41)
     arr = h(xs)
-    for x, v in zip(xs, arr):
-        assert h(float(x)) == pytest.approx(v, abs=1e-15)
-    assert 0.0 < h(12.0) < 1.0
+    inside = (xs > 10.0) & (xs < 20.0)
+    assert not arr[~inside].any()
+    assert ((0.0 < arr[inside]) & (arr[inside] <= 1.0)).all()
+    assert arr[np.flatnonzero(xs == 15.0)[0]] == 1.0
 
 
 X_ORACLE = 50.0
+
+
+@pytest.fixture(scope="module")
+def grids():
+    """The moment grid of X, built once per X for every test of the module that reads one."""
+    built = {}
+
+    def grid(X: float):
+        if X not in built:
+            built[X] = voronoi._grid(X)
+        return built[X]
+
+    return grid
 
 
 def _oracle(kernel, kx: float) -> float:
@@ -77,7 +90,7 @@ def _oracle_tol() -> float:
 
 
 @pytest.mark.parametrize("kx", [0.5, 10.0, 40.0, 100.0])
-def test_y0_transform_matches_mpmath_oracle(kx):
+def test_y0_transform_matches_mpmath_oracle(kx, grids):
     # one panel, quarter-period panels, then the Hankel moments near the
     # switch and far past it; c_3 scaled by 1.01 moves kx = 40 by 2.4e-11
     # of integral g du, so these points pin the Hankel coefficients
@@ -85,7 +98,7 @@ def test_y0_transform_matches_mpmath_oracle(kx):
     if kx < voronoi.Z_HANKEL:
         got = voronoi._gy_panels(kappa, X_ORACLE)
     else:
-        got = voronoi._gy_hankel(np.array([kappa]), voronoi._grid(X_ORACLE))[0]
+        got = voronoi._gy_hankel(np.array([kappa]), grids(X_ORACLE))[0]
     want = _oracle(lambda z: mpmath.bessely(0, z), kx)
     assert abs(got - want) < _oracle_tol()
 
@@ -103,16 +116,21 @@ def test_voronoi_lhs_is_a_finite_divisor_sum():
 
     h = SmoothWeight(50.0)
     want = 0j
-    for n in range(50, 101):
+    for n, hn in zip(range(50, 101), h(np.arange(50.0, 101.0)).tolist()):
         d = sum(1 for k in range(1, n + 1) if n % k == 0)  # d(n) by trial division
-        want += d * h(float(n)) * cmath.exp(2j * math.pi * (n % 3) / 3)
+        want += d * hn * cmath.exp(2j * math.pi * (n % 3) / 3)
     got = voronoi_lhs(1, 3, h)
     assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_voronoi_identity_small_cells():
-    for a, q in ((1, 1), (2, 5)):
-        rep = voronoi_residual(a, q, SmoothWeight(50.0))
+@pytest.fixture(scope="module")
+def cells_50():
+    """The reports of every cell of q = 1, 3, 4, 7 and 5 at X = 50, in that order."""
+    return voronoi.scale_residuals([1, 3, 4, 7, 5], 50.0)
+
+
+def test_voronoi_identity_small_cells(cells_50):
+    for _, _, rep in cells_50:
         assert rep.relative_residual < 1e-6
         assert rep.truncation_level > 0
         # main term is real
@@ -120,22 +138,23 @@ def test_voronoi_identity_small_cells():
 
 
 def test_voronoi_rejects_bad_arguments():
+    # a cell checks (a, q) before it reads its kernels
     h = SmoothWeight(50.0)
     with pytest.raises(NonCoprime):
-        voronoi_residual(2, 4, h)
+        voronoi_residual(2, 4, h, None)
     with pytest.raises(ValueError):
-        voronoi_residual(1, 0, h)
+        voronoi_residual(1, 0, h, None)
     with pytest.raises(ValueError, match="q must be >= 1"):
         voronoi.scale_residuals([3, 0], 50.0)  # before any kernel is built
 
 
-def test_unconverged_dual_sum_raises(monkeypatch, capsys):
+def test_unconverged_dual_sum_raises(monkeypatch, capsys, grids):
     # q = 1 at X = 50 needs 24576 terms; with one block allowed the build
     # stops at the cap, and the CLI reports it as a failed check (the
     # up-front refusal predicts far fewer than 8192 terms for this cell)
     monkeypatch.setattr(voronoi, "N_HARD_CAP", voronoi.BLOCK)
     with pytest.raises(CutoffTooSmall, match="not converged below 8192 terms"):
-        voronoi_residual(1, 1, SmoothWeight(50.0))
+        voronoi._build_kernels(1, 50.0, grids(50.0))
     assert main(["voronoi", "--q", "1", "--X", "50"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -144,23 +163,16 @@ def test_unconverged_dual_sum_raises(monkeypatch, capsys):
 
 def test_fft_grid_edge_is_checked(monkeypatch):
     # past the grid edge the Y0 kernel reads as 0, so a grid whose edge
-    # moments are not below TAIL_TOL must raise, and the memo keeps none
-    voronoi._grid.cache_clear()
+    # moments are not below TAIL_TOL must raise
     monkeypatch.setattr(voronoi, "TAIL_TOL", 1e-16)
     with pytest.raises(CutoffTooSmall, match="FFT grid edge"):
         voronoi._grid(50.0)
-    info = voronoi._grid.cache_info()
-    assert (info.misses, info.currsize) == (1, 0)
 
 
-def test_kernels_are_a_function_of_q_and_X():
-    # a cell built with a fresh grid equals one built after other q
-    h = SmoothWeight(50.0)
-    voronoi._grid.cache_clear()
-    cold = voronoi_residual(2, 5, h)
-    for q in (3, 4, 7):
-        voronoi_residual(1, q, h)
-    assert voronoi_residual(2, 5, h) == cold
+def test_kernels_are_a_function_of_q_and_X(cells_50):
+    # the cells of q = 5 alone equal those of q = 5 after other q
+    alone = voronoi.scale_residuals([5], 50.0)
+    assert cells_50[-4:] == alone
 
 
 @pytest.fixture(scope="module")
@@ -172,34 +184,31 @@ def gate_log():
     it starts, which of them are alive, its own kernel bytes); a cell's
     dual sum logs ("dot", q, X); a grid build logs ("grid", X, nbytes).
     """
-    voronoi._grid.cache_clear()
     events, refs = [], []
-    build_kernels, rhs, grid = voronoi._build_kernels, voronoi._rhs, voronoi._grid
+    build_kernels, cell, grid = voronoi._build_kernels, voronoi.voronoi_residual, voronoi._grid
 
-    def kernels_spy(q, X):
+    def kernels_spy(q, X, bk):
         alive = [r() is not None for r in refs]
         held = sum(r().nbytes for r in refs if r() is not None)
         event = ["build", q, X, held, alive]
         events.append(event)
-        kern = build_kernels(q, X)
+        kern = build_kernels(q, X, bk)
         refs.extend(weakref.ref(w) for w in kern[:2])
         event.append(kern[0].nbytes + kern[1].nbytes)
         return kern
 
-    def rhs_spy(a, q, h, kernels):
+    def cell_spy(a, q, h, kernels):
         events.append(("dot", q, h.X))
-        return rhs(a, q, h, kernels)
+        return cell(a, q, h, kernels)
 
     def grid_spy(X):
-        misses = grid.cache_info().misses
         bk = grid(X)
-        if grid.cache_info().misses > misses:
-            events.append(("grid", X, bk.values.nbytes))
+        events.append(("grid", X, bk.values.nbytes))
         return bk
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(voronoi, "_build_kernels", kernels_spy)
-        mp.setattr(voronoi, "_rhs", rhs_spy)
+        mp.setattr(voronoi, "voronoi_residual", cell_spy)
         mp.setattr(voronoi, "_grid", grid_spy)
         result = verify.criterion_voronoi(quick=False)
     assert result.passed
@@ -207,48 +216,55 @@ def gate_log():
     return SimpleNamespace(
         events=events,
         builds=builds,
-        counts=(len(builds), grid.cache_info().misses),
+        counts=(len(builds), sum(e[0] == "grid" for e in events)),
         alive_after=[r() is not None for r in refs],
     )
 
 
 def _watch_kernels(mp) -> list:
-    """Weak references to both kernel arrays of every build from now on."""
+    """Weak references, in build order, to each moment grid built from now
+    on and to its values, and to both kernel arrays of every build."""
     refs = []
-    build = voronoi._build_kernels
+    grid, build = voronoi._grid, voronoi._build_kernels
 
-    def spy(q, X):
-        kern = build(q, X)
+    def grid_spy(*args):
+        bk = grid(*args)
+        refs.extend((weakref.ref(bk), weakref.ref(bk.values)))
+        return bk
+
+    def spy(*args):
+        kern = build(*args)
         refs.extend(weakref.ref(w) for w in kern[:2])
         return kern
 
+    mp.setattr(voronoi, "_grid", grid_spy)
     mp.setattr(voronoi, "_build_kernels", spy)
     return refs
 
 
 @contextlib.contextmanager
 def _logged(events: list):
-    """Log ("build", q) at each kernel build and ("dot", q) at each cell's dual sum."""
-    build, rhs = voronoi._build_kernels, voronoi._rhs
+    """Log ("grid", X) at each grid build, ("build", q) at each kernel build
+    and ("dot", q) at each cell's dual sum."""
+    grid, build, cell = voronoi._grid, voronoi._build_kernels, voronoi.voronoi_residual
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(voronoi, "_grid", lambda X: events.append(("grid", X)) or grid(X))
         mp.setattr(voronoi, "_build_kernels",
-                   lambda q, X: events.append(("build", q)) or build(q, X))
-        mp.setattr(voronoi, "_rhs",
-                   lambda a, q, h, kernels: events.append(("dot", q)) or rhs(a, q, h, kernels))
+                   lambda q, X, bk: events.append(("build", q)) or build(q, X, bk))
+        mp.setattr(voronoi, "voronoi_residual",
+                   lambda a, q, h, kernels: events.append(("dot", q)) or cell(a, q, h, kernels))
         yield
 
 
 def test_gate_builds_one_kernel_per_q_and_X(gate_log):
     # the gate visits X outermost, then q, and a burst keeps every kernel
     # it builds until its cells have run, so every (q, X) kernel and every
-    # X grid is built exactly once
-    voronoi._grid.cache_clear()
+    # X grid is built exactly once, the grid first
     events = []
     with _logged(events):
         assert verify.criterion_voronoi(quick=True).passed
-    assert [q for kind, q in events if kind == "build"] == [1, 2, 3, 4, 5, 6]
-    info = voronoi._grid.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    assert [e for e in events if e[0] != "dot"] == [("grid", 50.0)] + [
+        ("build", q) for q in range(1, 7)]
     keys = [(q, X) for _, q, X, *_ in gate_log.builds]
     assert keys == [(q, X) for X in (50.0, 100.0, 200.0) for q in range(1, 21)]
     assert gate_log.counts == (60, 3)
@@ -299,10 +315,9 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
     # grid's first moment FFT runs, and no kernel of the old X is alive
     from scipy import fft
 
-    voronoi._grid.cache_clear()
     refs = _watch_kernels(monkeypatch)
     voronoi.scale_residuals([3, 4], 50.0)
-    old = [weakref.ref(voronoi._grid(50.0))] + refs
+    old = list(refs)  # the grid, its values and two kernel arrays per q
     seen = []
     ifft = fft.ifft
 
@@ -311,31 +326,28 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(fft, "ifft", ifft_spy)
-    voronoi_residual(1, 3, SmoothWeight(100.0))
-    assert seen == [[True] * 5] * 7  # six two-row batches and the last row
-    info = voronoi._grid.cache_info()
-    assert (info.misses, info.currsize) == (2, 1)
+    voronoi.scale_residuals([3], 100.0)
+    assert seen == [[True] * 6] * 7  # six two-row batches and the last row
 
 
-def test_a_grid_still_viewed_keeps_its_buffer():
-    # a view of the old grid that outlives it holds its buffer, so the
-    # next grid goes to a new array and the view's values do not change
-    held = voronoi._grid(50.0).values[0]
-    before = held.tobytes()
-    new = voronoi._grid(100.0).values
-    assert not np.shares_memory(new, held)
-    assert held.tobytes() == before
+def test_no_grid_or_kernel_outlives_the_quick_gate(monkeypatch):
+    # scale_residuals is the one holder of a scale's grid and kernels, so
+    # once criterion 9 returns, nothing it built is alive
+    refs = _watch_kernels(monkeypatch)
+    assert verify.criterion_voronoi(quick=True).passed
+    assert [r() is None for r in refs] == [True] * len(refs)
+    assert len(refs) == 2 + 2 * 6  # one grid and its values, and 6 q's kernels
 
 
 @pytest.fixture(scope="module")
-def n_auto_20_50():
+def n_auto_20_50(grids):
     """The dual-sum length of q = 20 at X = 50."""
-    return voronoi._build_kernels(20, 50.0)[2]
+    return voronoi._build_kernels(20, 50.0, grids(50.0))[2]
 
 
 @pytest.mark.parametrize("q", range(1, 21))
 def test_root_table_phases_equal_the_exp_expression(q, n_auto_20_50):
-    # _rhs tiles one period of e(abar n / q), read from a q-point table;
+    # voronoi_residual tiles one period of e(abar n / q), read from a q-point table;
     # each entry is the same np.exp expression, so the phases agree bit
     # for bit
     n_auto = n_auto_20_50
@@ -363,22 +375,21 @@ def _serial_rows(X: float, rows, width: int) -> list[bytes]:
     return out
 
 
-def test_paired_moment_ffts_equal_the_serial_transform():
+def test_paired_moment_ffts_equal_the_serial_transform(grids):
     # rows 0 and 11 (1 at X = 0.75) are the first and second of a two-row
     # batch, and row 12 is the lone last one; a swapped row, a pad row
     # left uncleared or a transform that differs from numpy's changes
     # their bits
     for X, rows in ((50.0, (0, 11, 12)), (0.75, (1,))):
-        values = voronoi._grid(X).values
+        values = grids(X).values
         got = [values[k].tobytes() for k in rows]
         assert got == _serial_rows(X, rows, values.shape[1]), X
 
 
-def test_conjugate_symmetry():
+def test_conjugate_symmetry(cells_50):
     # replacing a by q - a conjugates both sides of the identity
-    h = SmoothWeight(50.0)
-    r1 = voronoi_residual(2, 7, h)
-    r2 = voronoi_residual(5, 7, h)
+    cell = {(q, a): rep for q, a, rep in cells_50}
+    r1, r2 = cell[7, 2], cell[7, 5]
     assert r1.lhs == pytest.approx(r2.lhs.conjugate(), rel=1e-12)
     assert r1.rhs_dual == pytest.approx(r2.rhs_dual.conjugate(), rel=1e-9)
 
@@ -447,8 +458,8 @@ def _gl64_ref(f, lo, hi, npan):
 
 
 @pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
-def test_row_wise_hankel_equals_the_column_gather(X):
-    bk = voronoi._grid(X)
+def test_row_wise_hankel_equals_the_column_gather(X, grids):
+    bk = grids(X)
     width = bk.values.shape[1]
     edge = bk.dk * (width - 9)
     # base clipped to 0 (t < 3), every Hankel-regime kappa of q = 1 and
@@ -482,7 +493,7 @@ def test_one_pass_panels_equal_the_per_panel_calls(X):
             return (np.log(np.sqrt(x) / q) + voronoi.EULER_GAMMA) * h(x)
 
         want = 2.0 / q * _gl64_ref(f, X, 2 * X, 32)
-        assert voronoi._main_term.__wrapped__(q, X) == want
+        assert voronoi._main_term(q, X) == want
 
 
 @pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
@@ -502,12 +513,12 @@ def test_block_k0_panels_equal_the_scalar_formula(X):
 
 
 @pytest.mark.parametrize("q", range(1, 21))
-def test_periodic_phases_give_the_same_dual_sum(q):
+def test_periodic_phases_give_the_same_dual_sum(q, grids):
     # the oracle is the two-tile sum on the real kernel: one tile of
     # e(abar n / q), one of its conjugate, each dotted with a float vector
     h = SmoothWeight(50.0)
-    kernels = voronoi._build_kernels(q, 50.0)
-    wY, wK, n_auto = kernels
+    kernels = voronoi._build_kernels(q, 50.0, grids(50.0))
+    wY, wK, n_auto, _ = kernels
     wY, wK = np.ascontiguousarray(wY.real), np.ascontiguousarray(wK.real)
     roots = np.exp(2j * np.pi * np.arange(q) / q)
     for a in range(q):
@@ -519,7 +530,7 @@ def test_periodic_phases_give_the_same_dual_sum(q):
         phases = np.tile(period, reps)[:n_auto]
         conj = np.tile(np.conj(period), reps)[:n_auto]
         want = complex((np.dot(wY, conj) + np.dot(wK, phases)) / q)
-        assert _packed(voronoi._rhs(a, q, h, kernels)[1]) == _packed(want)
+        assert _packed(voronoi_residual(a, q, h, kernels).rhs_dual) == _packed(want)
 
 
 # sha256 of the real parts wY.tobytes() + wK.tobytes() and n_auto,
@@ -533,8 +544,8 @@ _KERNEL_PINS = {
 
 
 @pytest.mark.parametrize("q,X", list(_KERNEL_PINS))
-def test_kernel_bytes_are_pinned(q, X):
-    wY, wK, n_auto = voronoi._build_kernels(q, X)
+def test_kernel_bytes_are_pinned(q, X, grids):
+    wY, wK, n_auto, _ = voronoi._build_kernels(q, X, grids(X))
     assert wY.dtype == wK.dtype == complex
     assert not wY.imag.any() and not wK.imag.any()
     real = np.ascontiguousarray(wY.real).tobytes() + np.ascontiguousarray(wK.real).tobytes()
@@ -553,18 +564,15 @@ def test_a_new_q_drops_the_old_kernels_before_its_build(gate_log):
             alive = event[4]
             assert alive == [False] * (2 * first) + [True] * (2 * (i - first)), event[1:3]
             i += 1
-        if event[0] != "grid":  # a grid is built inside a kernel build
+        if event[0] != "grid":  # a grid is built before its X's first burst
             last = event[0]
     assert first > 0
 
 
 def test_no_kernel_outlives_the_call_that_built_it(monkeypatch):
-    # scale_residuals holds a burst's kernels only while it runs, and a
-    # lone cell builds its own and holds none once it returns
+    # scale_residuals holds its grid and a burst's kernels only while it runs
     refs = _watch_kernels(monkeypatch)
     assert len(voronoi.scale_residuals([1, 2], 50.0)) == 2
-    assert len(refs) == 4 and not any(r() for r in refs)
-    voronoi_residual(1, 3, SmoothWeight(50.0))
     assert len(refs) == 6 and not any(r() for r in refs)
 
 
@@ -572,7 +580,7 @@ def test_a_repeated_q_runs_its_cells_twice_from_one_build():
     events = []
     with _logged(events):
         cells = voronoi.scale_residuals([3, 3], 50.0)
-    assert events == [("build", 3)] + [("dot", 3)] * 4
+    assert events == [("grid", 50.0), ("build", 3)] + [("dot", 3)] * 4
     assert [(q, a) for q, a, _ in cells] == [(3, 1), (3, 2)] * 2
     assert cells[:2] == cells[2:]
 
@@ -586,7 +594,6 @@ def _cell_line(r) -> str:
 
 def _quick_grid_digest() -> str:
     """sha256 of the lines of the 12 cells of criterion 9's quick grid."""
-    voronoi._grid.cache_clear()
     digest = hashlib.sha256()
     for _, _, r in voronoi.scale_residuals(range(1, 7), 50.0):
         digest.update(_cell_line(r).encode())
@@ -610,7 +617,8 @@ def test_burst_size_changes_no_bit(monkeypatch, limit, held):
     events = []
     with _logged(events):
         assert _quick_grid_digest() == _QUICK_GRID_PIN
-    bursts = [[q for _, q in run] for kind, run in groupby(events, lambda e: e[0])
+    assert events[0] == ("grid", 50.0)
+    bursts = [[q for _, q in run] for kind, run in groupby(events[1:], lambda e: e[0])
               if kind == "build"]
     assert bursts == held
 
@@ -633,17 +641,18 @@ def test_accepted_cells_close_and_a_burst_changes_no_bit(X, qs):
     # sums above 300,000 predicted terms are left out to bound the time
     assume(_accepted(qs, X))
     assume(max(voronoi.predicted_terms(q, X) for q in qs) <= 300_000)
-    h = SmoothWeight(X)
-    # one q's kernels at a time, each built just before its cells ...
-    alone = []
-    for q in qs:
-        kernels = voronoi._build_kernels(q, X)
-        alone += [(q, a, voronoi_residual(a, q, h, kernels)) for a in units(q)]
-    # ... and every q's built before the first cell
-    events = []
-    with _logged(events):
+    # every q's kernels built before the first cell ...
+    events, grids = [], []
+    with _logged(events), pytest.MonkeyPatch.context() as mp:
+        grid = voronoi._grid
+        mp.setattr(voronoi, "_grid", lambda X: grids.append(grid(X)) or grids[-1])
         burst = voronoi.scale_residuals(qs, X)
-    assert [e[0] for e in events] == ["build"] * len(qs) + ["dot"] * len(burst)
+    assert [e[0] for e in events] == ["grid"] + ["build"] * len(qs) + ["dot"] * len(burst)
+    # ... and one q's at a time on the same grid, each built just before its cells
+    h, alone = SmoothWeight(X), []
+    for q in qs:
+        kernels = voronoi._build_kernels(q, X, grids[0])
+        alone += [(q, a, voronoi_residual(a, q, h, kernels)) for a in units(q)]
     assert [(q, a) for q, a, _ in burst] == [(q, a) for q, a, _ in alone]
     for (q, a, got), (_, _, want) in zip(burst, alone):
         assert want.relative_residual <= 1e-6, (q, a, X)
@@ -654,8 +663,7 @@ def test_forked_workers_after_a_grid_build_print_the_same_bytes(capsys):
     # a grid build starts scipy.fft's worker threads in this process; the
     # --jobs 2 workers are forked after that and build their own grids,
     # and must print what --jobs 1 prints
-    voronoi._grid.cache_clear()
-    voronoi._grid.__wrapped__(50.0)
+    voronoi._grid(50.0)
     argv = ["voronoi", "--q", "1..4", "--X", "50,100"]
     outs = {}
     for jobs in ("2", "1"):
