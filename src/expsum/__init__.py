@@ -65,8 +65,8 @@ from .verify import CheckResult, run_checks
 from .voronoi import (
     SmoothWeight,
     VoronoiReport,
+    scale_residuals,
     voronoi_lhs,
-    voronoi_residual,
 )
 
 __version__ = "0.1.0"

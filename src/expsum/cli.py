@@ -3,12 +3,15 @@
 Every subcommand walks its parameter family in a fixed order and draws
 any random tuples from fixed seeds.  Its runner builds rows of raw
 values, or passes a correlation family's rows through as they are;
-families.written formats them (floats as %.12e), in the --jobs
-workers for a scan, and families.render writes them, the columns in the
-row's key order.  So a given invocation is byte-reproducible (including
-across --jobs values; parallel results are merged back in canonical
-order).  Timing and the memo store's builds and hits, --jobs workers
-included, go to stderr only.
+families.render_piece writes each item's rows as a piece of CSV or JSON
+text (values by families.written, floats as %.12e; the columns in the
+row's key order), in the --jobs worker that made them for a scan, and
+families.join_pieces joins the pieces here.  A scan's checks count their
+rows where the rows are made, so only text and counts come back.  So a
+given invocation is byte-reproducible (including across --jobs values;
+parallel results are merged back in canonical order).  Timing and the
+memo store's builds and hits, --jobs workers included, go to stderr
+only.
 
 COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
@@ -56,10 +59,10 @@ from .families import (
     charsum_prime,
     df_pairs,
     glue_tuples,
+    join_pieces,
     modulus_rng,
     pmap,
-    render,
-    written,
+    render_piece,
 )
 from .memo import COUNTS
 from .modarith import is_prime
@@ -237,38 +240,44 @@ def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> 
     return flags
 
 
-def _emit(rows: list[dict], cfg: argparse.Namespace) -> None:
-    """Write written rows as CSV or JSON, to --out or stdout."""
-    text = render(rows, cfg.format)
+def _emit(pieces: list[str], cfg: argparse.Namespace) -> None:
+    """Join render_piece's pieces as CSV or JSON, and write them to --out or stdout."""
+    text = join_pieces(pieces, cfg.format)
     if cfg.out:
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
 
 
-def _scan(one, items: list, cfg: argparse.Namespace) -> list[dict]:
-    """Emit the rows of one(item) for every item, in item order; return them.
+def _scan(one, items: list, cfg: argparse.Namespace, *bad) -> list[int]:
+    """Emit the rows of one(item) for every item, in item order.
 
-    Each row is written where one runs, in a --jobs worker or here.
+    Each item's rows are rendered where one runs, in a --jobs worker or
+    here, and each predicate in bad is evaluated there on each raw row;
+    only the piece of text and the counts come back.  Returns, for each
+    predicate, the number of rows it holds for.
     """
-    rows = pmap(lambda item: [written(r) for r in one(item)], items, cfg.jobs)
-    rows = [r for rs in rows for r in rs]
-    _emit(rows, cfg)
-    return rows
+    def piece(item) -> tuple:
+        rows = one(item)
+        return (render_piece(rows, cfg.format),
+                *(sum(1 for r in rows if holds(r)) for holds in bad))
+
+    done = pmap(piece, items, cfg.jobs)
+    _emit([d[0] for d in done], cfg)
+    return [sum(d[k] for d in done) for k in range(1, len(bad) + 1)]
 
 
-def _capped_scan(one, items: list, cfg: argparse.Namespace) -> tuple[list[dict], int]:
-    """_scan of a correlation family, then its RATIO_CAP check: (rows, exit code).
+def _capped_scan(one, items: list, cfg: argparse.Namespace, *bad) -> int:
+    """_scan of a correlation family, then its RATIO_CAP check: the exit code.
 
-    Each row also carries its raw ratio as _ratio, taken where one runs and
-    not written.  The code is 1, with one stderr line that counts them, if
-    a row's ratio is above RATIO_CAP or nan; else 0.
+    The code is 1, with one stderr line that counts them, if a row's ratio
+    is above RATIO_CAP or nan, and 1 if a predicate in bad holds for a
+    row; else 0.
     """
-    rows = _scan(lambda item: [dict(r, _ratio=r["ratio"]) for r in one(item)], items, cfg)
-    over = sum(not r["_ratio"] <= RATIO_CAP for r in rows)  # a nan counts too
-    if over:
+    over, *failed = _scan(one, items, cfg, lambda r: not r["ratio"] <= RATIO_CAP, *bad)
+    if over:  # a nan counts too
         print(f"{over} rows with ratio above {RATIO_CAP} or nan", file=sys.stderr)
-    return rows, int(over > 0)
+    return int(over > 0 or any(failed))
 
 
 # ---------------------------------------------------------------- runners
@@ -303,8 +312,8 @@ def _run_hyperkl3(cfg: argparse.Namespace) -> int:
 
 def _run_charsum_pp(cfg: argparse.Namespace) -> int:
     cells = charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max)
-    rows, code = _capped_scan(lambda cell: charsum_pp(*cell, 50), cells, cfg)
-    return 1 if any(r["predicted_vanishing"] and not r["vanished"] for r in rows) else code
+    return _capped_scan(lambda cell: charsum_pp(*cell, 50), cells, cfg,
+                        lambda r: r["predicted_vanishing"] and not r["vanished"])
 
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
@@ -315,7 +324,7 @@ def _run_charsum_prime(cfg: argparse.Namespace) -> int:
                 raise AssertionError(f"route mismatch at p={p}: {r['route_diff']}")
         return rows
 
-    return _capped_scan(one, cfg.p, cfg)[1]
+    return _capped_scan(one, cfg.p, cfg)
 
 
 def _run_df(cfg: argparse.Namespace) -> int:
@@ -324,15 +333,15 @@ def _run_df(cfg: argparse.Namespace) -> int:
     if len(mods) < len(pairs):  # said, not refused: the rows that fit are still written
         dropped = ", ".join(f"({p}, {gamma})" for p, gamma in pairs if p**gamma > CAPS["q"])
         print(f"skipped (p, gamma) with p^gamma above {CAPS['q']}: {dropped}", file=sys.stderr)
-    return _capped_scan(lambda mod: df_pairs(*mod, 30), mods, cfg)[1]
+    return _capped_scan(lambda mod: df_pairs(*mod, 30), mods, cfg)
 
 
 def _run_calc(cfg: argparse.Namespace) -> int:
-    return _capped_scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)[1]
+    return _capped_scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)
 
 
 def _run_glue(cfg: argparse.Namespace) -> int:
-    return _capped_scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)[1]
+    return _capped_scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:
@@ -341,13 +350,12 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
         return [{"q": q, "a": a, "X": x, "lhs_re": rep.lhs.real, "lhs_im": rep.lhs.imag,
                  "main": rep.rhs_main.real, "dual_re": rep.rhs_dual.real,
                  "dual_im": rep.rhs_dual.imag, "truncation": rep.truncation_level,
-                 "residual": rep.residual, "relative": rep.relative_residual,
-                 "_rel": rep.relative_residual}
+                 "residual": rep.residual, "relative": rep.relative_residual}
                 for q, a, rep in scale_residuals(cfg.q, x)]
 
-    bad = [r for r in _scan(one, cfg.X, cfg) if not r["_rel"] <= cfg.tol]  # a nan fails too
+    (bad,) = _scan(one, cfg.X, cfg, lambda r: not r["relative"] <= cfg.tol)  # a nan fails too
     if bad:
-        print(f"{len(bad)} cells above tolerance {cfg.tol}", file=sys.stderr)
+        print(f"{bad} cells above tolerance {cfg.tol}", file=sys.stderr)
         return 1
     return 0
 
@@ -355,12 +363,13 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
 def _run_bilinear(cfg: argparse.Namespace) -> int:
     configs = [bilinear_config(q, n, m) for q in cfg.q for m in cfg.M or [None] for n in cfg.N]
     rows = cancellation_scan(configs)
-    _emit([written(r) for r in rows], cfg)
+    _emit([render_piece(rows, cfg.format)], cfg)
     return 0 if all(r["_within_trivial"] for r in rows) else 1
 
 
 def _run_distribution(cfg: argparse.Namespace) -> int:
-    _emit([written(r) for x in cfg.X for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)], cfg)
+    rows = [r for x in cfg.X for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)]
+    _emit([render_piece(rows, cfg.format)], cfg)
     return 0
 
 
@@ -372,7 +381,7 @@ def _run_verify_all(cfg: argparse.Namespace) -> int:
         print(f"[time] {res.name}: {res.elapsed:.2f}s cpu {res.cpu:.2f}s", file=sys.stderr)
     rows = [{"check": r.name, "passed": r.passed, "details": r.details.replace(",", ";")}
             for r in results]
-    _emit([written(r) for r in rows], cfg)
+    _emit([render_piece(rows, cfg.format)], cfg)
     return 0 if all(r.passed for r in results) else 1
 
 

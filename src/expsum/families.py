@@ -8,9 +8,12 @@ crt_residual) into its details string.  The two differ in how many
 rows they draw, and the glue sums also in which: criterion 8 draws a
 modulus' glue tuples from modulus_rng(q) after its calC tuples, while
 the glue scan starts that stream afresh.  written is the one place a
-row value is formatted (floats by fmt, the one float format), render
-the one CSV/JSON writer, and pmap the one order-preserving parallel
-map, so output bytes do not depend on --jobs.
+row value is formatted (floats by fmt, the one float format) and pmap
+the one order-preserving parallel map.  The one CSV/JSON writer comes
+in two halves: render_piece renders one item's rows where they are
+made, in each --jobs worker of a scan, and join_pieces joins the
+pieces in the CLI's process, so only text crosses a worker's pipe and
+output bytes do not depend on --jobs; render is the two on one piece.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ __all__ = [
     "fmt",
     "written",
     "pmap",
+    "render_piece",
+    "join_pieces",
     "render",
     "bilinear_config",
     "charsum_pp_cells",
@@ -57,8 +62,17 @@ __all__ = [
 ]
 
 
+_FLOAT = ".12e"  # the one float format
+
+
 def fmt(x: float) -> str:
-    return f"{x:.12e}"
+    return format(x, _FLOAT)
+
+
+# whether a value of a plain type, the commonest kind of value, is written
+# by fmt (a float) or as it is (an int or a str); any other type takes
+# written's isinstance chain
+_BY_FMT = {int: False, str: False, float: True}
 
 
 def written(row: dict) -> dict:
@@ -70,9 +84,12 @@ def written(row: dict) -> dict:
     """
     out = {}
     for k, v in row.items():
-        if k[0] == "_" or type(v) is int:  # a plain int, the commonest cell, at once
+        by_fmt = _BY_FMT.get(type(v))
+        if by_fmt is False or k[0] == "_":
             out[k] = v
-        elif isinstance(v, float):  # numpy's float64 too
+        elif by_fmt:
+            out[k] = format(v, _FLOAT)  # fmt(v), without the call
+        elif isinstance(v, float):  # numpy's float64
             out[k] = fmt(v)
         elif isinstance(v, (bool, np.bool_, np.integer)):  # a bool is written 1 or 0
             out[k] = int(v)
@@ -176,19 +193,48 @@ def pmap(fn, items, jobs: int) -> list:
     return out
 
 
-def render(rows: list[dict], kind: str = "csv") -> str:
-    """Written rows as CSV or JSON text.
+def render_piece(rows: list[dict], kind: str = "csv") -> str:
+    """One item's rows, each through written, as a piece of CSV or JSON text.
 
-    The columns are the first row's keys in their order, less those that
-    start with _.  Zero rows write nothing as CSV and [] as JSON.
+    A piece is its column line (the first row's keys in their order, less
+    those that start with _, joined by commas) and then the rows: CSV
+    lines, or JSON objects joined by ",\n".  Zero rows are the piece "".
+    join_pieces makes a whole text of pieces.
     """
-    cols = [k for k in rows[0] if k[0] != "_"] if rows else []
-    if kind == "json":
-        return json.dumps([{c: row[c] for c in cols} for row in rows], indent=0) + "\n"
     if not rows:
         return ""
-    lines = [",".join(cols)] + [",".join(str(row[c]) for c in cols) for row in rows]
-    return "\n".join(lines) + "\n"
+    cols = [k for k in rows[0] if k[0] != "_"]
+    if kind == "json":
+        encode = json.JSONEncoder(indent=0).encode
+        body = ",\n".join([encode({c: w[c] for c in cols}) for w in map(written, rows)])
+    else:
+        body = "\n".join([",".join([str(w[c]) for c in cols]) for w in map(written, rows)])
+    return ",".join(cols) + "\n" + body
+
+
+def join_pieces(pieces: list[str], kind: str = "csv") -> str:
+    """The CSV or JSON text of render_piece's pieces, in their order.
+
+    The columns are those of the first piece that has rows: the CSV header,
+    or each JSON object's keys.  A piece with other columns raises
+    ValueError.  No rows write nothing as CSV and [] as JSON.
+    """
+    cols, bodies = None, []
+    for piece in filter(None, pieces):
+        head, _, body = piece.partition("\n")
+        if cols is None:
+            cols = head
+        elif head != cols:
+            raise ValueError(f"a piece has the columns {head!r}, not {cols!r}")
+        bodies.append(body)
+    if kind == "json":
+        return "[\n" + ",\n".join(bodies) + "\n]\n" if bodies else "[]\n"
+    return cols + "\n" + "\n".join(bodies) + "\n" if bodies else ""
+
+
+def render(rows: list[dict], kind: str = "csv") -> str:
+    """rows as one whole CSV or JSON text: join_pieces of one piece."""
+    return join_pieces([render_piece(rows, kind)], kind)
 
 
 def bilinear_config(q: int, N: int, M: int | None = None) -> BilinearConfig:

@@ -55,7 +55,6 @@ from .families import (
     modulus_rng,
     pmap,
     render,
-    written,
 )
 from .memo import SMALL_Q
 from .modarith import PrimePower, is_prime, legendre
@@ -470,7 +469,7 @@ def criterion_bilinear(quick: bool = False) -> tuple[bool, str]:
     configs = _bilinear_grid(quick)
     rows = cancellation_scan(configs)  # raises on split
     exceed = [r for r in rows if not r["_within_trivial"]]
-    csv_text = render([written(r) for r in rows])
+    csv_text = render(rows)
     header_ok = csv_text.splitlines()[0] == (
         "q,p,M,N,abs_S,trivial,thm_squarefree,thm_primepower,thm_alt,"
         "exponent,hypothesis_ok"

@@ -96,7 +96,6 @@ __all__ = [
     "predicted_terms",
     "scale_residuals",
     "voronoi_lhs",
-    "voronoi_residual",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
@@ -434,7 +433,7 @@ def voronoi_residual(
     """Both sides of the identity and their difference at one cell.
 
     kernels is (wY, wK, n_auto, main) of (q, h.X), as scale_residuals
-    builds them.
+    builds them; only it does, so it is the public route to a cell.
     """
     lhs = voronoi_lhs(a, q, h)
     wY, wK, n_auto, main = kernels

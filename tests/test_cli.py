@@ -32,8 +32,20 @@ from expsum.cli import (
     validate,
 )
 from expsum.expsums import hyper_kl3_table
-from expsum.families import BrokenExecutor, fmt, pmap, render, written
+from expsum.families import (
+    BrokenExecutor,
+    fmt,
+    join_pieces,
+    pmap,
+    render,
+    render_piece,
+    written,
+)
 from expsum.modarith import units
+
+# with one CPU pmap runs everything in the caller, where os._exit would end pytest
+_TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pmap needs 2 CPUs to fork")
+
 
 _INTS = st.integers(-10**6, 10**6)
 # one list piece: a single integer, or a range lo..hi with lo <= hi
@@ -439,14 +451,18 @@ def test_csv_json_same_content(capsys):
 
 
 # Pinned sha256 of stdout for one small invocation of each scan
-# subcommand (bilinear also as JSON); any byte that moves fails here.
+# subcommand (some also as JSON); any byte that moves fails here.
 SCAN_GOLDENS = [
     (["kloosterman", "--q", "12,25"],
      "43cc3b40f8d7696026c2c20ecb840448be16d6e95365af7c5a9e5c747093f58b"),
+    (["kloosterman", "--q", "12,25", "--format", "json"],
+     "89c670efece03e3bd62788593be3386272ba3ec4f8fa86870927b876e32582e5"),
     (["hyperkl3", "--q", "9,10"],
      "79b9e9ca0db0992d07bfd09cedc2ff381ba10085e258e8b810e74014510c0e04"),
     (["charsum-pp", "--p", "3", "--gamma-max", "3"],
      "b62279c2244a03f64895b71227ad6cc7e3712e30f696a22116c317af96271951"),
+    (["charsum-pp", "--p", "3", "--gamma-max", "3", "--format", "json"],
+     "565ca972e3eb2bf273f3178c1e8421f10ef284b0e764a9e46ddd8e1d52a2ae3a"),
     (["charsum-prime", "--p", "5,7"],
      "41a6adb361610e29508c9fb9bec328ea7a13c675d2d2f8a0f5e1bb99b5ffe2fb"),
     (["df", "--p", "3,5", "--gamma-max", "2"],
@@ -455,8 +471,12 @@ SCAN_GOLDENS = [
      "129991de64cd650f4ea15a7a283b4b9c64064a521a351af77df1c55bdb9e7b22"),
     (["glue", "--q", "2..15"],
      "fe5a74fe337bc9c5a6b06519791faf212d5057e784164e53c16afbe471e838c6"),
+    (["glue", "--q", "2..15", "--format", "json"],
+     "4b0424d219d69206b6be5af79cb985b910afffdbf7cdfc1475ff093e95242019"),
     (["voronoi", "--q", "3,4", "--X", "50"],
      "04bffa4a9c1196d1830e9d2a4e679033064e47330f3c2b2517e399ae50fb153f"),
+    (["voronoi", "--q", "3,4", "--X", "50", "--format", "json"],
+     "4debdbc48d2d7855f61ab0b27a841aa09740ca4c5cc57d18ed70a7db73926682"),
     (["bilinear", "--q", "27,49", "--N", "2,3"],
      "c9e650ef40b6af39bfe8d4feb84b1fc326d348e5479f7d1726a7c75dad4e326f"),
     (["bilinear", "--q", "27,49", "--N", "2,3", "--format", "json"],
@@ -538,6 +558,96 @@ def test_written_formats_each_value_type_in_one_place():
     assert json.loads(render([out], "json")) == [{k: v for k, v in out.items() if k != "_raw"}]
     assert written({}) == {}
     assert render([]) == "" and render([], "json") == "[]\n"
+
+
+# the rows of a few items, all with the keys c0, c1, ... in that order; each
+# value of a type that written knows
+_CELLS = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=True), st.booleans(),
+                   st.none(), st.text("ab*", max_size=3), st.lists(st.integers(0, 9), max_size=3))
+_ITEMS = st.integers(1, 4).flatmap(lambda width: st.lists(
+    st.lists(st.lists(_CELLS, min_size=width, max_size=width).map(
+        lambda values: {f"c{i}": v for i, v in enumerate(values)}), max_size=3),
+    max_size=4))
+
+
+@given(_ITEMS)
+def test_joined_pieces_are_the_bytes_of_all_rows_rendered_at_once(items):
+    # the one-text writer the pieces replaced: a header or [ ], and the rows
+    rows = [written(r) for rs in items for r in rs]
+    cols = list(rows[0]) if rows else []
+    csv_text = "\n".join([",".join(cols)] + [",".join(str(r[c]) for c in cols)
+                                             for r in rows]) + "\n" if rows else ""
+    json_text = json.dumps([{c: r[c] for c in cols} for r in rows], indent=0) + "\n"
+    for kind, want in (("csv", csv_text), ("json", json_text)):
+        assert join_pieces([render_piece(rs, kind) for rs in items], kind) == want
+        assert render([r for rs in items for r in rs], kind) == want
+
+
+def test_a_piece_with_other_columns_raises():
+    pieces = [render_piece([{"q": 1, "m": 2}]), "", render_piece([{"q": 3, "x": 4}])]
+    with pytest.raises(ValueError, match="'q,x', not 'q,m'"):
+        join_pieces(pieces)
+    # the same columns in another order are other columns too
+    with pytest.raises(ValueError):
+        join_pieces([render_piece([{"q": 1, "m": 2}], "json"),
+                     render_piece([{"m": 2, "q": 1}], "json")], "json")
+
+
+def _scan_text(one, items, jobs, kind, capsys):
+    cfg = argparse.Namespace(format=kind, jobs=jobs, out=None)
+    counts = cli._scan(one, items, cfg, lambda r: r["v"] > 1)
+    return capsys.readouterr().out, counts
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_scan_takes_its_columns_from_the_first_item_with_rows(jobs, capsys):
+    # item 0 yields no rows, so the header comes from item 1's
+    def one(i):
+        return [{"i": i, "v": v, "_raw": v} for v in range(i)]
+
+    assert _scan_text(one, [0, 1, 3], jobs, "csv", capsys) == (
+        "i,v\n1,0\n3,0\n3,1\n3,2\n", [1])
+    out, counts = _scan_text(one, [0, 1, 3], jobs, "json", capsys)
+    assert json.loads(out) == [{"i": 1, "v": 0}, {"i": 3, "v": 0}, {"i": 3, "v": 1},
+                               {"i": 3, "v": 2}]
+    assert counts == [1]
+    # zero items, or items without rows, write what zero rows write
+    for items in ([], [0, 0]):
+        assert _scan_text(one, items, jobs, "csv", capsys) == ("", [0])
+        assert _scan_text(one, items, jobs, "json", capsys) == ("[]\n", [0])
+    with pytest.raises(ValueError, match="'v,i', not 'i,v'"):
+        _scan_text(lambda i: [{"v": 0, "i": i}] if i else [{"i": i, "v": 0}],
+                   [0, 1], jobs, "csv", capsys)
+
+
+@_TWO_CPUS
+def test_only_text_and_counts_cross_the_pipe_of_a_forked_scan(monkeypatch, capsys):
+    # the parent gets each item's piece of text and its counts back from
+    # the workers, and no row dict
+    results = []
+
+    def spy(fn, items, jobs):
+        results.append(pmap(fn, items, jobs))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "pmap", spy)
+    runs = [  # argv, counts per item: the ratio cap, then charsum-pp's vanishing
+        (["kloosterman", "--q", "12,25"], 0),
+        (["hyperkl3", "--q", "9,10", "--format", "json"], 0),
+        (["charsum-prime", "--p", "5,7"], 1),
+        (["charsum-pp", "--p", "3", "--gamma-max", "3"], 2),
+        (["voronoi", "--q", "3,4", "--X", "50,60"], 1),
+    ]
+    for argv, n in runs:
+        results.clear()
+        assert main(argv + ["--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        (got,) = results
+        assert len(got) >= 2
+        for result in got:
+            assert type(result) is tuple and len(result) == 1 + n
+            assert type(result[0]) is str and all(type(c) is int for c in result[1:])
+        assert out == join_pieces([r[0] for r in got], "json" if "json" in argv else "csv")
 
 
 def test_kloosterman_rows_are_the_per_element_values(capsys):
@@ -674,10 +784,6 @@ def _table_counts(err: str) -> dict[str, tuple[int, int]]:
     return counts
 
 
-# with one CPU pmap runs everything in the caller, where os._exit would end pytest
-_TWO_CPUS = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="pmap needs 2 CPUs to fork")
-
-
 @_TWO_CPUS
 def test_table_counts_go_to_stderr_and_include_the_workers(tmp_path, capsys):
     assert main(["hyperkl3", "--q", "4999"]) == 0
@@ -794,7 +900,7 @@ def test_voronoi_maps_one_item_per_X(monkeypatch, capsys):
 
     def spy(fn, items, jobs):
         seen.extend(items)
-        return [[] for _ in items]
+        return [("", 0) for _ in items]  # each X's piece of text and its count
 
     monkeypatch.setattr(cli, "pmap", spy)
     assert main(["voronoi", "--q", "1..4", "--X", "50,100", "--jobs", "2"]) == 0
@@ -895,6 +1001,32 @@ def test_a_correlation_scan_writes_every_row_and_exits_1_above_the_ratio_cap(
     assert got[0] == want[0] and got[2:] == want[2:]  # every row is still written
     assert got[1].split(",")[ratio_col] == patched[0] == fmt(ratio)
     assert err.splitlines()[0] == "1 rows with ratio above 16.0 or nan"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_charsum_pp_writes_every_row_and_exits_1_on_a_violated_vanishing(
+        jobs, monkeypatch, capsys):
+    argv = ["charsum-pp", "--p", "3", "--gamma-max", "3", "--jobs", jobs]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    real = cli.charsum_pp
+
+    def one_unvanished(*args):  # the first row of the cell (3, 3, 1)
+        rows = real(*args)
+        if args[:3] == (3, 3, 1):
+            rows[0]["predicted_vanishing"] = True
+            rows[0]["vanished"] = False
+        return rows
+
+    monkeypatch.setattr(cli, "charsum_pp", one_unvanished)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    got, want = out.splitlines(), want.splitlines()
+    i = 1 + 50  # the header, then the 50 rows of the cell (3, 2, 1)
+    assert got[:i] == want[:i] and got[i + 1:] == want[i + 1:]  # every row is still written
+    assert got[i].startswith("3,3,1,") and got[i].endswith(",1,0")
+    assert got[i].rsplit(",", 2)[0] == want[i].rsplit(",", 2)[0]
+    assert "ratio above" not in err and err.startswith("[time] total: ")
 
 
 @pytest.mark.parametrize("col, named", [
