@@ -6,32 +6,35 @@ values, or passes a correlation family's rows through as they are;
 families.render_piece writes each item's rows as a piece of CSV or JSON
 text (values by families.written, floats as %.12e; the columns in the
 row's key order), in the --jobs worker that made them for a scan, and
-families.join_pieces joins the pieces here.  A scan's checks count their
-rows where the rows are made, so only text and counts come back.  So a
-given invocation is byte-reproducible (including across --jobs values;
-parallel results are merged back in canonical order).  Timing and the
-memo store's builds and hits, --jobs workers included, go to stderr
-only.
+families.join_pieces joins the pieces here.  Every subcommand but
+verify-all is one _scan, whose checks count their rows where the rows
+are made, so only text and counts come back.  So a given invocation is
+byte-reproducible (including across --jobs values; parallel results are
+merged back in canonical order).  Timing and the memo store's builds and
+hits, --jobs workers included, go to stderr only.
 
 COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
 build_parser reads both, so a subcommand refuses a flag it does not read
 (exit 2) and --help shows its defaults.  Every subcommand also takes
---config, --out, --format and --jobs (bilinear and distribution run in
-one process).  A --config JSON file stands for the flags it names, which
+--config, --out, --format and --jobs (a scan of one item runs in this
+process).  A --config JSON file stands for the flags it names, which
 are parsed ahead of the command line's own, so a flag overrides the file.
 A default, like EXPSUM_JOBS for --jobs, is a flag's text and is converted
 as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
-Exit codes: 0 success, 1 any check/invariant failure (a nan residual or
-difference fails its check, and a correlation scan -- charsum-pp,
-charsum-prime, df, calC, glue -- fails on a row whose ratio is above
-RATIO_CAP or nan, after writing every row), 2 usage error (a
-bad flag, config value or EXPSUM_JOBS, a value beyond the caps, a
-charsum-pp range with no cells, a df --gamma-max below 1, or an --out that
-cannot be written).  df writes the moduli p^gamma up to the q cap and names
-the (p, gamma) it skipped beyond it on stderr; a skip alone does not fail it.
+Exit codes: 0 success, 1 any check/invariant failure (a scan writes every
+row, then names on stderr each check its rows failed, with their count: a
+correlation scan's ratio above RATIO_CAP, a split or route difference or
+Voronoi residual above --tol, a violated predicted vanishing, a bilinear
+sum above its trivial bound; a nan fails each; a library invariant raises
+before anything is written), 2 usage error (a bad flag, config value or
+EXPSUM_JOBS, a value beyond the caps, a charsum-pp range with no cells, a
+df --gamma-max below 1, or an --out that cannot be written, found before
+the run or when the rows are written).  df writes the moduli p^gamma up to
+the q cap and names the (p, gamma) it skipped beyond it on stderr; a skip
+alone does not fail it.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ class ParseError(argparse.ArgumentTypeError):
 
 
 class ValidationError(ValueError):
-    """Config contains unknown keys or out-of-cap values."""
+    """Config contains unknown keys or out-of-cap values, or --out cannot be written."""
 
 
 def validate(cfg: argparse.Namespace) -> None:
@@ -243,41 +246,41 @@ def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> 
 def _emit(pieces: list[str], cfg: argparse.Namespace) -> None:
     """Join render_piece's pieces as CSV or JSON, and write them to --out or stdout."""
     text = join_pieces(pieces, cfg.format)
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
+    if not cfg.out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(cfg.out).write_text(text)
+    except OSError as exc:  # such as a full disk: a usage error, as validate's are
+        raise ValidationError(f"cannot write --out {cfg.out}: {exc}") from exc
 
 
-def _scan(one, items: list, cfg: argparse.Namespace, *bad) -> list[int]:
-    """Emit the rows of one(item) for every item, in item order.
+def _scan(one, items: list, cfg: argparse.Namespace, *checks) -> int:
+    """Emit the rows of one(item) for every item, in item order; the exit code.
 
-    Each item's rows are rendered where one runs, in a --jobs worker or
-    here, and each predicate in bad is evaluated there on each raw row;
-    only the piece of text and the counts come back.  Returns, for each
-    predicate, the number of rows it holds for.
+    A check is a (label, holds) pair.  Each item's rows are rendered where
+    one runs, in a --jobs worker or here, and each holds is evaluated there
+    on each raw row; only the piece of text and the counts come back.
+    After every row is written, each check that holds for n > 0 rows
+    prints "n label" on stderr, and the code is 1; else it is 0.
     """
     def piece(item) -> tuple:
         rows = one(item)
         return (render_piece(rows, cfg.format),
-                *(sum(1 for r in rows if holds(r)) for holds in bad))
+                *(sum(1 for r in rows if holds(r)) for _, holds in checks))
 
     done = pmap(piece, items, cfg.jobs)
     _emit([d[0] for d in done], cfg)
-    return [sum(d[k] for d in done) for k in range(1, len(bad) + 1)]
+    code = 0
+    for k, (label, _) in enumerate(checks, 1):
+        if n := sum(d[k] for d in done):
+            print(f"{n} {label}", file=sys.stderr)
+            code = 1
+    return code
 
 
-def _capped_scan(one, items: list, cfg: argparse.Namespace, *bad) -> int:
-    """_scan of a correlation family, then its RATIO_CAP check: the exit code.
-
-    The code is 1, with one stderr line that counts them, if a row's ratio
-    is above RATIO_CAP or nan, and 1 if a predicate in bad holds for a
-    row; else 0.
-    """
-    over, *failed = _scan(one, items, cfg, lambda r: not r["ratio"] <= RATIO_CAP, *bad)
-    if over:  # a nan counts too
-        print(f"{over} rows with ratio above {RATIO_CAP} or nan", file=sys.stderr)
-    return int(over > 0 or any(failed))
+# a correlation scan's check: a nan ratio fails too
+RATIO_CHECK = (f"rows with ratio above {RATIO_CAP} or nan", lambda r: not r["ratio"] <= RATIO_CAP)
 
 
 # ---------------------------------------------------------------- runners
@@ -287,17 +290,12 @@ def _run_kloosterman(cfg: argparse.Namespace) -> int:
     def one(q: int) -> list[dict]:
         value = kloosterman_table(q)
         split = kloosterman_split_row(q)
-        diff = np.abs(split - value)
-        bad = np.flatnonzero(~(diff <= cfg.tol * q))  # a nan fails too
-        if bad.size:
-            m = int(bad[0])
-            raise AssertionError(f"split mismatch at q={q}, m={m}: {float(diff[m])}")
         return [{"q": q, "m": m, "value": v, "split_value": s, "abs_diff": d}
                 for m, (v, s, d) in enumerate(zip(value.tolist(), split.real.tolist(),
-                                                  diff.tolist()))]
+                                                  np.abs(split - value).tolist()))]
 
-    _scan(one, cfg.q, cfg)
-    return 0
+    return _scan(one, cfg.q, cfg, (f"rows with abs_diff above {cfg.tol}*q or nan",
+                                   lambda r: not r["abs_diff"] <= cfg.tol * r["q"]))
 
 
 def _run_hyperkl3(cfg: argparse.Namespace) -> int:
@@ -306,25 +304,20 @@ def _run_hyperkl3(cfg: argparse.Namespace) -> int:
         return [{"q": q, "m": m, "re": v.real, "im": v.imag, "abs": abs(v)}
                 for m, v in enumerate(tab.tolist())]
 
-    _scan(one, cfg.q, cfg)
-    return 0
+    return _scan(one, cfg.q, cfg)
 
 
 def _run_charsum_pp(cfg: argparse.Namespace) -> int:
     cells = charsum_pp_cells(cfg.p, cfg.gamma_max, cfg.u_max)
-    return _capped_scan(lambda cell: charsum_pp(*cell, 50), cells, cfg,
-                        lambda r: r["predicted_vanishing"] and not r["vanished"])
+    return _scan(lambda cell: charsum_pp(*cell, 50), cells, cfg, RATIO_CHECK,
+                 ("rows predicted to vanish that did not",
+                  lambda r: r["predicted_vanishing"] and not r["vanished"]))
 
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
-    def one(p: int) -> list[dict]:
-        rows = charsum_prime(p, 25)
-        for r in rows:
-            if not r["route_diff"] <= cfg.tol * p * p:  # a nan fails too
-                raise AssertionError(f"route mismatch at p={p}: {r['route_diff']}")
-        return rows
-
-    return _capped_scan(one, cfg.p, cfg)
+    return _scan(lambda p: charsum_prime(p, 25), cfg.p, cfg, RATIO_CHECK,
+                 (f"rows with route_diff above {cfg.tol}*p^2 or nan",
+                  lambda r: not r["route_diff"] <= cfg.tol * r["p"] * r["p"]))
 
 
 def _run_df(cfg: argparse.Namespace) -> int:
@@ -333,15 +326,15 @@ def _run_df(cfg: argparse.Namespace) -> int:
     if len(mods) < len(pairs):  # said, not refused: the rows that fit are still written
         dropped = ", ".join(f"({p}, {gamma})" for p, gamma in pairs if p**gamma > CAPS["q"])
         print(f"skipped (p, gamma) with p^gamma above {CAPS['q']}: {dropped}", file=sys.stderr)
-    return _capped_scan(lambda mod: df_pairs(*mod, 30), mods, cfg)
+    return _scan(lambda mod: df_pairs(*mod, 30), mods, cfg, RATIO_CHECK)
 
 
 def _run_calc(cfg: argparse.Namespace) -> int:
-    return _capped_scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg)
+    return _scan(lambda q: calc_tuples(q, modulus_rng(q)), cfg.q, cfg, RATIO_CHECK)
 
 
 def _run_glue(cfg: argparse.Namespace) -> int:
-    return _capped_scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg)
+    return _scan(lambda q: glue_tuples(q, modulus_rng(q)), cfg.q, cfg, RATIO_CHECK)
 
 
 def _run_voronoi(cfg: argparse.Namespace) -> int:
@@ -353,24 +346,20 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
                  "residual": rep.residual, "relative": rep.relative_residual}
                 for q, a, rep in scale_residuals(cfg.q, x)]
 
-    (bad,) = _scan(one, cfg.X, cfg, lambda r: not r["relative"] <= cfg.tol)  # a nan fails too
-    if bad:
-        print(f"{bad} cells above tolerance {cfg.tol}", file=sys.stderr)
-        return 1
-    return 0
+    return _scan(one, cfg.X, cfg, (f"cells above tolerance {cfg.tol}",
+                                   lambda r: not r["relative"] <= cfg.tol))
 
 
 def _run_bilinear(cfg: argparse.Namespace) -> int:
+    # all configs are one item, so they run in this process: a config costs
+    # about 1 ms, less than forking a worker for it
     configs = [bilinear_config(q, n, m) for q in cfg.q for m in cfg.M or [None] for n in cfg.N]
-    rows = cancellation_scan(configs)
-    _emit([render_piece(rows, cfg.format)], cfg)
-    return 0 if all(r["_within_trivial"] for r in rows) else 1
+    return _scan(cancellation_scan, [configs], cfg,
+                 ("rows with abs_S above the trivial bound", lambda r: not r["_within_trivial"]))
 
 
 def _run_distribution(cfg: argparse.Namespace) -> int:
-    rows = [r for x in cfg.X for r in discrepancy_scan(int(x), cfg.q, tol=cfg.tol)]
-    _emit([render_piece(rows, cfg.format)], cfg)
-    return 0
+    return _scan(lambda x: discrepancy_scan(int(x), cfg.q, tol=cfg.tol), cfg.X, cfg)
 
 
 def _run_verify_all(cfg: argparse.Namespace) -> int:
@@ -437,11 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{key.replace('_', '-')}", default=default, **spec)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        jobs = "worker processes (default: EXPSUM_JOBS or 1)"
-        if name in ("bilinear", "distribution"):
-            jobs += "; taken, as EXPSUM_JOBS is, but this subcommand runs in one process"
         sp.add_argument("--jobs", type=int, default=os.environ.get("EXPSUM_JOBS", "1"),
-                        help=jobs)
+                        help="worker processes (default: EXPSUM_JOBS or 1)")
     return parser
 
 
@@ -471,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         code = COMMANDS[cfg.subcommand][0](cfg)
+    except ValidationError as exc:  # _emit could not write --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (AssertionError, ValueError, ArithmeticError) as exc:
         print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

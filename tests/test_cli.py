@@ -595,8 +595,8 @@ def test_a_piece_with_other_columns_raises():
 
 def _scan_text(one, items, jobs, kind, capsys):
     cfg = argparse.Namespace(format=kind, jobs=jobs, out=None)
-    counts = cli._scan(one, items, cfg, lambda r: r["v"] > 1)
-    return capsys.readouterr().out, counts
+    code = cli._scan(one, items, cfg, ("rows with v above 1", lambda r: r["v"] > 1))
+    return (*capsys.readouterr(), code)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -606,15 +606,15 @@ def test_a_scan_takes_its_columns_from_the_first_item_with_rows(jobs, capsys):
         return [{"i": i, "v": v, "_raw": v} for v in range(i)]
 
     assert _scan_text(one, [0, 1, 3], jobs, "csv", capsys) == (
-        "i,v\n1,0\n3,0\n3,1\n3,2\n", [1])
-    out, counts = _scan_text(one, [0, 1, 3], jobs, "json", capsys)
+        "i,v\n1,0\n3,0\n3,1\n3,2\n", "1 rows with v above 1\n", 1)
+    out, *failed = _scan_text(one, [0, 1, 3], jobs, "json", capsys)
     assert json.loads(out) == [{"i": 1, "v": 0}, {"i": 3, "v": 0}, {"i": 3, "v": 1},
                                {"i": 3, "v": 2}]
-    assert counts == [1]
-    # zero items, or items without rows, write what zero rows write
+    assert failed == ["1 rows with v above 1\n", 1]
+    # zero items, or items without rows, write what zero rows write, and fail no check
     for items in ([], [0, 0]):
-        assert _scan_text(one, items, jobs, "csv", capsys) == ("", [0])
-        assert _scan_text(one, items, jobs, "json", capsys) == ("[]\n", [0])
+        assert _scan_text(one, items, jobs, "csv", capsys) == ("", "", 0)
+        assert _scan_text(one, items, jobs, "json", capsys) == ("[]\n", "", 0)
     with pytest.raises(ValueError, match="'v,i', not 'i,v'"):
         _scan_text(lambda i: [{"v": 0, "i": i}] if i else [{"i": i, "v": 0}],
                    [0, 1], jobs, "csv", capsys)
@@ -631,10 +631,10 @@ def test_only_text_and_counts_cross_the_pipe_of_a_forked_scan(monkeypatch, capsy
         return results[-1]
 
     monkeypatch.setattr(cli, "pmap", spy)
-    runs = [  # argv, counts per item: the ratio cap, then charsum-pp's vanishing
-        (["kloosterman", "--q", "12,25"], 0),
+    runs = [  # argv, counts per item: one for each check of the scan
+        (["kloosterman", "--q", "12,25"], 1),
         (["hyperkl3", "--q", "9,10", "--format", "json"], 0),
-        (["charsum-prime", "--p", "5,7"], 1),
+        (["charsum-prime", "--p", "5,7"], 2),
         (["charsum-pp", "--p", "3", "--gamma-max", "3"], 2),
         (["voronoi", "--q", "3,4", "--X", "50,60"], 1),
     ]
@@ -664,12 +664,20 @@ def test_kloosterman_rows_are_the_per_element_values(capsys):
     assert capsys.readouterr().out.splitlines() == want
 
 
-def test_kloosterman_names_the_first_m_above_the_tolerance(monkeypatch, capsys):
+def test_kloosterman_counts_the_rows_above_the_tolerance(monkeypatch, capsys):
+    assert main(["kloosterman", "--q", "5"]) == 0
+    want = capsys.readouterr().out.splitlines()
     real = cli.kloosterman_split_row
     monkeypatch.setattr(cli, "kloosterman_split_row", lambda q: real(q) + (np.arange(q) >= 2))
     assert main(["kloosterman", "--q", "5"]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err == "check failed: AssertionError: split mismatch at q=5, m=2: 1.0\n"
+    got = out.splitlines()
+    assert len(got) == 6 and got[:3] == want[:3]  # every row is still written
+    assert [line.split(",")[-1] for line in got[3:]] == [fmt(1.0)] * 3  # m = 2, 3, 4
+    assert [line.split(",")[:3] for line in got[3:]] == [line.split(",")[:3] for line in want[3:]]
+    lines = err.splitlines()
+    assert lines[0] == "3 rows with abs_diff above 1e-09*q or nan"
+    assert lines[1].startswith("[time] total: ")
 
 
 def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
@@ -1026,7 +1034,9 @@ def test_charsum_pp_writes_every_row_and_exits_1_on_a_violated_vanishing(
     assert got[:i] == want[:i] and got[i + 1:] == want[i + 1:]  # every row is still written
     assert got[i].startswith("3,3,1,") and got[i].endswith(",1,0")
     assert got[i].rsplit(",", 2)[0] == want[i].rsplit(",", 2)[0]
-    assert "ratio above" not in err and err.startswith("[time] total: ")
+    lines = err.splitlines()
+    assert "ratio above" not in err and lines[0] == "1 rows predicted to vanish that did not"
+    assert lines[1].startswith("[time] total: ")
 
 
 @pytest.mark.parametrize("col, named", [
@@ -1073,6 +1083,103 @@ def test_criterion_11_fails_on_a_trivial_bound_violation(monkeypatch):
     res = verify.criterion_bilinear(True)
     assert not res.passed
     assert "; 1 trivial-bound violations;" in res.details
+
+
+def _first_row(name, picks, change):
+    """A perturbation: cli.<name>, with change made to the first row of the item picks takes."""
+    def perturb(monkeypatch):
+        real = getattr(cli, name)
+
+        def patched(*args):
+            rows = real(*args)
+            if picks(*args):
+                change(rows[0])
+            return rows
+
+        monkeypatch.setattr(cli, name, patched)
+    return perturb
+
+
+def _split_off_by_one_at_7_3(monkeypatch):
+    real = cli.kloosterman_split_row
+    monkeypatch.setattr(cli, "kloosterman_split_row",
+                        lambda q: real(q) + (q == 7) * (np.arange(q) == 3))
+
+
+def _nan_residual_at_60(monkeypatch):
+    real = cli.scale_residuals
+    monkeypatch.setattr(cli, "scale_residuals",
+                        lambda qs, x: (_one_nan_residual(real) if x == 60 else real)(qs, x))
+
+
+# each kind of scan check: argv, a perturbation that fails it on one row,
+# the stdout line of that row, and the stderr line that counts it
+_ONE_FAILING_ROW = {
+    "kloosterman-split": (
+        ["kloosterman", "--q", "5,7"], _split_off_by_one_at_7_3, 1 + 5 + 3,
+        "1 rows with abs_diff above 1e-09*q or nan"),
+    "charsum-prime-route": (
+        ["charsum-prime", "--p", "5,7"],
+        _first_row("charsum_prime", lambda p, n: p == 7, lambda r: r.update(route_diff=math.nan)),
+        1 + 25, "1 rows with route_diff above 1e-06*p^2 or nan"),
+    "charsum-pp-vanishing": (
+        ["charsum-pp", "--p", "3", "--gamma-max", "3"],
+        _first_row("charsum_pp", lambda *cell: cell[:3] == (3, 3, 1),
+                   lambda r: r.update(predicted_vanishing=True, vanished=False)),
+        1 + 50, "1 rows predicted to vanish that did not"),
+    "bilinear-trivial": (
+        ["bilinear", "--q", "27,49,121", "--N", "2"], _one_trivial_bound_exceeded, 2,
+        "1 rows with abs_S above the trivial bound"),
+    "voronoi-tol": (
+        ["voronoi", "--q", "1,2", "--X", "50,60"], _nan_residual_at_60, 4,
+        "1 cells above tolerance 1e-06"),
+    "ratio-cap": (
+        ["calC", "--q", "2..6"],
+        _first_row("calc_tuples", lambda q, rng: q == 5, lambda r: r.update(ratio=17.0)),
+        7, "1 rows with ratio above 16.0 or nan"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_ONE_FAILING_ROW))
+def test_a_scan_writes_every_row_then_counts_each_failed_check(kind, monkeypatch, capsys):
+    argv, perturb, line, label = _ONE_FAILING_ROW[kind]
+    assert main(argv) == 0
+    want = capsys.readouterr().out.splitlines()
+    perturb(monkeypatch)
+    runs = {}
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 1
+        runs[jobs] = capsys.readouterr()
+        got, err = runs[jobs].out.splitlines(), runs[jobs].err.splitlines()
+        assert len(got) == len(want)  # every row is written
+        assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == [line]
+        assert err[0] == label
+        assert [e for e in err if not e.startswith("[")] == [label]
+    assert runs["1"].out == runs["2"].out
+    assert runs["1"].err.splitlines()[0] == runs["2"].err.splitlines()[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fill")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_an_out_that_fails_at_write_time_exits_2(jobs, capsys):
+    assert main(["hyperkl3", "--q", "9,10", "--jobs", jobs, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write --out /dev/full: [Errno 28] No space left on device\n")
+
+
+def test_distribution_and_bilinear_bytes_are_jobs_independent(capsys):
+    # distribution maps its X values, so at --jobs 2 each X runs in a worker;
+    # bilinear's configs are one item, which runs in the CLI's own process
+    dist = ["distribution", "--q", "3..40", "--X", "10000,200000"]
+    for argv in (dist, dist + ["--format", "json"], ["bilinear", "--q", "27,49,121", "--N", "2,3"]):
+        outs = []
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] != ""
+        if argv == dist:
+            assert hashlib.sha256(outs[0].encode()).hexdigest() == (
+                "a993f28fd8a2f74b3089c6b16c84f37ed8155f7a3ad5ae40db75ce8ea7d5b8f5")
 
 
 def test_a_check_raising_in_a_worker_fails_as_at_jobs_1(monkeypatch, capsys):
