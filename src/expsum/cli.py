@@ -244,15 +244,27 @@ def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> 
 
 
 def _emit(pieces: list[str], cfg: argparse.Namespace) -> None:
-    """Join render_piece's pieces as CSV or JSON, and write them to --out or stdout."""
+    """Join render_piece's pieces as CSV or JSON, and write them to --out or stdout.
+
+    A write that fails, such as on a full disk, raises ValidationError: a
+    usage error, as validate's are.  Stdout is flushed inside the check;
+    if that fails, fd 1 is pointed at devnull, or the bytes its buffer kept
+    would fail again at interpreter exit and turn exit 2 into 120.
+    """
     text = join_pieces(pieces, cfg.format)
-    if not cfg.out:
-        sys.stdout.write(text)
-        return
+    where = f"--out {cfg.out}" if cfg.out else "stdout"
     try:
-        Path(cfg.out).write_text(text)
-    except OSError as exc:  # such as a full disk: a usage error, as validate's are
-        raise ValidationError(f"cannot write --out {cfg.out}: {exc}") from exc
+        if cfg.out:
+            Path(cfg.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not cfg.out:
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ValidationError(f"cannot write {where}: {exc}") from exc
 
 
 def _scan(one, items: list, cfg: argparse.Namespace, *checks) -> int:
@@ -457,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         code = COMMANDS[cfg.subcommand][0](cfg)
-    except ValidationError as exc:  # _emit could not write --out
+    except ValidationError as exc:  # _emit could not write --out or stdout
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AssertionError, ValueError, ArithmeticError) as exc:

@@ -62,9 +62,11 @@ bit is the same.  The kernels of a burst are freed before the next
 burst's first build, and the grid when scale_residuals returns, so no
 grid or kernel of one X is alive while the next X's grid is built.  Under
 --jobs the CLI hands each worker process one X, so no kernel is built
-twice.  The 13 moment FFTs of one X run in place as six (2, 2^21)
-batches on scipy.fft's two workers, then the last row alone; each row
-equals np.fft.ifft's serial transform bit for bit.
+twice.  The 13 moment FFTs of one X run one row at a time, in place in
+one reused pad of 2^21 values, on one scipy.fft worker: pocketfft
+allocates a scratch of its own for each transform in flight, so one row
+at a time holds one pad and one scratch.  Each row equals np.fft.ifft's
+serial transform, times 2^21, bit for bit.
 The Gauss-Legendre panels evaluate their integrand once on the whole node
 matrix (for K0, once for every kappa of a block) and reduce it panel by
 panel.  scipy is imported by the panel quadratures and the grid build
@@ -106,7 +108,10 @@ TAIL_TOL = 1e-10  # per-term weighted tail threshold for auto truncation
 N_HARD_CAP = 1_500_000
 BLOCK = 8192
 _NG = 4096  # g samples for the moment FFTs
-_NFFT = 1 << 21  # zero-padded FFT length
+# zero-padded FFT length; a power of two, so the 1/_NFFT of a backward
+# transform and the _NFFT that undoes it are exact, and _grid skips both
+# (norm="forward") with every bit kept
+_NFFT = 1 << 21
 _KTERMS = 13  # Hankel terms (truncation < 2e-16 for z >= 35)
 # lower envelope c(X) of n_auto * X / q^2: _TERMS_C at the scales _TERMS_X,
 # linear in log X between them.  At each of 46 scales X from 0.51 to 400 it
@@ -202,10 +207,10 @@ def _grid(X: float) -> _BkGrid:
 
     Past the grid edge _gy_hankel returns 0, so the moments in the last
     interpolation window must already be below TAIL_TOL; CutoffTooSmall
-    otherwise.  The rows are transformed in place, two at a time as one
-    (2, _NFFT) batch on scipy.fft's two workers and the last one alone;
-    each row is the serial transform of its own pad row, scaled straight
-    into the read-only grid.
+    otherwise.  The rows are transformed one at a time, in place in one
+    reused pad, on one scipy.fft worker, so one pad and one pocketfft
+    scratch are alive besides the grid; each row's first mmax values are
+    copied into the read-only grid.
     """
     from scipy import fft  # deferred, as scipy.special is
 
@@ -216,15 +221,13 @@ def _grid(X: float) -> _BkGrid:
     dk = 2 * math.pi / (_NFFT * du)
     mmax = int(4608.0 / u0 / dk) + 16
     vals = np.empty((_KTERMS, mmax), dtype=complex)
-    pad = np.empty((2, _NFFT), dtype=complex)
-    for k in range(0, _KTERMS, 2):
-        rows = pad[: min(2, _KTERMS - k)]
-        rows[:] = 0.0
-        for j, row in enumerate(rows):
-            row[:_NG] = g * u ** (-0.5 - (k + j))
-        fft.ifft(rows, axis=1, workers=len(rows), overwrite_x=True)
-        # scaled straight into the grid rows, with no temporary
-        np.multiply(rows[:, :mmax], _NFFT, out=vals[k : k + len(rows)])
+    pad = np.empty(_NFFT, dtype=complex)
+    for k in range(_KTERMS):
+        pad[:_NG] = g * u ** (-0.5 - k)
+        pad[_NG:] = 0.0  # the last row's transform fills the whole pad
+        # unscaled, as _NFFT times the backward transform is; no name
+        # holds the output, so none outlives its copy into the grid
+        vals[k] = fft.ifft(pad, norm="forward", workers=1, overwrite_x=True)[:mmax]
     edge = du * float(np.max(np.abs(vals[:, -9:])))
     if not edge < TAIL_TOL:
         raise CutoffTooSmall(

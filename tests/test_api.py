@@ -92,8 +92,8 @@ def _imported_modules(source: str) -> set[str]:
 
 def test_parallelism_is_processes_only():
     # --jobs runs in forked processes, so no module needs threading or a
-    # lock; concurrent.futures serves families' process pool alone (the
-    # moment FFTs of voronoi._grid run on scipy.fft's own workers)
+    # lock; concurrent.futures serves families' process pool alone (and
+    # voronoi._grid runs its moment FFTs on one scipy.fft worker)
     users = {}
     for path in sorted(SRC.glob("*.py")):
         mods = _imported_modules(path.read_text())

@@ -1167,6 +1167,23 @@ def test_an_out_that_fails_at_write_time_exits_2(jobs, capsys):
         "", "error: cannot write --out /dev/full: [Errno 28] No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fill")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_stdout_that_fails_at_write_time_exits_2(unbuffered):
+    # the rule of an --out that fails: one error line and exit 2, no traceback.
+    # Block-buffered, the bytes that the failed flush kept are flushed again
+    # at interpreter exit, which must not fail too (it would exit 120)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "expsum.cli", "hyperkl3", "--q", "9"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=120,
+                              env=env)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
+
+
 def test_distribution_and_bilinear_bytes_are_jobs_independent(capsys):
     # distribution maps its X values, so at --jobs 2 each X runs in a worker;
     # bilinear's configs are one item, which runs in the CLI's own process

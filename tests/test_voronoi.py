@@ -5,6 +5,7 @@ import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from itertools import groupby
 from types import SimpleNamespace
@@ -327,7 +328,7 @@ def test_a_new_X_drops_the_old_grid_and_kernels_before_its_grid_is_built(monkeyp
 
     monkeypatch.setattr(fft, "ifft", ifft_spy)
     voronoi.scale_residuals([3], 100.0)
-    assert seen == [[True] * 6] * 7  # six two-row batches and the last row
+    assert seen == [[True] * 6] * 13  # one transform per moment row
 
 
 def test_no_grid_or_kernel_outlives_the_quick_gate(monkeypatch):
@@ -376,14 +377,50 @@ def _serial_rows(X: float, rows, width: int) -> list[bytes]:
 
 
 def test_paired_moment_ffts_equal_the_serial_transform(grids):
-    # rows 0 and 11 (1 at X = 0.75) are the first and second of a two-row
-    # batch, and row 12 is the lone last one; a swapped row, a pad row
-    # left uncleared or a transform that differs from numpy's changes
-    # their bits
-    for X, rows in ((50.0, (0, 11, 12)), (0.75, (1,))):
+    # each row is transformed unscaled in the one reused pad; the first
+    # row, a middle one and the last, at two scales: a row read from the
+    # wrong k, a pad tail left uncleared after the previous transform or a
+    # transform that differs from numpy's scaled by _NFFT changes their bits
+    for X, rows in ((50.0, (0, 6, 12)), (0.75, (1,))):
         values = grids(X).values
         got = [values[k].tobytes() for k in rows]
         assert got == _serial_rows(X, rows, values.shape[1]), X
+
+
+def test_the_moment_grid_holds_one_pad_besides_its_values():
+    # one row in flight: the grid, one reused pad of _NFFT complex values
+    # and g and its powers; a second row in flight would add a second pad
+    from scipy import fft  # imported before tracing: its modules are not the grid's
+
+    fft.ifft(np.zeros(8, dtype=complex))
+    tracemalloc.start()
+    try:
+        values = voronoi._grid(50.0).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + 16 * voronoi._NFFT + 2**20
+
+
+def test_each_moment_fft_is_one_row_on_one_worker(monkeypatch):
+    # pocketfft allocates a scratch for each transform in flight, so a
+    # batch, or a row split over several workers, holds more than one
+    from scipy import fft
+
+    calls = []
+    ifft = fft.ifft
+
+    def ifft_spy(x, *args, **kwargs):
+        calls.append((np.ndim(x), kwargs.get("workers")))
+        return ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(fft, "ifft", ifft_spy)
+    voronoi._grid(50.0)
+    assert len(calls) == voronoi._KTERMS
+    for ndim, workers in calls:
+        assert ndim == 1
+        # given, not left to None, which scipy.fft.set_workers can raise
+        assert workers is not None and workers <= 1
 
 
 def test_conjugate_symmetry(cells_50):
@@ -660,9 +697,9 @@ def test_accepted_cells_close_and_a_burst_changes_no_bit(X, qs):
 
 
 def test_forked_workers_after_a_grid_build_print_the_same_bytes(capsys):
-    # a grid build starts scipy.fft's worker threads in this process; the
-    # --jobs 2 workers are forked after that and build their own grids,
-    # and must print what --jobs 1 prints
+    # the --jobs 2 workers are forked after a grid build in this process
+    # and build their own grids on one scipy.fft worker each; they must
+    # print what --jobs 1 prints
     voronoi._grid(50.0)
     argv = ["voronoi", "--q", "1..4", "--X", "50,100"]
     outs = {}
