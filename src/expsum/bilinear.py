@@ -49,6 +49,7 @@ __all__ = [
     "thm_bound",
     "hypothesis_flags",
     "cancellation_scan",
+    "trivial_bound",
 ]
 
 V = SmoothWeight(1.0)  # the m-weight: m runs over (M, 2M)

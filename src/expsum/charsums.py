@@ -37,6 +37,7 @@ from .expsums import (
 from .modarith import PrimePower, sqrt_mod_pp, valuation_capped
 
 __all__ = [
+    "RATIO_CAP",
     "CharSumParams",
     "BoundReport",
     "HypothesisViolated",

@@ -17,10 +17,8 @@ COMMANDS gives each subcommand its runner and the options it reads,
 with their defaults; OPTIONS gives each option's converter and help.
 build_parser reads both, so a subcommand refuses a flag it does not read
 (exit 2) and --help shows its defaults.  Every subcommand also takes
---config, --out, --format and --jobs (a scan of one item runs in this
-process).  A --config JSON file stands for the flags it names, which
-are parsed ahead of the command line's own, so a flag overrides the file.
-A default, like EXPSUM_JOBS for --jobs, is a flag's text and is converted
+--out, --format and --jobs (a scan of one item runs in this process).
+Flags are the only input.  A default is a flag's text and is converted
 as a flag's value is.  validate then refuses values beyond the caps,
 defaults included.
 
@@ -29,18 +27,17 @@ row, then names on stderr each check its rows failed, with their count: a
 correlation scan's ratio above RATIO_CAP, a split or route difference or
 Voronoi residual above --tol, a violated predicted vanishing, a bilinear
 sum above its trivial bound; a nan fails each; a library invariant raises
-before anything is written), 2 usage error (a bad flag, config value or
-EXPSUM_JOBS, a value beyond the caps, a charsum-pp range with no cells, a
-df --gamma-max below 1, or an --out that cannot be written, found before
-the run or when the rows are written).  df writes the moduli p^gamma up to
-the q cap and names the (p, gamma) it skipped beyond it on stderr; a skip
-alone does not fail it.
+before anything is written), 2 usage error (a bad flag or flag value, a
+value beyond the caps, a charsum-pp range with no cells, a df --gamma-max
+below 1, or an --out that cannot be written, found before the run or when
+the rows are written).  df writes the moduli p^gamma up to the q cap and
+names the (p, gamma) it skipped beyond it on stderr; a skip alone does
+not fail it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -79,11 +76,11 @@ from .voronoi import (
 )
 
 __all__ = [
-    "main", "build_parser", "validate", "load_config", "parse_int_list",
+    "main", "build_parser", "validate", "parse_int_list",
     "ParseError", "ValidationError",
 ]
 
-# desk-scale caps; configs beyond these are rejected, not attempted
+# desk-scale caps; values beyond these are rejected, not attempted
 CAPS = {
     "gamma_max": 8,
     "u_max": 8,
@@ -102,11 +99,11 @@ CAPS = {
 VORONOI_MASS_FLOOR = 1e-3
 
 class ParseError(argparse.ArgumentTypeError):
-    """Malformed config file or range expression."""
+    """Malformed range or list expression."""
 
 
 class ValidationError(ValueError):
-    """Config contains unknown keys or out-of-cap values, or --out cannot be written."""
+    """Option values beyond the caps or with nothing to run, or an --out that cannot be written."""
 
 
 def validate(cfg: argparse.Namespace) -> None:
@@ -206,41 +203,6 @@ def parse_float_list(text: str) -> list[float]:
     if not out:
         raise ParseError(f"empty list expression {text!r}")
     return out
-
-
-def load_config(path: str, keys: set[str], switches: set[str] = frozenset()) -> list[str]:
-    """The flags a JSON config object stands for; each key must be in keys.
-
-    A list is joined by commas, null counts as absent, and a key in
-    switches (a store_true flag such as quick) must be a JSON boolean:
-    true stands for its flag.  Every other value is then converted by the
-    parser, as the same flag on the command line would be.
-    """
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError(f"config {path} must be a JSON object")
-    flags = []
-    for key, val in raw.items():
-        if key not in keys:
-            raise ValidationError(f"unknown config key {key!r}")
-        if val is None:
-            continue
-        flag = f"--{key.replace('_', '-')}"
-        if key in switches:
-            if not isinstance(val, bool):
-                raise ParseError(f"config {key} must be true or false, got {val!r}")
-            flags += [flag] if val else []
-            continue
-        if isinstance(val, list):
-            val = ",".join(map(str, val))
-        # the --flag=value form, so that a value such as -3 is not read as a flag
-        flags.append(f"{flag}={val}")
-    return flags
 
 
 def _emit(pieces: list[str], cfg: argparse.Namespace) -> None:
@@ -430,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, options) in COMMANDS.items():
         sp = sub.add_parser(name, allow_abbrev=False)
-        sp.add_argument("--config", help="JSON config file (flags override it)")
         for key, default in options.items():
             spec = dict(OPTIONS[key])
             if default:
@@ -438,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{key.replace('_', '-')}", default=default, **spec)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--jobs", type=int, default=os.environ.get("EXPSUM_JOBS", "1"),
-                        help="worker processes (default: EXPSUM_JOBS or 1)")
+        sp.add_argument("--jobs", type=int, default="1", help="worker processes (default: 1)")
     return parser
 
 
@@ -453,14 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     t0, c0 = perf_counter(), _cpu()
     try:
-        parser = build_parser()
-        cfg = parser.parse_args(argv)
-        if cfg.config:  # its flags go ahead of argv's own, so a flag overrides the file
-            keys = set(vars(cfg)) - {"subcommand", "config"}
-            switches = {k for k in keys if OPTIONS.get(k, {}).get("action") == "store_true"}
-            flags = load_config(cfg.config, keys, switches)
-            rest = argv[argv.index(cfg.subcommand) + 1:]
-            cfg = parser.parse_args([cfg.subcommand, *flags, *rest])
+        cfg = build_parser().parse_args(argv)
         validate(cfg)
     except SystemExit as exc:  # argparse refused an option, or printed --help
         return int(exc.code) if exc.code else 0

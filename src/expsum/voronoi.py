@@ -91,6 +91,7 @@ from .modarith import units
 
 __all__ = [
     "EULER_GAMMA",
+    "N_HARD_CAP",
     "NonCoprime",
     "CutoffTooSmall",
     "SmoothWeight",

@@ -84,6 +84,22 @@ def test_unused_import_scan_sees_a_dead_import():
     assert _unused_imports("from a import b as c\n__all__ = ['c']\n") == []
 
 
+def _sibling_imports(source: str) -> set[tuple[str, str]]:
+    """(sibling, name) for each name a module imports by a relative import."""
+    return {(n.module, a.name) for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.ImportFrom) and n.level == 1 for a in n.names}
+
+
+def test_every_name_imported_from_a_sibling_is_in_its_all():
+    # a name that another module imports is part of its module's interface
+    assert (_sibling_imports("from .a import b, c as d\nfrom x import y\n")
+            == {("a", "b"), ("a", "c")})
+    outside = sorted(f"{path.stem} imports {mod}.{name}" for path in sorted(SRC.glob("*.py"))
+                     for mod, name in _sibling_imports(path.read_text())
+                     if name not in importlib.import_module(f"expsum.{mod}").__all__)
+    assert outside == []
+
+
 def _imported_modules(source: str) -> set[str]:
     tree = ast.parse(source)
     mods = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
@@ -152,7 +168,7 @@ def _named_functions(path: Path) -> dict[tuple[str, int], str]:
 
 # the CLI's paths, run in one fresh interpreter under a profile hook set
 # before expsum is imported: the quick gate with its self-test, one small
-# call of each subcommand, a --config run and a --jobs 2 run; it prints
+# call of each subcommand and a --jobs 2 run; it prints
 # (file, first line) of every code object called
 _REACH = """
 import json, sys
@@ -167,7 +183,7 @@ runs = [
     ["df", "--p", "3", "--gamma-max", "2"], ["calC", "--q", "2..12"],
     ["glue", "--q", "30"], ["voronoi", "--q", "3", "--X", "50"],
     ["bilinear", "--q", "27", "--N", "2"], ["distribution", "--q", "3,4", "--X", "1000"],
-    ["hyperkl3", "--config", sys.argv[1]], ["kloosterman", "--q", "5,7", "--jobs", "2"],
+    ["kloosterman", "--q", "5,7", "--jobs", "2"],
 ]
 codes = [main(argv) for argv in runs]
 sys.setprofile(None)
@@ -180,12 +196,10 @@ print(json.dumps([[c.co_filename, c.co_firstlineno] for c in calls.values()]))
 _UNREACHED: set[str] = set()
 
 
-def test_every_function_is_reached_from_the_cli(tmp_path):
-    config = tmp_path / "cfg.json"
-    config.write_text('{"q": [5, 7]}')
-    env = {k: v for k, v in os.environ.items() if k != "EXPSUM_JOBS"}
+def test_every_function_is_reached_from_the_cli():
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), *filter(None, [env.get("PYTHONPATH")])])
-    proc = subprocess.run([sys.executable, "-c", _REACH, str(config)], env=env,
+    proc = subprocess.run([sys.executable, "-c", _REACH], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     calls = json.loads(proc.stdout.splitlines()[-1])

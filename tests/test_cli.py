@@ -26,7 +26,6 @@ from expsum.cli import (
     ParseError,
     ValidationError,
     build_parser,
-    load_config,
     main,
     parse_int_list,
     validate,
@@ -102,38 +101,6 @@ def test_parse_int_list_errors():
         parse_int_list("5..3,7")
 
 
-def test_load_config_accepts_known_keys(tmp_path):
-    # a config stands for flags: lists joined by commas, null absent, quick a boolean
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"q": "3..5", "X": [50, 100.5], "jobs": 2, "tol": None,
-                                "u_max": "2", "quick": True, "self_test": True}))
-    keys = {"q", "X", "jobs", "tol", "u_max", "quick", "self_test"}
-    switches = {"quick", "self_test"}
-    assert load_config(str(path), keys, switches) == [
-        "--q=3..5", "--X=50,100.5", "--jobs=2", "--u-max=2", "--quick", "--self-test"]
-    path.write_text(json.dumps({"q": [-3], "quick": False, "self_test": False}))
-    assert load_config(str(path), keys, switches) == ["--q=-3"]
-
-
-def test_load_config_rejects_unknown_keys(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"qq": 3}))
-    with pytest.raises(ValidationError, match="'qq'"):
-        load_config(str(path), {"q"})
-
-
-def test_load_config_rejects_bad_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text("not json")
-    with pytest.raises(ParseError):
-        load_config(str(path), {"q"})
-    with pytest.raises(ParseError):
-        load_config(str(tmp_path / "missing.json"), {"q"})
-    path.write_text(json.dumps([1, 2]))
-    with pytest.raises(ParseError):
-        load_config(str(path), {"q"})
-
-
 def _spy_run_checks(monkeypatch) -> list:
     """Record (quick, jobs) of each verify-all run, which then runs no check."""
     seen = []
@@ -141,97 +108,57 @@ def _spy_run_checks(monkeypatch) -> list:
     return seen
 
 
-@pytest.mark.parametrize("sub,config,env,error", [
-    ("verify-all", {"jobs": "x"}, None, "argument --jobs: invalid int value: 'x'"),
-    ("distribution", {"tol": "abc"}, None, "argument --tol: invalid float value: 'abc'"),
-    ("hyperkl3", {"q": [3, "a"]}, None, "argument --q: bad integer 'a'"),
-    ("verify-all", {"quick": "false"}, None, "config quick must be true or false"),
-    ("verify-all", {"jobs": 2.7}, None, "argument --jobs: invalid int value: '2.7'"),
-    ("hyperkl3", {"q": [1.5]}, None, "argument --q: bad integer '1.5'"),
-    ("verify-all", None, "x", "argument --jobs: invalid int value: 'x'"),
-    ("distribution", {"tol": math.nan}, None, "tolerance nan is not a finite number >= 1e-12"),
-    ("distribution", {"tol": math.inf}, None, "tolerance inf is not a finite number >= 1e-12"),
-], ids=["jobs-x", "tol-abc", "q-3-a", "quick-false", "jobs-2.7", "q-1.5", "EXPSUM_JOBS-x",
-        "tol-nan", "tol-inf"])
-def test_bad_config_values_and_EXPSUM_JOBS_exit_2(sub, config, env, error, tmp_path,
-                                                   monkeypatch, capsys):
-    # each value goes through the flag's converter, so a bad one is a usage
-    # error; a key is given to a subcommand that reads its option
+@pytest.mark.parametrize("argv,error", [
+    (["verify-all", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["verify-all", "--jobs", "2.7"], "argument --jobs: invalid int value: '2.7'"),
+    (["hyperkl3", "--q", "3,a"], "argument --q: bad integer 'a'"),
+    (["hyperkl3", "--q", "1.5"], "argument --q: bad integer '1.5'"),
+    (["distribution", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
+], ids=["jobs-x", "jobs-2.7", "q-3-a", "q-1.5", "tol-abc"])
+def test_bad_flag_values_exit_2(argv, error, monkeypatch, capsys):
+    # each value goes through its flag's converter, so a bad one is a usage error
     seen = _spy_run_checks(monkeypatch)
-    argv = [sub]
-    if config is not None:
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        argv += ["--config", str(path)]
-    if env is None:
-        monkeypatch.delenv("EXPSUM_JOBS", raising=False)
-    else:
-        monkeypatch.setenv("EXPSUM_JOBS", env)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and seen == []
     assert error in err.splitlines()[-1]
 
 
-def test_config_quick_is_a_boolean_and_flags_override_the_file(tmp_path, monkeypatch, capsys):
-    seen = _spy_run_checks(monkeypatch)
-    monkeypatch.setenv("EXPSUM_JOBS", "2")
-    path = tmp_path / "cfg.json"
-    for config, argv in [({"quick": True}, []),
-                         ({"quick": False, "jobs": 1}, []),
-                         ({"jobs": 1}, ["--jobs", "2", "--quick"]),
-                         ({"jobs": None, "quick": None}, [])]:  # null counts as absent
-        path.write_text(json.dumps(config))
-        assert main(["verify-all", "--config", str(path), *argv]) == 0
-    assert seen == [(True, 2), (False, 1), (True, 2), (False, 2)]
-    capsys.readouterr()
-    # --quick is a verify-all flag; in any other subcommand's config it is unknown
-    path.write_text(json.dumps({"quick": True}))
-    assert main(["hyperkl3", "--config", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "unknown config key 'quick'" in err
-
-
-@pytest.mark.parametrize("self_test", [True, False])
-def test_config_self_test_is_a_boolean(self_test, tmp_path, monkeypatch, capsys):
-    # self_test is a store_true flag, as quick is: true stands for --self-test
+@pytest.mark.parametrize("given", [True, False])
+def test_verify_all_switches_are_on_only_when_given(given, monkeypatch, capsys):
+    # --quick and --self-test take no value; --jobs reaches the criteria
     seen = _spy_run_checks(monkeypatch)
     ran = []
     monkeypatch.setattr(cli, "criterion_determinism", lambda: ran.append(1) or verify.CheckResult(
         "verify_all_determinism", True, "stub", 0.0, 0.0))
-    monkeypatch.delenv("EXPSUM_JOBS", raising=False)
+    flags = ["--quick", "--self-test", "--jobs", "2"] if given else []
+    assert main(["verify-all", *flags]) == 0
+    assert seen == [(given, 2 if given else 1)] and len(ran) == given
+    assert ("verify_all_determinism" in capsys.readouterr().out) == given
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_a_config_file_is_an_unrecognized_argument(name, tmp_path, capsys):
+    # flags are the only input: no subcommand reads a JSON file for them
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"self_test": self_test}))
-    assert main(["verify-all", "--config", str(path)]) == 0
-    assert seen == [(False, 1)] and len(ran) == self_test
-    out = capsys.readouterr().out
-    assert ("verify_all_determinism" in out) == self_test
-    path.write_text(json.dumps({"self_test": "true"}))
-    assert main(["verify-all", "--config", str(path)]) == 2
+    path.write_text(json.dumps({"nope": 1}))
+    assert main([name, "--config", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "config self_test must be true or false" in err
+    assert out == "" and f"unrecognized arguments: --config {path}\n" in err
 
 
-@pytest.mark.parametrize("config,argv", [
-    ({"q": "3..5"}, ["hyperkl3", "--q", "3..5"]),
-    ({"q": [3], "X": [1000, 2000]}, ["distribution", "--q", "3", "--X", "1000,2000"]),
-    ({"p": 3, "u_max": "2", "gamma_max": 4}, ["charsum-pp", "--p", "3", "--u-max", "2",
-                                              "--gamma-max", "4"]),
-])
-def test_config_values_mean_what_the_flags_mean(config, argv, tmp_path, capsys):
-    assert main(argv) == 0
+@pytest.mark.parametrize("value", ["x", "2"])
+def test_EXPSUM_JOBS_changes_nothing(value, monkeypatch, capsys):
+    # --jobs defaults to 1 whatever the environment holds
+    assert main(["hyperkl3", "--q", "9"]) == 0
     want = capsys.readouterr().out
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    assert main([argv[0], "--config", str(path)]) == 0
+    monkeypatch.setenv("EXPSUM_JOBS", value)
+    assert build_parser().parse_args(["hyperkl3"]).jobs == 1
+    assert main(["hyperkl3", "--q", "9"]) == 0
     assert capsys.readouterr().out == want
 
 
 def test_exit_code_2_on_bad_usage(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"nope": 1}))
-    assert main(["hyperkl3", "--config", str(bad)]) == 2
-    assert "unknown config key 'nope'" in capsys.readouterr().err
     assert main(["hyperkl3", "--q", "5..3"]) == 2
     assert "argument --q: reversed range '5..3'" in capsys.readouterr().err
     assert main(["charsum-pp", "--p", "3", "--gamma-max", "99"]) == 2
@@ -313,15 +240,11 @@ def test_a_tolerance_that_is_not_a_finite_number_from_1e_12_exits_2(argv, capsys
 
 @pytest.mark.parametrize("argv", [["voronoi", "--q", "1", "--X", ","],
                                   ["distribution", "--q", "3", "--X", " , "]])
-def test_an_empty_X_list_exits_2(argv, tmp_path, capsys):
+def test_an_empty_X_list_exits_2(argv, capsys):
     # as an empty q list does; it used to print the CSV header alone and exit 0
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and "argument --X: empty list expression" in err
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"X": []}))
-    assert main([argv[0], "--config", str(path)]) == 2
-    assert "argument --X: empty list expression ''" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,unknown", [
@@ -349,14 +272,14 @@ def test_a_subcommand_refuses_the_flags_it_does_not_read(name, key, capsys):
 
 
 def test_the_parser_takes_only_each_subcommands_own_options():
-    # 4 shared options (--config, --out, --format, --jobs) on each of 11
-    # subcommands, and 23 of their own
+    # 3 shared options (--out, --format, --jobs) on each of 11 subcommands,
+    # and 23 of their own
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     values = {name: [a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)]
               for name, sp in sub.choices.items()}
-    assert sum(map(len, values.values())) == 67
+    assert sum(map(len, values.values())) == 56
     for name, (_, options) in cli.COMMANDS.items():
-        assert sorted(values[name]) == sorted(["config", "out", "format", "jobs", *options])
+        assert sorted(values[name]) == sorted(["out", "format", "jobs", *options])
 
 
 def _readme_examples() -> list[list[str]]:

@@ -536,7 +536,6 @@ def _run(ops) -> dict:
 
 @pytest.mark.parametrize("workload", ["kl-tables", "divisor-sums", "correlations"])
 def test_every_stored_kind_builds_and_hits_as_its_lru_cache_does(workload, monkeypatch):
-    monkeypatch.delenv("EXPSUM_JOBS", raising=False)
     ops = _operations(workload)
     got = _run(ops)
     assert got["expsums.kloosterman_table"][0] > 0
