@@ -25,8 +25,9 @@ defaults included.
 Exit codes: 0 success, 1 any check/invariant failure (a scan writes every
 row, then names on stderr each check its rows failed, with their count: a
 correlation scan's ratio above RATIO_CAP, a split or route difference or
-Voronoi residual above --tol, a violated predicted vanishing, a bilinear
-sum above its trivial bound; a nan fails each; a library invariant raises
+Voronoi residual above its criterion's limit (SPLIT_TOL, ROUTE_TOL,
+VORONOI_TOL), a violated predicted vanishing, a bilinear sum above its
+trivial bound; a nan fails each; a library invariant raises
 before anything is written), 2 usage error (a bad flag or flag value, a
 value beyond the caps, a charsum-pp range with no cells, a df --gamma-max
 below 1, or an --out that cannot be written, found before the run or when
@@ -38,7 +39,6 @@ not fail it.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -66,7 +66,7 @@ from .families import (
 )
 from .memo import COUNTS
 from .modarith import is_prime
-from .verify import criterion_determinism, run_checks
+from .verify import ROUTE_TOL, SPLIT_TOL, VORONOI_TOL, criterion_determinism, run_checks
 from .voronoi import (
     N_HARD_CAP,
     SmoothWeight,
@@ -94,8 +94,8 @@ CAPS = {
 }
 
 # smallest integer mass sum d(n) h(n) of the voronoi weight at scale X: the
-# dual sum's ~1e-9 absolute truncation over the 1e-6 relative gate, so that
-# a cell can meet the gate at all (its |lhs| is at most this mass)
+# dual sum's ~1e-9 absolute truncation over VORONOI_TOL = 1e-6, the relative
+# limit, so that a cell can meet it at all (its |lhs| is at most this mass)
 VORONOI_MASS_FLOOR = 1e-3
 
 class ParseError(argparse.ArgumentTypeError):
@@ -121,9 +121,6 @@ def validate(cfg: argparse.Namespace) -> None:
         raise ValidationError(f"--out {cfg.out} is a directory")
     if cfg.out and not Path(cfg.out).parent.is_dir():
         raise ValidationError(f"--out {cfg.out}: {Path(cfg.out).parent} is not a directory")
-    if "tol" in opt and not (math.isfinite(cfg.tol) and cfg.tol >= 1e-12):
-        # a nan or inf tolerance would pass every residual
-        raise ValidationError(f"tolerance {cfg.tol} is not a finite number >= 1e-12")
     if "gamma_max" in opt and cfg.gamma_max > CAPS["gamma_max"]:
         raise ValidationError(f"gamma_max {cfg.gamma_max} above cap {CAPS['gamma_max']}")
     if cfg.subcommand == "df" and cfg.gamma_max < 1:
@@ -268,8 +265,8 @@ def _run_kloosterman(cfg: argparse.Namespace) -> int:
                 for m, (v, s, d) in enumerate(zip(value.tolist(), split.real.tolist(),
                                                   np.abs(split - value).tolist()))]
 
-    return _scan(one, cfg.q, cfg, (f"rows with abs_diff above {cfg.tol}*q or nan",
-                                   lambda r: not r["abs_diff"] <= cfg.tol * r["q"]))
+    return _scan(one, cfg.q, cfg, (f"rows with abs_diff above {SPLIT_TOL}*q or nan",
+                                   lambda r: not r["abs_diff"] <= SPLIT_TOL * r["q"]))
 
 
 def _run_hyperkl3(cfg: argparse.Namespace) -> int:
@@ -290,8 +287,8 @@ def _run_charsum_pp(cfg: argparse.Namespace) -> int:
 
 def _run_charsum_prime(cfg: argparse.Namespace) -> int:
     return _scan(lambda p: charsum_prime(p, 25), cfg.p, cfg, RATIO_CHECK,
-                 (f"rows with route_diff above {cfg.tol}*p^2 or nan",
-                  lambda r: not r["route_diff"] <= cfg.tol * r["p"] * r["p"]))
+                 (f"rows with route_diff above {ROUTE_TOL}*p^2 or nan",
+                  lambda r: not r["route_diff"] <= ROUTE_TOL * r["p"] * r["p"]))
 
 
 def _run_df(cfg: argparse.Namespace) -> int:
@@ -320,8 +317,8 @@ def _run_voronoi(cfg: argparse.Namespace) -> int:
                  "residual": rep.residual, "relative": rep.relative_residual}
                 for q, a, rep in scale_residuals(cfg.q, x)]
 
-    return _scan(one, cfg.X, cfg, (f"cells above tolerance {cfg.tol}",
-                                   lambda r: not r["relative"] <= cfg.tol))
+    return _scan(one, cfg.X, cfg, (f"cells above tolerance {VORONOI_TOL}",
+                                   lambda r: not r["relative"] <= VORONOI_TOL))
 
 
 def _run_bilinear(cfg: argparse.Namespace) -> int:
@@ -333,7 +330,7 @@ def _run_bilinear(cfg: argparse.Namespace) -> int:
 
 
 def _run_distribution(cfg: argparse.Namespace) -> int:
-    return _scan(lambda x: discrepancy_scan(int(x), cfg.q, tol=cfg.tol), cfg.X, cfg)
+    return _scan(lambda x: discrepancy_scan(int(x), cfg.q), cfg.X, cfg)
 
 
 def _run_verify_all(cfg: argparse.Namespace) -> int:
@@ -359,7 +356,6 @@ OPTIONS = {
     "M": {"type": parse_int_list,
           "help": "m-range sizes, e.g. 100,200 (default: max(4, q//2) for each q)"},
     "N": {"type": parse_int_list, "help": "window sizes, e.g. 2,4"},
-    "tol": {"type": float, "help": "tolerance"},
     "quick": {"action": "store_true", "help": "reduced ranges, sub-minute run"},
     "self_test": {"action": "store_true", "help": "also run the CLI determinism check"},
 }
@@ -368,16 +364,16 @@ OPTIONS = {
 # a flag's text, converted as a flag's value is; None where the runner has
 # its own (u_max: 4*gamma//5, M: per q)
 COMMANDS = {
-    "kloosterman": (_run_kloosterman, {"q": "12", "tol": "1e-9"}),
+    "kloosterman": (_run_kloosterman, {"q": "12"}),
     "hyperkl3": (_run_hyperkl3, {"q": "9"}),
     "charsum-pp": (_run_charsum_pp, {"p": "3,5", "gamma_max": "3", "u_max": None}),
-    "charsum-prime": (_run_charsum_prime, {"p": "3,5,7,11,13", "tol": "1e-6"}),
+    "charsum-prime": (_run_charsum_prime, {"p": "3,5,7,11,13"}),
     "df": (_run_df, {"p": "3,5,7", "gamma_max": "3"}),
     "calC": (_run_calc, {"q": "2..60"}),
     "glue": (_run_glue, {"q": "2..60"}),
-    "voronoi": (_run_voronoi, {"q": "1..20", "X": "50", "tol": "1e-6"}),
+    "voronoi": (_run_voronoi, {"q": "1..20", "X": "50"}),
     "bilinear": (_run_bilinear, {"q": "27,49,121", "M": None, "N": "3"}),
-    "distribution": (_run_distribution, {"q": "3,5,7,9", "X": "10000", "tol": "1e-6"}),
+    "distribution": (_run_distribution, {"q": "3,5,7,9", "X": "10000"}),
     "verify-all": (_run_verify_all, {"quick": False, "self_test": False}),
 }
 

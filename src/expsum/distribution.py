@@ -33,10 +33,10 @@ additive characters grouped by conductor:
     S(d) = (1/q) sum*_{alpha mod d} sum_{n <= X} d_3(n) e(alpha (n-a)/d),
 
 summed over d | q this telescopes exactly to the progression sum; the
-numerical check tolerance 1e-6 absorbs only roundoff.  The inner sum is
-W_d(alpha) = sum_r T_d[r] e(alpha r/d), a length-d DFT of T_d, and one
-more DFT of W_d at the units gives S(d) at every class a at once, so a
-modulus costs O(sum_{d | q} d log d) after its folds.
+check's absolute limit RAMANUJAN_TOL = 1e-6 absorbs only roundoff.  The
+inner sum is W_d(alpha) = sum_r T_d[r] e(alpha r/d), a length-d DFT of
+T_d, and one more DFT of W_d at the units gives S(d) at every class a at
+once, so a modulus costs O(sum_{d | q} d log d) after its folds.
 
 d3_to_bilinear re-brackets a sharp-window sum sum_{Y < k <= 2Y} d_3(k)
 Kl3~(k b, q) through the gluing m = n2 n3, producing the bilinear shape
@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 
+RAMANUJAN_TOL = 1e-6  # |sum_d S(d) - ap_sum| at any class; criterion 10 and the scan alike
 _PAIR_BLOCK = 1 << 16  # glued (n1, m) pairs laid out at once by d3_to_bilinear
 
 
@@ -173,7 +174,7 @@ def ramanujan_decomposition(X: int, q: int) -> RamanujanDecomposition:
     return RamanujanDecomposition(X=X, q=q, units=units, terms=terms)
 
 
-def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]:
+def discrepancy_scan(X: int, moduli: list[int]) -> list[dict]:
     """Per-(q, a) discrepancies plus per-q aggregates and a family fit.
 
     Returns rows as dicts with keys X, q, a, ap_sum, coprime_mean,
@@ -182,7 +183,7 @@ def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]
     fold T_q, checked against the slice route d3_ap_sum at a = 1; the
     zero-sum identity sum_a ap_sum = phi(q) coprime_mean is asserted
     exactly against the Moebius route; and the character decomposition
-    of every unit class is verified to tol absolute.
+    of every unit class is verified to RAMANUJAN_TOL absolute.
     """
     rows: list[dict] = []
     family: list[tuple[int, float]] = []
@@ -197,7 +198,7 @@ def discrepancy_scan(X: int, moduli: list[int], tol: float = 1e-6) -> list[dict]
         if zero_sum != 0:
             raise AssertionError(f"zero-sum identity violated at q={q}: {zero_sum}")
         defects = ramanujan_decomposition(X, q).defects(ap.astype(np.float64))
-        bad = np.flatnonzero(~(defects <= tol))  # a nan fails too
+        bad = np.flatnonzero(~(defects <= RAMANUJAN_TOL))  # a nan fails too
         if bad.size:
             i = bad[0]
             raise AssertionError(

@@ -61,6 +61,9 @@ from .modarith import PrimePower, is_prime, legendre
 from .voronoi import scale_residuals
 
 __all__ = [
+    "SPLIT_TOL",
+    "ROUTE_TOL",
+    "VORONOI_TOL",
     "CheckResult",
     "ALL_CHECKS",
     "run_checks",
@@ -77,6 +80,15 @@ __all__ = [
     "criterion_bilinear",
     "criterion_determinism",
 ]
+
+
+# the limits that a criterion and its CLI scan both read: a two-path
+# difference per unit of q (criterion 3, kloosterman), the c_{1,1} route
+# difference per p^2 (criterion 6, charsum-prime) and the Voronoi relative
+# residual (criterion 9, voronoi)
+SPLIT_TOL = 1e-9
+ROUTE_TOL = 1e-6
+VORONOI_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -233,7 +245,7 @@ def criterion_crt_split(quick: bool = False) -> tuple[bool, str]:
             split_errs.append(diff / q)
             n_comp += 1
     worst_split, worst_hyper = _worst(split_errs), _worst(hyper_errs)
-    passed = worst_split <= 1e-9 and worst_hyper <= 1e-9
+    passed = worst_split <= SPLIT_TOL and worst_hyper <= SPLIT_TOL
     return passed, (
         f"q<={qcap} all m plus {n_comp} sampled composite pairs to q<={comp_cap}; "
         f"worst split error {fmt(worst_split)}*q, "
@@ -292,7 +304,7 @@ def criterion_charsum_prime(quick: bool = False) -> tuple[bool, str]:
     rows = [r for p in range(3, pcap + 1) if is_prime(p) for r in charsum_prime(p, per_p)]
     worst_diff = _worst(r["route_diff"] / (r["p"] * r["p"]) for r in rows)
     worst_ratio = _worst(r["ratio"] for r in rows)
-    passed = worst_diff <= 1e-6 and worst_ratio <= RATIO_CAP
+    passed = worst_diff <= ROUTE_TOL and worst_ratio <= RATIO_CAP
     return passed, (
         f"{len(rows)} tuples over primes p<={pcap}; worst scaled route "
         f"difference {fmt(worst_diff)}; max ratio {fmt(worst_ratio)}"
@@ -357,7 +369,7 @@ def criterion_voronoi(quick: bool = False) -> tuple[bool, str]:
     xs = (50.0,) if quick else (50.0, 100.0, 200.0)
     cells = [cell for x in xs for cell in scale_residuals(range(1, qcap + 1), x)]
     worst = _worst(rep.relative_residual for _, _, rep in cells)
-    return worst <= 1e-6, (
+    return worst <= VORONOI_TOL, (
         f"{len(cells)} cells (q<={qcap}, X in {'{50}' if quick else '{50,100,200}'}); "
         f"worst relative residual {fmt(worst)}"
     )

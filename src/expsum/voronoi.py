@@ -68,9 +68,10 @@ allocates a scratch of its own for each transform in flight, so one row
 at a time holds one pad and one scratch.  Each row equals np.fft.ifft's
 serial transform, times 2^21, bit for bit.
 The Gauss-Legendre panels evaluate their integrand once on the whole node
-matrix (for K0, once for every kappa of a block) and reduce it panel by
-panel.  scipy is imported by the panel quadratures and the grid build
-only, so importing this module does not load it.
+matrix, for every kappa of a block with the same panel count (all the K0
+kappas; the Y0 kappas of one quarter-period count), and reduce it panel by
+panel, one kappa at a time.  scipy is imported by the kernel and grid
+builds only, so importing this module does not load it.
 
 A dual sum needs at least c(X)*q^2/X terms, where c(X) grows from about
 27,600 at X = 1/2 to 51,800 at X = 400 (a lower envelope measured on an X
@@ -304,36 +305,16 @@ def _gl64(f, lo: float, hi: float, npan: int) -> float:
     return _gl_sum(edges, f(x))
 
 
-def _gy_panels(kappa: float, X: float) -> float:
-    """integral g(u) Y0(kappa u) du on quarter-period GL64 panels."""
-    from scipy.special import y0  # deferred: most callers never build a kernel
+def _panels(bessel, kappas: np.ndarray, X: float, npan: int) -> np.ndarray:
+    """integral g(u) bessel(kappa u) du for each kappa, on npan equal GL64 panels.
 
-    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
-    width = min(math.pi / (2 * kappa), u1 - u0)
-    npan = int(math.ceil((u1 - u0) / width))
-    h = SmoothWeight(X)
-    return _gl64(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
-
-
-def _gk_panels(kappas: np.ndarray, X: float) -> np.ndarray:
-    """integral g(u) K0(kappa u) du on 8 GL64 panels per kappa; 0 once kappa*u0 >= Z_KZERO.
-
-    Every kappa shares the node matrix and g on it, and K0 is evaluated
-    once on the (kappas, 8, 64) array; each kappa's panels are still
+    Every kappa shares the node matrix and g on it, and bessel is evaluated
+    once on the (kappas, npan, 64) array; each kappa's panels are still
     reduced one at a time, in order.
     """
-    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
-    out = np.zeros(len(kappas))
-    live = np.nonzero(kappas * u0 < Z_KZERO)[0]
-    if not len(live):
-        return out
-    from scipy.special import k0
-
-    edges, u = _gl_nodes(u0, u1, 8)
-    fx = 2 * u * SmoothWeight(X)(u * u) * k0(kappas[live, None, None] * u)
-    for j, i in enumerate(live):
-        out[i] = _gl_sum(edges, fx[j])
-    return out
+    edges, u = _gl_nodes(math.sqrt(X), math.sqrt(2 * X), npan)
+    fx = 2 * u * SmoothWeight(X)(u * u) * bessel(kappas[:, None, None] * u)
+    return np.array([_gl_sum(edges, f) for f in fx])
 
 
 def predicted_terms(q: int, X: float) -> int:
@@ -365,7 +346,9 @@ def _build_kernels(
     imaginary parts, so the dot products of every cell take them as they
     are.  Hankel-regime kappas read grid, the moment grid of X.
     """
-    u0 = math.sqrt(X)
+    from scipy.special import k0, y0  # deferred: most callers never build a kernel
+
+    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
     pieces_y, pieces_k = [], []
     quiet_blocks = 0
     n = 0
@@ -377,15 +360,22 @@ def _build_kernels(
             )
         idx = np.arange(n + 1, hi + 1)
         kappas = 4 * math.pi * np.sqrt(idx.astype(float)) / q
-        y = np.empty(len(idx))
-        small = kappas * u0 < Z_HANKEL
-        for i in np.nonzero(small)[0]:
-            y[i] = _gy_panels(float(kappas[i]), X)
-        big = ~small
+        z = kappas * u0
+        y, k = np.empty(len(idx)), np.zeros(len(idx))
+        small = np.flatnonzero(z < Z_HANKEL)
+        # Y0 on panels no wider than a quarter period, a block per panel count
+        npans = np.ceil((u1 - u0) / np.minimum(math.pi / (2 * kappas[small]), u1 - u0))
+        for npan in np.unique(npans):
+            at = small[npans == npan]
+            y[at] = _panels(y0, kappas[at], X, int(npan))
+        big = z >= Z_HANKEL
         if big.any():
             y[big] = _gy_hankel(kappas[big], grid)
+        live = np.flatnonzero(z < Z_KZERO)  # K0 is 0 in doubles beyond
+        if len(live):
+            k[live] = _panels(k0, kappas[live], X, 8)
         hminus = -2 * math.pi * y
-        hplus = 4 * _gk_panels(kappas, X)
+        hplus = 4 * k
         d = _divisors(hi)[n + 1 : hi + 1]
         pieces_y.append(d * hminus)
         pieces_k.append(d * hplus)

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
@@ -113,8 +114,8 @@ def _spy_run_checks(monkeypatch) -> list:
     (["verify-all", "--jobs", "2.7"], "argument --jobs: invalid int value: '2.7'"),
     (["hyperkl3", "--q", "3,a"], "argument --q: bad integer 'a'"),
     (["hyperkl3", "--q", "1.5"], "argument --q: bad integer '1.5'"),
-    (["distribution", "--tol", "abc"], "argument --tol: invalid float value: 'abc'"),
-], ids=["jobs-x", "jobs-2.7", "q-3-a", "q-1.5", "tol-abc"])
+    (["voronoi", "--X", "abc"], "argument --X: bad float list 'abc'"),
+], ids=["jobs-x", "jobs-2.7", "q-3-a", "q-1.5", "X-abc"])
 def test_bad_flag_values_exit_2(argv, error, monkeypatch, capsys):
     # each value goes through its flag's converter, so a bad one is a usage error
     seen = _spy_run_checks(monkeypatch)
@@ -161,6 +162,8 @@ def test_EXPSUM_JOBS_changes_nothing(value, monkeypatch, capsys):
 def test_exit_code_2_on_bad_usage(tmp_path, capsys):
     assert main(["hyperkl3", "--q", "5..3"]) == 2
     assert "argument --q: reversed range '5..3'" in capsys.readouterr().err
+    assert main(["kloosterman", "--q", "12", "--tol", "1e-3"]) == 2  # a limit is no flag
+    assert "unrecognized arguments: --tol 1e-3\n" in capsys.readouterr().err
     assert main(["charsum-pp", "--p", "3", "--gamma-max", "99"]) == 2
     assert main(["voronoi", "--q", "0"]) == 2
     assert main(["kloosterman", "--q", str(CAPS["q"] + 1)]) == 2
@@ -225,19 +228,6 @@ def test_df_names_the_moduli_beyond_the_cap_it_skips(capsys):
     assert err[0] == "skipped (p, gamma) with p^gamma above 10000: (23, 3)"
 
 
-@pytest.mark.parametrize("argv", [["kloosterman", "--q", "6", "--tol", "nan"],
-                                  ["voronoi", "--q", "3", "--X", "50", "--tol", "nan"],
-                                  ["charsum-prime", "--p", "5", "--tol", "inf"],
-                                  ["distribution", "--q", "3", "--tol", "1e-13"]])
-def test_a_tolerance_that_is_not_a_finite_number_from_1e_12_exits_2(argv, capsys):
-    # no residual is above a nan or inf tolerance, so either would turn the
-    # check off; both are refused before any work, as a tiny one is
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert f"error: tolerance {float(argv[-1])} is not a finite number >= 1e-12" in err
-
-
 @pytest.mark.parametrize("argv", [["voronoi", "--q", "1", "--X", ","],
                                   ["distribution", "--q", "3", "--X", " , "]])
 def test_an_empty_X_list_exits_2(argv, capsys):
@@ -248,9 +238,9 @@ def test_an_empty_X_list_exits_2(argv, capsys):
 
 
 @pytest.mark.parametrize("argv,unknown", [
-    (["voronoi", "--q", "3", "--X", "50", "--t", "1e-3"], "--t 1e-3"),  # not --tol
+    (["voronoi", "--q", "3", "--X", "50", "--form", "json"], "--form json"),  # not --format
     (["verify-all", "--quick", "--q", "3"], "--q 3"),  # not --quick
-    (["kloosterman", "--q", "5", "--to", "1e-3"], "--to 1e-3"),
+    (["kloosterman", "--q", "5", "--jo", "2"], "--jo 2"),  # not --jobs
 ])
 def test_a_prefix_of_a_flag_is_not_that_flag(argv, unknown, capsys):
     assert main(argv) == 2
@@ -258,14 +248,16 @@ def test_a_prefix_of_a_flag_is_not_that_flag(argv, unknown, capsys):
     assert out == "" and f"unrecognized arguments: {unknown}\n" in err
 
 
+# each option a subcommand does not read, and --tol on every subcommand:
+# each check's limit is a constant that its criterion reads too
 _UNDECLARED = [(name, key) for name, (_, options) in cli.COMMANDS.items()
-               for key in cli.OPTIONS if key not in options]
+               for key in [*cli.OPTIONS, "tol"] if key not in options]
 
 
 @pytest.mark.parametrize("name,key", _UNDECLARED, ids=[f"{n}-{k}" for n, k in _UNDECLARED])
 def test_a_subcommand_refuses_the_flags_it_does_not_read(name, key, capsys):
     flag = f"--{key.replace('_', '-')}"
-    switch = cli.OPTIONS[key].get("action") == "store_true"
+    switch = cli.OPTIONS.get(key, {}).get("action") == "store_true"
     assert main([name, flag] if switch else [name, flag, "3"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "unrecognized arguments" in err
@@ -273,11 +265,11 @@ def test_a_subcommand_refuses_the_flags_it_does_not_read(name, key, capsys):
 
 def test_the_parser_takes_only_each_subcommands_own_options():
     # 3 shared options (--out, --format, --jobs) on each of 11 subcommands,
-    # and 23 of their own
+    # and 19 of their own
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     values = {name: [a.dest for a in sp._actions if not isinstance(a, argparse._HelpAction)]
               for name, sp in sub.choices.items()}
-    assert sum(map(len, values.values())) == 56
+    assert sum(map(len, values.values())) == 52
     for name, (_, options) in cli.COMMANDS.items():
         assert sorted(values[name]) == sorted(["out", "format", "jobs", *options])
 
@@ -603,7 +595,7 @@ def test_kloosterman_counts_the_rows_above_the_tolerance(monkeypatch, capsys):
     assert lines[1].startswith("[time] total: ")
 
 
-def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
+def test_distribution_checks_one_ramanujan_decomposition_per_modulus(monkeypatch, capsys):
     calls = []
     real = distribution.ramanujan_decomposition
 
@@ -612,8 +604,7 @@ def test_distribution_tol_keeps_the_ramanujan_check(monkeypatch, capsys):
         return real(*args)
 
     monkeypatch.setattr(distribution, "ramanujan_decomposition", spy)
-    argv = ["distribution", "--q", "3,4", "--X", "1000"]
-    assert main(argv + ["--tol", "1e-3"]) == 0
+    assert main(["distribution", "--q", "3,4", "--X", "1000"]) == 0
     assert calls == [(1000, 3), (1000, 4)]  # one per modulus, every unit class at once
     capsys.readouterr()
 
@@ -1080,6 +1071,94 @@ def test_a_scan_writes_every_row_then_counts_each_failed_check(kind, monkeypatch
         assert [e for e in err if not e.startswith("[")] == [label]
     assert runs["1"].out == runs["2"].out
     assert runs["1"].err.splitlines()[0] == runs["2"].err.splitlines()[0]
+
+
+def _in_cli_and_verify(monkeypatch, name, moved):
+    for module in (cli, verify):
+        monkeypatch.setattr(module, name, moved)
+
+
+def _split_at(factor, monkeypatch):
+    """The CRT split of S(1, 3; 7) moved by factor times its limit."""
+    real = verify.kloosterman_split_row
+    _in_cli_and_verify(monkeypatch, "kloosterman_split_row", lambda q: real(q) + (
+        (q == 7) * factor * verify.SPLIT_TOL * q * (np.arange(q) == 3)))
+
+
+def _route_at(factor, monkeypatch):
+    """The first c_{1,1} route difference mod 7 at factor times its limit."""
+    real = verify.charsum_prime
+
+    def moved(p, n):
+        rows = real(p, n)
+        if p == 7:
+            rows[0]["route_diff"] = factor * verify.ROUTE_TOL * p * p
+        return rows
+
+    _in_cli_and_verify(monkeypatch, "charsum_prime", moved)
+
+
+def _residual_at(factor, monkeypatch):
+    """The relative residual of the first cell at q = 2 at factor times its limit."""
+    real = verify.scale_residuals
+
+    def moved(qs, x):
+        cells = real(qs, x)
+        i = next(i for i, (q, _, _) in enumerate(cells) if q == 2)
+        q, a, rep = cells[i]
+        residual = factor * verify.VORONOI_TOL * abs(rep.lhs)
+        cells[i] = (q, a, dataclasses.replace(rep, residual=residual))
+        return cells
+
+    _in_cli_and_verify(monkeypatch, "scale_residuals", moved)
+    # each X's moment grid is built once in the test, not once per run
+    monkeypatch.setattr(voronoi, "_grid", functools.lru_cache(voronoi._grid))
+
+
+def _splitting_at(factor, monkeypatch):
+    """The Ramanujan terms of the class 1 mod 3 off their sum by factor times the limit."""
+    real = distribution.ramanujan_decomposition
+
+    def moved(X, q):
+        dec = real(X, q)
+        if q != 3:
+            return dec
+        (d, s), *rest = dec.terms
+        s = s + factor * distribution.RAMANUJAN_TOL * (np.arange(len(s)) == 0)
+        return dataclasses.replace(dec, terms=((d, s), *rest))
+
+    monkeypatch.setattr(distribution, "ramanujan_decomposition", moved)
+
+
+# each limit that a scan shares with its criterion: the scan's argv, the
+# criterion, a perturbation that puts one value at a factor times the limit,
+# and the stderr line of the scan above the limit, as a regular expression
+_AT_THE_LIMIT = {
+    "split": (["kloosterman", "--q", "5,7"], verify.criterion_crt_split, _split_at,
+              re.escape("1 rows with abs_diff above 1e-09*q or nan")),
+    "route": (["charsum-prime", "--p", "5,7"], verify.criterion_charsum_prime, _route_at,
+              re.escape("1 rows with route_diff above 1e-06*p^2 or nan")),
+    "residual": (["voronoi", "--q", "1,2", "--X", "50,60"], verify.criterion_voronoi,
+                 _residual_at, re.escape("2 cells above tolerance 1e-06")),
+    "splitting": (["distribution", "--q", "3,4", "--X", "1000,2000"],
+                  verify.criterion_distribution, _splitting_at,
+                  r"check failed: AssertionError: Ramanujan splitting defect "
+                  r"[0-9.e-]+ at q=3, a=1"),
+}
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5], ids=["above", "below"])
+@pytest.mark.parametrize("kind", list(_AT_THE_LIMIT))
+def test_a_scan_and_its_criterion_agree_at_its_limit(kind, factor, monkeypatch, capsys):
+    # twice the limit fails both, half of it passes both: one limit, read by each
+    argv, criterion, at, label = _AT_THE_LIMIT[kind]
+    at(factor, monkeypatch)
+    above = factor > 1
+    assert criterion(True).passed is not above
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == int(above)
+        err = [e for e in capsys.readouterr().err.splitlines() if not e.startswith("[")]
+        assert len(err) == int(above) and all(re.fullmatch(label, e) for e in err)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to fill")

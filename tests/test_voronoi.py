@@ -97,7 +97,11 @@ def test_y0_transform_matches_mpmath_oracle(kx, grids):
     # of integral g du, so these points pin the Hankel coefficients
     kappa = kx / math.sqrt(X_ORACLE)
     if kx < voronoi.Z_HANKEL:
-        got = voronoi._gy_panels(kappa, X_ORACLE)
+        from scipy.special import y0
+
+        u0, u1 = math.sqrt(X_ORACLE), math.sqrt(2 * X_ORACLE)
+        npan = math.ceil((u1 - u0) / min(math.pi / (2 * kappa), u1 - u0))
+        got = voronoi._panels(y0, np.array([kappa]), X_ORACLE, npan)[0]
     else:
         got = voronoi._gy_hankel(np.array([kappa]), grids(X_ORACLE))[0]
     want = _oracle(lambda z: mpmath.bessely(0, z), kx)
@@ -106,8 +110,11 @@ def test_y0_transform_matches_mpmath_oracle(kx, grids):
 
 @pytest.mark.parametrize("kx", [0.5, 40.0, 100.0])
 def test_k0_transform_matches_mpmath_oracle(kx):
-    # panels where K0 is large and just below Z_KZERO, exactly 0 past it
-    got = voronoi._gk_panels(np.array([kx / math.sqrt(X_ORACLE)]), X_ORACLE)[0]
+    # panels where K0 is large, just below Z_KZERO and past it, where the
+    # kernels take it as 0 (test_the_kernels_take_each_panel_kappa_as_the_scalar_formulas_do)
+    from scipy.special import k0
+
+    got = voronoi._panels(k0, np.array([kx / math.sqrt(X_ORACLE)]), X_ORACLE, 8)[0]
     want = _oracle(lambda z: mpmath.besselk(0, z), kx)
     assert abs(got - want) < _oracle_tol()
 
@@ -523,8 +530,8 @@ def test_one_pass_panels_equal_the_per_panel_calls(X):
         npan = int(math.ceil((u1 - u0) / width))
         want_y = _gl64_ref(lambda u: 2 * u * h(u * u) * y0(kappa * u), u0, u1, npan)
         want_k = _gl64_ref(lambda u: 2 * u * h(u * u) * k0(kappa * u), u0, u1, 8)
-        assert voronoi._gy_panels(kappa, X) == want_y
-        assert voronoi._gk_panels(np.array([kappa]), X)[0] == want_k
+        assert voronoi._panels(y0, np.array([kappa]), X, npan)[0] == want_y
+        assert voronoi._panels(k0, np.array([kappa]), X, 8)[0] == want_k
     for q in (1, 7, 20):
         def f(x):
             return (np.log(np.sqrt(x) / q) + voronoi.EULER_GAMMA) * h(x)
@@ -535,18 +542,43 @@ def test_one_pass_panels_equal_the_per_panel_calls(X):
 
 @pytest.mark.parametrize("X", [50.0, 100.0, 200.0])
 def test_block_k0_panels_equal_the_scalar_formula(X):
-    # every kappa = 4 pi sqrt(n) / q of the gate with kappa*u0 < Z_KZERO,
-    # then a few past it, which read 0
+    # every kappa = 4 pi sqrt(n) / q of the gate with kappa*u0 < Z_KZERO
+    from scipy.special import k0
+
     u0 = math.sqrt(X)
     kappas = np.concatenate([
         4 * math.pi * np.sqrt(np.arange(1, 200 * q * q // int(X) + 2, dtype=float)) / q
         for q in range(1, 21)
     ])
-    live = kappas * u0 < voronoi.Z_KZERO
-    assert live.sum() > 300 and (~live).any()
-    want = np.array([_gk_panels_ref(float(k), X) for k in kappas])
-    assert voronoi._gk_panels(kappas, X).tobytes() == want.tobytes()
-    assert not want[~live].any()
+    live = kappas[kappas * u0 < voronoi.Z_KZERO]
+    assert len(live) > 300 and len(live) < len(kappas)
+    want = np.array([_gk_panels_ref(float(k), X) for k in live])
+    assert voronoi._panels(k0, live, X, 8).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [7, 20])
+def test_the_kernels_take_each_panel_kappa_as_the_scalar_formulas_do(q, grids):
+    # wY below Z_HANKEL and wK below Z_KZERO are d(n) times the one-kappa
+    # panel formulas, bit for bit, though the Y0 kappas share their panels
+    # in blocks by panel count; past Z_KZERO wK is exactly 0
+    from scipy.special import y0
+
+    X = 50.0
+    h = SmoothWeight(X)
+    u0, u1 = math.sqrt(X), math.sqrt(2 * X)
+    wY, wK, n_auto, _ = voronoi._build_kernels(q, X, grids(X))
+    kappas = 4 * math.pi * np.sqrt(np.arange(1, n_auto + 1, dtype=float)) / q
+    d = voronoi._divisors(n_auto)[1 : n_auto + 1]
+    small = np.flatnonzero(kappas * u0 < voronoi.Z_HANKEL)
+    npans = [math.ceil((u1 - u0) / min(math.pi / (2 * k), u1 - u0)) for k in kappas[small]]
+    assert len(set(npans)) > 2
+    want_y = [_gl64_ref(lambda u: 2 * u * h(u * u) * y0(k * u), u0, u1, npan)
+              for k, npan in zip(kappas[small].tolist(), npans)]
+    assert wY.real[small].tobytes() == (d[small] * (-2 * math.pi * np.array(want_y))).tobytes()
+    live = np.flatnonzero(kappas * u0 < voronoi.Z_KZERO)
+    want_k = np.array([_gk_panels_ref(k, X) for k in kappas[live].tolist()])
+    assert wK.real[live].tobytes() == (d[live] * (4 * want_k)).tobytes()
+    assert live[-1] + 1 < n_auto and not wK[live[-1] + 1 :].any()
 
 
 @pytest.mark.parametrize("q", range(1, 21))
